@@ -14,17 +14,18 @@ from .dataset import (CrossTrack, GeoLocation, Sounding, SpectralDataset,
                       WavelengthSet, common_wavelengths, cross_tracks,
                       great_circle_distance, load_dataset, remove_cross_tracks,
                       save_dataset, select_region)
-from .errors import DataError, GeofpcaError, NumericalError
+from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores, eigendecompose,
                    estimate_error_covariance, estimate_signal_covariance)
-from .geostat import (EmpiricalVariogram, SpatialTestResult, VariogramBins,
-                      VariogramFit, empirical_semivariogram, exponential_variogram,
-                      fit_variogram_wls, krige_score, spatial_dependence_test)
+from .geostat import (EmpiricalVariogram, KrigingSystem, SpatialTestResult,
+                      VariogramBins, VariogramFit, empirical_semivariogram,
+                      exponential_variogram, fit_variogram_wls, krige_score,
+                      spatial_dependence_test)
 from .imputation import (FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance,
                          interpolate_radiance, load_model, predict_scores,
                          save_model)
-from .mean_model import MeanModel, evaluate_mean, fit_mean_model
+from .mean_model import MeanModel, evaluate_mean, evaluate_mean_at, fit_mean_model
 from .simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
                          run_unmixing_study, simulate_error_process,
                          simulate_mixed_transect, simulate_orbit, synthetic_profile)

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import GeoLocation, load_dataset, save_dataset, select_region
+from .dataset import load_dataset, save_dataset, select_region
 from .errors import DataError, NumericalError
 from .geostat import VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
@@ -37,8 +37,14 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     """File config overlaid by explicitly set flags (flags win)."""
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise DataError(f"cannot read config file {args.config}: {e}") from None
+        if not isinstance(doc, dict):
+            raise DataError(f"config file {args.config} must hold a JSON object")
+        cfg.update(doc)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -79,6 +85,41 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise DataError(f"expected LO:HI, got {text!r}") from None
 
 
+def _parse_r(text: str) -> range:
+    """Cross-track block sizes LO:HI; remove_cross_tracks supports 1..8."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        lo = hi = 0
+    if not 1 <= lo <= hi <= 8:
+        raise DataError(f"--r expects integers LO:HI with 1 <= LO <= HI <= 8, "
+                        f"got {text!r}")
+    return range(lo, hi + 1)
+
+
+def _read_targets(path) -> list[tuple[int, float, float, int]]:
+    """Rows (id, latitude, longitude, footprint) of a targets CSV."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read targets file {path}: {e}") from None
+    if not lines or lines[0].split(",")[:4] != ["id", "latitude", "longitude",
+                                                "footprint"]:
+        raise DataError("targets file must have header id,latitude,longitude,footprint")
+    targets = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            sid, lat, lon, fp = line.split(",")[:4]
+            targets.append((int(sid), float(lat), float(lon), int(fp)))
+        except ValueError:
+            raise DataError(f"{path} line {lineno}: expected integer id, numeric "
+                            f"latitude and longitude, integer footprint; "
+                            f"got {line!r}") from None
+    return targets
+
+
 def cmd_fit(args) -> int:
     keys = ["input", "region", "fve", "min_coverage", "covariates", "max_lat_span",
             "n_bins", "bin_max_fraction", "min_pairs", "weights", "n_perm",
@@ -111,27 +152,19 @@ def cmd_impute(args) -> int:
     cfg = _merge_config(args, keys)
     _echo("impute", cfg)
     model = load_model(cfg["model"])
-    targets: list[tuple[int, float, float, int]] = []
     if cfg.get("targets"):
-        lines = Path(cfg["targets"]).read_text().splitlines()
-        if not lines or lines[0].split(",")[:4] != ["id", "latitude", "longitude",
-                                                    "footprint"]:
-            raise DataError("targets file must have header id,latitude,longitude,footprint")
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            sid, lat, lon, fp = line.split(",")[:4]
-            targets.append((int(sid), float(lat), float(lon), int(fp)))
+        targets = _read_targets(cfg["targets"])
     else:
         for key in ("lat", "lon", "footprint"):
             if cfg.get(key) is None:
                 raise DataError("impute needs --targets or --lat/--lon/--footprint")
-        targets.append((0, float(cfg["lat"]), float(cfg["lon"]), int(cfg["footprint"])))
+        targets = [(0, float(cfg["lat"]), float(cfg["lon"]), int(cfg["footprint"]))]
+    spectra = impute_radiance(model, [t[1] for t in targets], [t[2] for t in targets],
+                              [t[3] for t in targets])
     header = ["id", "latitude", "longitude", "footprint", "land_fraction"]
     header += [f"w_{w}" for w in model.wavelengths.indices]
     lines_out = [",".join(header)]
-    for sid, lat, lon, fp in targets:
-        spec = impute_radiance(model, GeoLocation(lat, lon), fp)
+    for (sid, lat, lon, fp), spec in zip(targets, spectra):
         cells = [str(sid), repr(lat), repr(lon), str(fp), ""]
         cells += [repr(float(v)) for v in spec]
         lines_out.append(",".join(cells))
@@ -245,8 +278,8 @@ def cmd_validate(args) -> int:
             "lat_halfwidth", "fve", "n_perm", "seed", "threads", "out", "summary"]
     cfg = _merge_config(args, keys)
     _echo("validate", cfg)
+    r_values = _parse_r(str(cfg.get("r", "1:8")))
     ds = load_dataset(cfg["input"])
-    r_lo, r_hi = (int(x) for x in str(cfg.get("r", "1:8")).split(":"))
     spec = str(cfg.get("centers", "auto"))
     if spec == "auto":
         centers = select_centers(ds, footprint=int(cfg.get("footprint", 4)),
@@ -258,14 +291,15 @@ def cmd_validate(args) -> int:
     else:
         centers = [int(x) for x in spec.split(":")]
     report = run_imputation_experiment(
-        ds, centers, range(r_lo, r_hi + 1), _fit_config(cfg),
+        ds, centers, r_values, _fit_config(cfg),
         lat_halfwidth=float(cfg.get("lat_halfwidth", 0.25)),
         threads=int(cfg.get("threads") or os.cpu_count() or 1),
     )
     report_to_csv(report, cfg["out"])
     if cfg.get("summary"):
         summary_to_csv(report, cfg["summary"])
-    print(f"{len(centers)} centers, r={r_lo}..{r_hi}: {len(report.rows)} rows, "
+    print(f"{len(centers)} centers, r={r_values[0]}..{r_values[-1]}: "
+          f"{len(report.rows)} rows, "
           f"{len(report.failures)} failed cells; report at {cfg['out']}")
     return EXIT_OK
 
@@ -332,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the replicated unmixing study instead")
     p.add_argument("--rho-grid", dest="rho_grid", help="colon-separated rho values")
     p.add_argument("--n-reps", dest="n_reps", type=int)
-    p.add_argument("--threads", type=int, help="worker processes (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="worker processes (default: the CPU count)")
     p.add_argument("--out", help="dataset CSV (or study CSV with --study)")
     p.add_argument("--truth", help="truth JSON path")
     p.add_argument("--config", help="JSON config file (flags win)")
@@ -348,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fve", type=float)
     p.add_argument("--n-perm", dest="n_perm", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, help="worker processes (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="worker processes (default: the CPU count)")
     p.add_argument("--out", help="report CSV")
     p.add_argument("--summary", help="per-r summary CSV")
     p.add_argument("--config", help="JSON config file (flags win)")
@@ -359,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args, list(getattr(args, "required_keys", ())))
-    for key in getattr(args, "required_keys", ()):
-        if not cfg.get(key):
-            parser.error(f"the --{key} option is required (flag or config file)")
     try:
+        cfg = _merge_config(args, list(getattr(args, "required_keys", ())))
+        for key in getattr(args, "required_keys", ()):
+            if not cfg.get(key):
+                parser.error(f"the --{key} option is required (flag or config file)")
         return args.func(args)
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

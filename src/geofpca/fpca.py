@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import SpectralDataset, WavelengthSet, haversine_km
+from .dataset import SpectralDataset, WavelengthSet, haversine_km, pairwise_distances
 from .errors import DataError, NumericalError
 from .mean_model import MeanModel, evaluate_mean_rows
 
@@ -72,6 +72,8 @@ class ScoreField:
     footprints: np.ndarray | None = None
     taus: dict[int, np.ndarray] = field(default_factory=dict)
     excluded_ids: tuple[int, ...] = ()
+    _distances: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     @property
     def n_components(self) -> int:
@@ -86,6 +88,18 @@ class ScoreField:
             return np.array([self.taus[int(p)][k] for p in footprints])
         except KeyError as e:
             raise DataError(f"no score-noise variance for footprint {e.args[0]}") from None
+
+    def distances(self) -> np.ndarray:
+        """Read-only haversine distance matrix of the soundings, computed once.
+
+        The spatial screen, the variograms and kriging all share it.
+        """
+        if self._distances is None:
+            if self.latitudes is None:
+                raise DataError("score field carries no geometry")
+            self._distances = pairwise_distances(self.latitudes, self.longitudes)
+            self._distances.flags.writeable = False
+        return self._distances
 
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from .dataset import GeoLocation, SpectralDataset, haversine_km, pairwise_distances
-from .errors import DataError, NumericalError
+from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
 WEIGHT_SCHEMES = ("nh2", "n")
@@ -130,6 +130,14 @@ def _score_geometry(scores: ScoreField, ds: SpectralDataset | None):
     return ds.latitudes[rows], ds.longitudes[rows], ds.footprints[rows]
 
 
+def _score_distances(scores: ScoreField, ds: SpectralDataset | None) -> np.ndarray:
+    """Pairwise distances of the score-bearing soundings (cached on the field)."""
+    if scores.latitudes is not None:
+        return scores.distances()
+    lat, lon, _ = _score_geometry(scores, ds)
+    return pairwise_distances(lat, lon)
+
+
 def empirical_semivariogram(scores: ScoreField, k: int, ds: SpectralDataset,
                             bins: VariogramBins | None = None) -> EmpiricalVariogram:
     """Nugget-corrected binned semivariogram of one component's scores.
@@ -146,7 +154,7 @@ def empirical_semivariogram(scores: ScoreField, k: int, ds: SpectralDataset,
     u = scores.component(k)
     tau = scores.tau_for(fps, k)
     iu, ju = np.triu_indices(n, k=1)
-    d = pairwise_distances(lat, lon)[iu, ju]
+    d = _score_distances(scores, ds)[iu, ju]
     sq = 0.5 * (u[iu] - u[ju]) ** 2
     nug = 0.5 * (tau[iu] + tau[ju])
     h_max = d.max() * bins.max_fraction
@@ -229,17 +237,16 @@ def spatial_dependence_test(scores: ScoreField, k: int, ds: SpectralDataset,
     The p-value is two-sided around the permutation-null expectation
     -1/(n-1); ``dependent`` is the comparison against ``alpha``.
     """
-    lat, lon, _ = _score_geometry(scores, ds)
-    n = lat.size
+    n = scores.sounding_ids.size
     if n < 20:
         raise DataError(f"spatial dependence test needs >= 20 soundings, got {n}")
     if n_perm < 99:
         raise DataError(f"n_perm {n_perm} < 99")
     z = scores.component(k) - scores.component(k).mean()
     if float(z @ z) <= 0.0:
-        raise DataError(f"component {k}: degenerate (zero-variance) scores")
+        raise DegenerateScoresError(f"component {k}: degenerate (zero-variance) scores")
 
-    d = pairwise_distances(lat, lon)
+    d = _score_distances(scores, ds).copy()  # the shared matrix stays intact
     np.fill_diagonal(d, np.inf)
     m = min(n_neighbors, n - 1)
     nb = np.argsort(d, axis=1, kind="stable")[:, :m]
@@ -262,51 +269,85 @@ def spatial_dependence_test(scores: ScoreField, k: int, ds: SpectralDataset,
     return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
 
 
-def krige_score(target: GeoLocation, scores: ScoreField, k: int,
-                fit: VariogramFit | None, ds: SpectralDataset | None = None,
-                dependent: bool = True,
-                marginal_variance: float | None = None) -> tuple[float, float]:
-    """Predict one component's score at an unobserved location.
+class KrigingSystem:
+    """Plug-in ordinary kriging of one component's scores, factored once.
 
-    Returns (prediction, prediction variance). With ``dependent=False`` the
-    predictor reduces to the plain score mean with ``marginal_variance`` as
-    its variance. Otherwise the plug-in ordinary kriging system is solved with
-    covariance sill*exp(-d/range) off the diagonal and sill plus the
-    footprint score-noise variance on it.
+    The covariance is sill*exp(-d/range) off the diagonal and sill plus the
+    footprint score-noise variance (with a relative jitter) on it. Building
+    the system factors it once and caches Sigma^-1 1, 1' Sigma^-1 1, the GLS
+    mean kappa and the weights Sigma^-1 u - kappa Sigma^-1 1, so T targets
+    cost one T x n cross-covariance and one triangular solve with T
+    right-hand sides. A component screened as spatially independent predicts
+    the plain score mean with ``marginal_variance``; a single observation
+    pins the mean exactly. Both then predict a constant.
     """
-    u = scores.component(k)
-    if u.size < 1:
-        raise DataError("no scores to krige from")
-    if not dependent:
-        if marginal_variance is None:
-            raise DataError("reduced predictor needs a marginal variance")
-        return float(u.mean()), float(marginal_variance)
-    if fit is None:
-        raise DataError(f"component {k}: no variogram fit available for kriging")
-    if u.size < 2:
-        # A single observation pins the constant mean exactly.
-        tau0 = scores.tau_for(_score_geometry(scores, ds)[2], k)[0]
-        return float(u[0]), float(fit.sill + tau0)
 
-    lat, lon, fps = _score_geometry(scores, ds)
-    tau = scores.tau_for(fps, k)
-    sill, rng = fit.sill, fit.range_km
-    cov = sill * np.exp(-pairwise_distances(lat, lon) / rng)
-    np.fill_diagonal(cov, sill + tau + JITTER * sill)
-    nu = sill * np.exp(-haversine_km(target.latitude, target.longitude, lat, lon) / rng)
-    try:
-        chol = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
-    ones = np.ones_like(u)
-    sol_u = cho_solve(chol, u)
-    sol_1 = cho_solve(chol, ones)
-    sol_nu = cho_solve(chol, nu)
-    denom = float(ones @ sol_1)
-    if denom <= 0.0:
-        raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
-    kappa = float(ones @ sol_u) / denom
-    pred = kappa + float(nu @ (sol_u - kappa * sol_1))
-    slack = 1.0 - float(ones @ sol_nu)
-    var = sill - float(nu @ sol_nu) + slack * slack / denom
-    return pred, max(var, 0.0)
+    def __init__(self, scores: ScoreField, k: int, fit: VariogramFit | None,
+                 dependent: bool = True, marginal_variance: float | None = None):
+        u = scores.component(k)
+        if u.size < 1:
+            raise DataError("no scores to krige from")
+        self.constant: tuple[float, float] | None = None
+        if not dependent:
+            if marginal_variance is None:
+                raise DataError("reduced predictor needs a marginal variance")
+            self.constant = (float(u.mean()), float(marginal_variance))
+            return
+        if fit is None:
+            raise DataError(f"component {k}: no variogram fit available for kriging")
+        lat, lon, fps = _score_geometry(scores, None)
+        tau = scores.tau_for(fps, k)
+        if u.size < 2:
+            # A single observation pins the constant mean exactly.
+            self.constant = (float(u[0]), float(fit.sill + tau[0]))
+            return
+
+        sill, rng = fit.sill, fit.range_km
+        cov = np.divide(scores.distances(), -rng)
+        np.exp(cov, out=cov)
+        cov *= sill
+        np.fill_diagonal(cov, sill + tau + JITTER * sill)
+        try:
+            chol, _ = cho_factor(cov, lower=True, overwrite_a=True)
+        except np.linalg.LinAlgError as e:
+            raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
+        sol_u = cho_solve((chol, True), u)
+        sol_1 = cho_solve((chol, True), np.ones_like(u))
+        denom = float(sol_1.sum())
+        if denom <= 0.0:
+            raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
+        self.kappa = float(sol_u.sum()) / denom
+        self.weights = sol_u - self.kappa * sol_1
+        self.sol_1, self.denom = sol_1, denom
+        self.chol, self.sill, self.range_km = chol, sill, rng
+        self.latitudes, self.longitudes = lat, lon
+
+    def predict(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions and prediction variances at T locations (two length-T arrays)."""
+        lat = np.asarray(latitudes, dtype=float)
+        lon = np.asarray(longitudes, dtype=float)
+        if self.constant is not None:
+            return np.full(lat.shape, self.constant[0]), np.full(lat.shape, self.constant[1])
+        nu = haversine_km(lat[:, None], lon[:, None],
+                          self.latitudes[None, :], self.longitudes[None, :])
+        np.divide(nu, -self.range_km, out=nu)
+        np.exp(nu, out=nu)
+        nu *= self.sill
+        pred = self.kappa + nu @ self.weights
+        slack = 1.0 - nu @ self.sol_1
+        half = solve_triangular(self.chol, nu.T, lower=True, check_finite=False)
+        var = self.sill - np.einsum("ij,ij->j", half, half) + slack * slack / self.denom
+        return pred, np.maximum(var, 0.0)
+
+
+def krige_score(target: GeoLocation, scores: ScoreField, k: int,
+                fit: VariogramFit | None, dependent: bool = True,
+                marginal_variance: float | None = None) -> tuple[float, float]:
+    """Predict one component's score at one location: (prediction, variance).
+
+    A one-target call into :class:`KrigingSystem`; to predict many targets,
+    build the system once and call its ``predict``.
+    """
+    system = KrigingSystem(scores, k, fit, dependent, marginal_variance)
+    pred, var = system.predict([target.latitude], [target.longitude])
+    return float(pred[0]), float(var[0])

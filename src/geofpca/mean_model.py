@@ -114,24 +114,18 @@ def fit_mean_model(ds: SpectralDataset, ws: WavelengthSet,
     return MeanModel(ws, covariates, coefficients)
 
 
-def evaluate_mean(model: MeanModel, loc: GeoLocation, footprint: int) -> np.ndarray:
-    """Mean spectrum over the model's wavelength set at one location."""
-    if footprint not in model.coefficients:
-        raise DataError(f"footprint {footprint} was not fitted")
-    beta = model.coefficients[footprint]
+def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
+                     ) -> np.ndarray:
+    """Mean spectra over the model's wavelength set at T locations (T x m)."""
+    lat = np.asarray(latitudes, dtype=float)
+    fps = np.asarray(footprints, dtype=int)
+    if fps.shape != lat.shape:
+        raise DataError("need one footprint per location")
     if model.covariates == "latitude":
-        covs = np.array([loc.latitude])
+        covs = lat[:, None]
     else:
-        covs = np.array([loc.latitude, loc.longitude])
-    return beta[0] + covs @ beta[1:]
-
-
-def evaluate_mean_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray
-                       ) -> np.ndarray:
-    """Mean spectra for the given dataset rows (len(rows) x m)."""
-    out = np.empty((rows.size, model.wavelengths.size))
-    fps = ds.footprints[rows]
-    covs = _covariate_matrix(ds, rows, model.covariates)
+        covs = np.column_stack([lat, np.asarray(longitudes, dtype=float)])
+    out = np.empty((fps.size, model.wavelengths.size))
     for p in np.unique(fps):
         if int(p) not in model.coefficients:
             raise DataError(f"footprint {int(p)} was not fitted")
@@ -139,3 +133,15 @@ def evaluate_mean_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray
         sel = fps == p
         out[sel] = beta[0] + covs[sel] @ beta[1:]
     return out
+
+
+def evaluate_mean(model: MeanModel, loc: GeoLocation, footprint: int) -> np.ndarray:
+    """Mean spectrum over the model's wavelength set at one location."""
+    return evaluate_mean_at(model, [loc.latitude], [loc.longitude], [footprint])[0]
+
+
+def evaluate_mean_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray
+                       ) -> np.ndarray:
+    """Mean spectra for the given dataset rows (len(rows) x m)."""
+    return evaluate_mean_at(model, ds.latitudes[rows], ds.longitudes[rows],
+                            ds.footprints[rows])

@@ -329,18 +329,21 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
                                for w in common]) for label in models}
     grid_pos = np.asarray(common, dtype=int) - 1
 
+    mixed = [ds.get(sid) for sid in spec.mixed_ids]
+    lats = np.array([s.latitude for s in mixed])
+    lons = np.array([s.longitude for s in mixed])
+    fps = np.array([s.footprint for s in mixed], dtype=int)
+    endmembers = {label: impute_radiance(model, lats, lons, fps)[:, pos_in[label]]
+                  for label, model in models.items()}
+
     estimates: list[LandFractionEstimate] = []
-    for sid in spec.mixed_ids:
-        s = ds.get(sid)
-        endmembers = {}
-        for label, model in models.items():
-            full = impute_radiance(model, s.location, s.footprint)
-            endmembers[label] = full[pos_in[label]]
+    for j, s in enumerate(mixed):
+        sid = s.id
         obs = s.radiance[grid_pos]
         good = ~np.isnan(obs)
         if not good.any():
             raise DataError(f"sounding {sid}: no observed radiance on the shared grid")
-        f_l, f_w = endmembers["land"][good], endmembers["water"][good]
+        f_l, f_w = endmembers["land"][j, good], endmembers["water"][j, good]
         alpha_u = estimate_land_fraction(obs[good], f_l, f_w)
         resid_u = float(np.linalg.norm(obs[good] - alpha_u * f_l - (1 - alpha_u) * f_w))
         estimates.append(LandFractionEstimate(sid, alpha_u, "unmixing", resid_u))

@@ -150,21 +150,21 @@ def _experiment_cell(args) -> tuple[int, int, list[ExperimentRow], str | None]:
         obs_scores = compute_scores(held, model.mean, model.basis)
         score_of = {int(i): row for i, row in
                     zip(obs_scores.sounding_ids, obs_scores.scores)}
-        pos = model.wavelengths.positions
+        observed = held.radiance[:, model.wavelengths.positions]
+        good = ~np.isnan(observed)
+        keep = np.flatnonzero(good.any(axis=1))
+        lats, lons = held.latitudes[keep], held.longitudes[keep]
+        preds, _ = predict_scores(model, lats, lons)
+        imputed = impute_radiance(model, lats, lons, held.footprints[keep], preds)
         rows = []
-        for s in held.soundings:
-            observed = s.radiance[pos]
-            good = ~np.isnan(observed)
-            if not good.any():
-                continue
-            imputed = impute_radiance(model, s.location, s.footprint)
-            val_f = rrmse(imputed[good], observed[good])
+        for j, i in enumerate(keep):
+            s, g = held.soundings[i], good[i]
+            val_f = rrmse(imputed[j, g], observed[i, g])
             interp = interpolate_radiance(train, s.location, s.footprint,
                                           model.wavelengths)
-            val_i = rrmse(interp[good], observed[good])
+            val_i = rrmse(interp[g], observed[i, g])
             if s.id in score_of:
-                preds, _ = predict_scores(model, s.location)
-                val_p = rmspe(score_of[s.id], preds, model.basis)
+                val_p = rmspe(score_of[s.id], preds[j], model.basis)
             else:
                 val_p = math.nan  # incomplete spectrum: no observed scores
             rows.append(ExperimentRow(center, r, s.id, s.footprint,

@@ -8,6 +8,7 @@ eigensolver.
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -77,6 +78,26 @@ def bordered_kriging(cov, nu, u, sill):
     pred = float(weights @ u)
     var = float(sill - weights @ nu - mult)
     return pred, var
+
+
+def cholesky_kriging(cov, nu, u, sill):
+    """Ordinary kriging for one target by three Cholesky solves.
+
+    The per-target path the library took before it factored each system once
+    for many targets. ``cov`` must already include any nugget/jitter on its
+    diagonal. Returns (prediction, kriging variance clipped at zero).
+    """
+    chol = cho_factor(cov, lower=True)
+    ones = np.ones_like(u)
+    sol_u = cho_solve(chol, u)
+    sol_1 = cho_solve(chol, ones)
+    sol_nu = cho_solve(chol, nu)
+    denom = float(ones @ sol_1)
+    kappa = float(ones @ sol_u) / denom
+    pred = kappa + float(nu @ (sol_u - kappa * sol_1))
+    slack = 1.0 - float(ones @ sol_nu)
+    var = sill - float(nu @ sol_nu) + slack * slack / denom
+    return pred, max(var, 0.0)
 
 
 def allpairs_variogram(lat, lon, u, tau, edges, min_pairs, dist_fn):

@@ -247,7 +247,8 @@ def test_criterion_6_exactness_suite(report):
     ds, _ = exact_rank_dataset(rng, {3: [(2.0, 0.25), (-1.0, 0.15)],
                                      6: [(1.0, 0.10), (0.5, 0.30)]})
     model = fit_geofpca(ds, FitConfig(n_perm=199))
-    worst = max(rrmse(impute_radiance(model, s.location, s.footprint), s.radiance)
+    worst = max(rrmse(impute_radiance(model, [s.latitude], [s.longitude],
+                                      [s.footprint])[0], s.radiance)
                 for s in ds.soundings)
     details.append(f"rank-K training RRMSE {worst:.2e}")
 

@@ -85,10 +85,21 @@ class TestFit:
         assert run(["fit", "--input", tmp_path / "nope.csv",
                     "--out", tmp_path / "m.json"]) == 3
 
+    def test_missing_config_file_exits_3(self, tmp_path):
+        assert run(["fit", "--config", tmp_path / "nope.json",
+                    "--out", tmp_path / "m.json"]) == 3
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["fit", "--out", "x.json"])
         assert err.value.code == 2
+
+    def test_too_few_permutations_exits_3(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        assert run(["fit", "--input", path, "--region", "34.9:35.47",
+                    "--n-perm", 5, "--out", tmp_path / "m.json"]) == 3
+        assert "n_perm 5" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # Collinear (latitude, longitude) covariates: rank-deficient design.
@@ -127,6 +138,31 @@ class TestImpute:
         assert run(["impute", "--model", model_path, "--targets", targets,
                     "--out", out]) == 0
         assert len(load_dataset(out)) == 2
+
+
+    def test_missing_model_exits_3(self, tmp_path, capsys):
+        assert run(["impute", "--model", tmp_path / "nope.json", "--lat", 35.2,
+                    "--lon", 23.77, "--footprint", 4, "--out", tmp_path / "s.csv"]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_corrupt_model_exits_3(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"format": "geofpca-model", "version": 1')
+        assert run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
+                    "--footprint", 4, "--out", tmp_path / "s.csv"]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_numeric_latitude_exits_3(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
+                    "--out", model_path]) == 0
+        targets = tmp_path / "targets.csv"
+        targets.write_text("id,latitude,longitude,footprint\n"
+                           "5,35.1,23.77,4\n9,north,23.78,4\n")
+        assert run(["impute", "--model", model_path, "--targets", targets,
+                    "--out", tmp_path / "s.csv"]) == 3
+        assert "line 3" in capsys.readouterr().err
 
 
 class TestUnmix:
@@ -195,3 +231,10 @@ class TestValidate:
                     "--n-perm", 99, "--out", out])
         assert code == 0
         assert len(out.read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("r", ["1:9", "0:2", "3:2", "a:2", "1.5:2", "4"])
+    def test_bad_r_exits_3(self, orbit_csv, tmp_path, capsys, r):
+        path, _ = orbit_csv
+        assert run(["validate", "--input", path, "--r", r,
+                    "--out", tmp_path / "r.csv"]) == 3
+        assert "--r expects" in capsys.readouterr().err

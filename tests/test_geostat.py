@@ -5,10 +5,10 @@ from conftest import make_dataset
 from geofpca.dataset import GeoLocation, haversine_km, pairwise_distances
 from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
-from geofpca.geostat import (VariogramBins, empirical_semivariogram,
+from geofpca.geostat import (KrigingSystem, VariogramBins, empirical_semivariogram,
                              exponential_variogram, fit_variogram_wls,
                              krige_score, spatial_dependence_test)
-from oracles import allpairs_variogram, bordered_kriging
+from oracles import allpairs_variogram, bordered_kriging, cholesky_kriging
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -268,3 +268,49 @@ class TestKrigeScore:
         sf = score_field(transect_latitudes(5), rng.normal(size=5), [0.1])
         with pytest.raises(DataError, match="marginal variance"):
             krige_score(GeoLocation(35.0, 23.8), sf, 0, None, dependent=False)
+
+
+class TestKrigingSystem:
+    def test_batch_matches_cholesky_oracle(self, rng):
+        n, sill, range_km = 40, 2.3, 12.0
+        lats = 35.0 + rng.uniform(0, 0.3, n)
+        lons = 23.0 + rng.uniform(0, 0.05, n)
+        u = rng.normal(1.0, 1.5, n)
+        fps = rng.integers(1, 9, n)
+        taus = {p: np.array([0.05 + 0.01 * p]) for p in range(1, 9)}
+        sf = score_field(lats, u, taus, lons=lons, footprints=fps)
+        t_lat = 35.0 + rng.uniform(-0.05, 0.35, 24)
+        t_lon = 23.0 + rng.uniform(-0.02, 0.07, 24)
+        t_lat[:3], t_lon[:3] = lats[:3], lons[:3]  # training locations too
+        pred, var = KrigingSystem(sf, 0, simple_fit(sill, range_km)).predict(t_lat, t_lon)
+        cov = sill * np.exp(-pairwise_distances(lats, lons) / range_km)
+        np.fill_diagonal(cov, sill + 0.05 + 0.01 * fps + 1e-8 * sill)
+        for j in range(t_lat.size):
+            nu = sill * np.exp(-haversine_km(t_lat[j], t_lon[j], lats, lons) / range_km)
+            pred_ref, var_ref = cholesky_kriging(cov, nu, u, sill)
+            assert abs(pred[j] - pred_ref) <= 1e-12
+            assert abs(var[j] - var_ref) <= 1e-12
+
+    def test_constant_predictors(self, rng):
+        u = rng.normal(0, 1.0, 12)
+        sf = score_field(transect_latitudes(12), u, [0.1])
+        pred, var = KrigingSystem(sf, 0, None, dependent=False,
+                                  marginal_variance=3.3).predict([35.0, 35.1], [23.8, 23.8])
+        np.testing.assert_array_equal(pred, np.full(2, u.mean()))
+        np.testing.assert_array_equal(var, [3.3, 3.3])
+        one = score_field([35.0], [3.25], [0.5])
+        pred, var = KrigingSystem(one, 0, simple_fit(2.0, 10.0)).predict([35.5], [23.8])
+        assert pred[0] == 3.25 and var[0] == 2.5
+
+    def test_zero_targets(self, rng):
+        sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
+        pred, var = KrigingSystem(sf, 0, simple_fit(1.0, 10.0)).predict([], [])
+        assert pred.shape == (0,) and var.shape == (0,)
+
+    def test_shared_distances_left_intact(self, rng):
+        sf = score_field(transect_latitudes(30), rng.standard_normal(30), [0.0])
+        spatial_dependence_test(sf, 0, None, n_perm=99)
+        d = sf.distances()
+        assert not d.flags.writeable
+        np.testing.assert_array_equal(np.diag(d), 0.0)
+        np.testing.assert_array_equal(d, pairwise_distances(sf.latitudes, sf.longitudes))

@@ -7,9 +7,10 @@ from geofpca.errors import DataError
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
-from geofpca.simulation import SimulationConfig, simulate_mixed_transect
+from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
+                                simulate_orbit)
 from geofpca.validation import rrmse
-from oracles import bordered_kriging
+from oracles import bordered_kriging, cholesky_kriging
 
 
 def rank_k_dataset(rng, n=40, width=12, variances=(6.0,), noise=0.0, spacing=0.012):
@@ -99,14 +100,16 @@ class TestImputeRadiance:
         assert model.basis.K == 2
         for i in (3, 17, 30, 40):
             s = ds.soundings[i]
-            imputed = impute_radiance(model, s.location, s.footprint)
+            imputed = impute_radiance(model, [s.latitude], [s.longitude],
+                                      [s.footprint])[0]
             assert rrmse(imputed, s.radiance) < 1e-6
 
     def test_far_target_decays_to_gls_mean(self, rng):
         ds, _, _ = rank_k_dataset(rng, n=36, variances=(6.0,))
         model = fit_geofpca(ds, FitConfig(n_perm=99))
         # ~3400 km north: every covariance vector entry is numerically zero.
-        preds, _ = predict_scores(model, GeoLocation(65.0, 23.8))
+        preds, _ = predict_scores(model, [65.0], [23.8])
+        preds = preds[0]
         u = model.scores.scores
         for k in range(model.basis.K):
             if model.dependent(k) and model.fits[k] is not None:
@@ -128,7 +131,7 @@ class TestImputeRadiance:
         train, held = remove_cross_tracks(region, center=10, r=1)
         model = fit_geofpca(train, FitConfig(n_perm=99))
         s = held.soundings[0]
-        imputed = impute_radiance(model, s.location, s.footprint)
+        imputed = impute_radiance(model, [s.latitude], [s.longitude], [s.footprint])[0]
         # Rebuild the prediction from scratch: mean, per-component bordered
         # kriging (or the score mean), then the basis reconstruction.
         beta = model.mean.coefficients[s.footprint]
@@ -153,7 +156,91 @@ class TestImputeRadiance:
         region, _ = water_region
         model = fit_geofpca(region, FitConfig(n_perm=99))
         with pytest.raises(DataError, match="footprint 7"):
-            impute_radiance(model, GeoLocation(35.0, 23.8), 7)
+            impute_radiance(model, [35.0], [23.8], [7])
+
+
+class TestBatchedPrediction:
+    @pytest.fixture
+    def fitted(self):
+        ds, _ = simulate_orbit(OrbitConfig(n_tracks=14, seed=5, grid_length=24,
+                                           track_spacing=0.01))
+        model = fit_geofpca(ds, FitConfig(n_perm=99))
+        rng = np.random.default_rng(77)
+        lats = rng.uniform(*model.region, 24)
+        lons = rng.uniform(ds.longitudes.min(), ds.longitudes.max(), 24)
+        fps = np.arange(24) % 8 + 1
+        return model, lats, lons, fps
+
+    def test_matches_cholesky_oracle(self, fitted):
+        model, lats, lons, fps = fitted
+        # Both predictor branches are exercised.
+        assert {model.dependent(k) for k in range(model.basis.K)} == {True, False}
+        preds, variances = predict_scores(model, lats, lons)
+        sf = model.scores
+        for k in range(model.basis.K):
+            u = sf.scores[:, k]
+            fit = model.fits[k]
+            if model.dependent(k):
+                cov = fit.sill * np.exp(-pairwise_distances(
+                    sf.latitudes, sf.longitudes) / fit.range_km)
+                np.fill_diagonal(cov, fit.sill + sf.tau_for(sf.footprints, k)
+                                 + 1e-8 * fit.sill)
+            for j in range(lats.size):
+                if model.dependent(k):
+                    nu = fit.sill * np.exp(-haversine_km(
+                        lats[j], lons[j], sf.latitudes, sf.longitudes) / fit.range_km)
+                    ref = cholesky_kriging(cov, nu, u, fit.sill)
+                else:
+                    ref = (float(u.mean()), float(model.basis.eigenvalues[k]))
+                assert abs(preds[j, k] - ref[0]) <= 1e-12
+                assert abs(variances[j, k] - ref[1]) <= 1e-12
+
+    def test_one_at_a_time_matches_batch(self, fitted):
+        model, lats, lons, fps = fitted
+        preds, variances = predict_scores(model, lats, lons)
+        spectra = impute_radiance(model, lats, lons, fps)
+        for j in range(lats.size):
+            p1, v1 = predict_scores(model, lats[j:j + 1], lons[j:j + 1])
+            np.testing.assert_allclose(p1[0], preds[j], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v1[0], variances[j], rtol=0, atol=1e-12)
+            s1 = impute_radiance(model, lats[j:j + 1], lons[j:j + 1], fps[j:j + 1])
+            np.testing.assert_allclose(s1[0], spectra[j], rtol=0, atol=1e-12)
+
+    def test_loaded_model_predicts_identically(self, fitted, tmp_path):
+        model, lats, lons, fps = fitted
+        save_model(model, tmp_path / "model.json")
+        restored = load_model(tmp_path / "model.json")
+        for a, b in zip(predict_scores(model, lats, lons),
+                        predict_scores(restored, lats, lons)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(impute_radiance(model, lats, lons, fps),
+                                      impute_radiance(restored, lats, lons, fps))
+
+    def test_zero_targets(self, fitted):
+        model = fitted[0]
+        preds, variances = predict_scores(model, [], [])
+        assert preds.shape == variances.shape == (0, model.basis.K)
+        assert impute_radiance(model, [], [], []).shape == (0, model.wavelengths.size)
+
+    def test_rejects_bad_coordinates(self, fitted):
+        model = fitted[0]
+        with pytest.raises(DataError, match="equal length"):
+            predict_scores(model, [35.0, 35.1], [23.8])
+        with pytest.raises(DataError, match="finite"):
+            impute_radiance(model, [float("nan")], [23.8], [4])
+        with pytest.raises(DataError, match="one footprint per location"):
+            impute_radiance(model, [35.0, 35.1], [23.8, 23.8], [4])
+
+
+class TestFitConfigValidation:
+    def test_too_few_permutations(self):
+        with pytest.raises(DataError, match="n_perm 5"):
+            FitConfig(n_perm=5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(DataError, match="alpha"):
+            FitConfig(alpha=alpha)
 
 
 class TestInterpolateRadiance:
@@ -216,9 +303,8 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         restored = load_model(path)
-        target = GeoLocation(35.0, 23.79)
-        before = impute_radiance(model, target, 4)
-        after = impute_radiance(restored, target, 4)
+        before = impute_radiance(model, [35.0], [23.79], [4])
+        after = impute_radiance(restored, [35.0], [23.79], [4])
         np.testing.assert_allclose(after, before, atol=1e-12)
         assert restored.basis.K == model.basis.K
         assert restored.config == model.config
