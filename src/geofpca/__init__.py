@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .dataset import (CrossTrack, GeoLocation, Sounding, SpectralDataset,
                       WavelengthSet, common_wavelengths, cross_tracks,
-                      great_circle_distance, load_dataset, remove_cross_tracks,
+                      haversine_km, load_dataset, remove_cross_tracks,
                       save_dataset, select_region)
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
@@ -30,7 +30,7 @@ from .simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
                          run_unmixing_study, simulate_error_process,
                          simulate_mixed_transect, simulate_orbit, synthetic_profile)
 from .unmixing import (LandFractionEstimate, MixedRegionSpec, UnmixConfig,
-                       detect_mixed_region, estimate_land_fraction,
-                       interpolation_land_fraction, smooth_scores, unmix_region)
+                       detect_mixed_region, estimate_land_fraction, smooth_scores,
+                       unmix_region)
 from .validation import (ExperimentReport, rmspe, rrmse,
                          run_imputation_experiment, select_centers)

@@ -56,24 +56,39 @@ def _echo(command: str, cfg: dict) -> None:
     print(f"config {command}: " + json.dumps(cfg, sort_keys=True))
 
 
+def _as(kind: type, value, key: str):
+    """``kind(value)`` for the config key ``key``; a bad value is a data error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise DataError(f"config key {key!r}: expected {kind.__name__}, "
+                        f"got {value!r}") from None
+
+
+def _num(cfg: dict, key: str, kind: type, default=None):
+    """``kind(cfg[key])``, or ``default`` when the key is absent or null."""
+    val = cfg.get(key)
+    return default if val is None else _as(kind, val, key)
+
+
 def _fit_config(cfg: dict) -> FitConfig:
     fc = FitConfig()
     bins = VariogramBins(
-        n_bins=int(cfg.get("n_bins", fc.bins.n_bins)),
-        max_fraction=float(cfg.get("bin_max_fraction", fc.bins.max_fraction)),
-        min_pairs=int(cfg.get("min_pairs", fc.bins.min_pairs)),
+        n_bins=_num(cfg, "n_bins", int, fc.bins.n_bins),
+        max_fraction=_num(cfg, "bin_max_fraction", float, fc.bins.max_fraction),
+        min_pairs=_num(cfg, "min_pairs", int, fc.bins.min_pairs),
     )
     return FitConfig(
-        fve_threshold=float(cfg.get("fve", fc.fve_threshold)),
-        min_coverage=float(cfg.get("min_coverage", fc.min_coverage)),
+        fve_threshold=_num(cfg, "fve", float, fc.fve_threshold),
+        min_coverage=_num(cfg, "min_coverage", float, fc.min_coverage),
         covariates=str(cfg.get("covariates", fc.covariates)),
-        max_lat_span=float(cfg.get("max_lat_span", fc.max_lat_span)),
-        max_gap_km=float(cfg.get("max_gap_km", math.inf)),
+        max_lat_span=_num(cfg, "max_lat_span", float, fc.max_lat_span),
+        max_gap_km=_num(cfg, "max_gap_km", float, math.inf),
         bins=bins,
         weight_scheme=str(cfg.get("weights", fc.weight_scheme)),
-        n_perm=int(cfg.get("n_perm", fc.n_perm)),
-        alpha=float(cfg.get("alpha", fc.alpha)),
-        seed=int(cfg.get("seed", fc.seed)),
+        n_perm=_num(cfg, "n_perm", int, fc.n_perm),
+        alpha=_num(cfg, "alpha", float, fc.alpha),
+        seed=_num(cfg, "seed", int, fc.seed),
     )
 
 
@@ -126,10 +141,11 @@ def cmd_fit(args) -> int:
             "alpha", "seed", "out"]
     cfg = _merge_config(args, keys)
     _echo("fit", cfg)
+    fit_cfg = _fit_config(cfg)
     ds = load_dataset(cfg["input"])
     if cfg.get("region"):
         ds = select_region(ds, _parse_range(cfg["region"]))
-    model = fit_geofpca(ds, _fit_config(cfg))
+    model = fit_geofpca(ds, fit_cfg)
     save_model(model, cfg["out"])
     kept = len(model.scores.sounding_ids)
     print(f"fitted: wavelengths={model.wavelengths.size} K={model.basis.K} "
@@ -151,14 +167,15 @@ def cmd_impute(args) -> int:
     keys = ["model", "lat", "lon", "footprint", "targets", "out"]
     cfg = _merge_config(args, keys)
     _echo("impute", cfg)
-    model = load_model(cfg["model"])
     if cfg.get("targets"):
         targets = _read_targets(cfg["targets"])
     else:
         for key in ("lat", "lon", "footprint"):
             if cfg.get(key) is None:
                 raise DataError("impute needs --targets or --lat/--lon/--footprint")
-        targets = [(0, float(cfg["lat"]), float(cfg["lon"]), int(cfg["footprint"]))]
+        targets = [(0, _num(cfg, "lat", float), _num(cfg, "lon", float),
+                    _num(cfg, "footprint", int))]
+    model = load_model(cfg["model"])
     spectra = impute_radiance(model, [t[1] for t in targets], [t[2] for t in targets],
                               [t[3] for t in targets])
     header = ["id", "latitude", "longitude", "footprint", "land_fraction"]
@@ -178,21 +195,18 @@ def cmd_unmix(args) -> int:
             "n_perm", "seed", "truth", "out", "summary"]
     cfg = _merge_config(args, keys)
     _echo("unmix", cfg)
+    land_hi = _num(cfg, "land_hi", float, 0.70)
+    water_lo = _num(cfg, "water_lo", float, 0.30)
+    ref_length = _num(cfg, "ref_length", float, 0.6)
+    unmix_cfg = UnmixConfig(fit=_fit_config(cfg), land_hi=land_hi, water_lo=water_lo,
+                            ref_length=ref_length)
     ds = load_dataset(cfg["input"])
-    spec = detect_mixed_region(
-        ds,
-        land_hi=float(cfg.get("land_hi", 0.70)),
-        water_lo=float(cfg.get("water_lo", 0.30)),
-        delta0=cfg.get("delta0"),
-        ref_length=float(cfg.get("ref_length", 0.6)),
-    )
+    spec = detect_mixed_region(ds, land_hi=land_hi, water_lo=water_lo,
+                               delta0=_num(cfg, "delta0", float),
+                               ref_length=ref_length)
     print(f"mixed window [{spec.m_window[0]!r}, {spec.m_window[1]!r}] "
           f"delta0={spec.delta0!r} references {spec.s1_label}/{spec.s2_label} "
           f"qualified={spec.qualified}")
-    unmix_cfg = UnmixConfig(fit=_fit_config(cfg),
-                            land_hi=float(cfg.get("land_hi", 0.70)),
-                            water_lo=float(cfg.get("water_lo", 0.30)),
-                            ref_length=float(cfg.get("ref_length", 0.6)))
     estimates, _ = unmix_region(ds, spec, unmix_cfg)
     by_id: dict[int, dict[str, float]] = {}
     for e in estimates:
@@ -235,18 +249,18 @@ def cmd_simulate(args) -> int:
     cfg = _merge_config(args, keys)
     _echo("simulate", cfg)
     sim_cfg = SimulationConfig(
-        n_sites=int(cfg.get("n_sites", 41)),
-        grid_length=int(cfg.get("grid_length", 120)),
-        rho=float(cfg.get("rho", 0.05)),
-        alpha=None if cfg.get("alpha") is None else float(cfg["alpha"]),
-        seed=int(cfg.get("seed", 0)),
+        n_sites=_num(cfg, "n_sites", int, 41),
+        grid_length=_num(cfg, "grid_length", int, 120),
+        rho=_num(cfg, "rho", float, 0.05),
+        alpha=_num(cfg, "alpha", float),
+        seed=_num(cfg, "seed", int, 0),
     )
     if cfg.get("study"):
-        grid = [float(x) for x in str(cfg.get("rho_grid", "0.01:0.05:0.1:0.15:0.2"))
-                .split(":")]
-        result = run_unmixing_study(grid, int(cfg.get("n_reps", 200)), sim_cfg,
-                                    threads=int(cfg.get("threads") or
-                                                os.cpu_count() or 1))
+        grid = [_as(float, x, "rho_grid")
+                for x in str(cfg.get("rho_grid", "0.01:0.05:0.1:0.15:0.2")).split(":")]
+        result = run_unmixing_study(grid, _num(cfg, "n_reps", int, 200), sim_cfg,
+                                    threads=(_num(cfg, "threads", int)
+                                             or os.cpu_count() or 1))
         study_to_csv(result, cfg["out"])
         print(f"study over rho={grid} written to {cfg['out']} "
               f"({result.n_failures} failures)")
@@ -279,22 +293,24 @@ def cmd_validate(args) -> int:
     cfg = _merge_config(args, keys)
     _echo("validate", cfg)
     r_values = _parse_r(str(cfg.get("r", "1:8")))
-    ds = load_dataset(cfg["input"])
+    fit_cfg = _fit_config(cfg)
+    lat_halfwidth = _num(cfg, "lat_halfwidth", float, 0.25)
+    threads = _num(cfg, "threads", int) or os.cpu_count() or 1
+    footprint = _num(cfg, "footprint", int, 4)
+    min_region_count = _num(cfg, "min_region_count", int, 164)
     spec = str(cfg.get("centers", "auto"))
-    if spec == "auto":
-        centers = select_centers(ds, footprint=int(cfg.get("footprint", 4)),
-                                 min_region_count=int(cfg.get("min_region_count", 164)),
-                                 lat_halfwidth=float(cfg.get("lat_halfwidth", 0.25)))
+    centers = None if spec == "auto" else [_as(int, x, "centers")
+                                           for x in spec.split(":")]
+    ds = load_dataset(cfg["input"])
+    if centers is None:
+        centers = select_centers(ds, footprint=footprint,
+                                 min_region_count=min_region_count,
+                                 lat_halfwidth=lat_halfwidth)
         if not centers:
             print("no qualifying centers found", file=sys.stderr)
             return EXIT_DATA
-    else:
-        centers = [int(x) for x in spec.split(":")]
-    report = run_imputation_experiment(
-        ds, centers, r_values, _fit_config(cfg),
-        lat_halfwidth=float(cfg.get("lat_halfwidth", 0.25)),
-        threads=int(cfg.get("threads") or os.cpu_count() or 1),
-    )
+    report = run_imputation_experiment(ds, centers, r_values, fit_cfg,
+                                       lat_halfwidth=lat_halfwidth, threads=threads)
     report_to_csv(report, cfg["out"])
     if cfg.get("summary"):
         summary_to_csv(report, cfg["summary"])

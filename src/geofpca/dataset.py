@@ -210,11 +210,6 @@ class SpectralDataset:
         return SpectralDataset([self.soundings[i] for i in idx], self.grid_length, meta)
 
 
-def great_circle_distance(a: GeoLocation, b: GeoLocation) -> float:
-    """Haversine great-circle distance in kilometers."""
-    return float(haversine_km(a.latitude, a.longitude, b.latitude, b.longitude))
-
-
 def haversine_km(lat1, lon1, lat2, lon2):
     """Vectorized haversine distance in km (inputs in degrees)."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float))

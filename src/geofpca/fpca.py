@@ -67,9 +67,9 @@ class ScoreField:
 
     sounding_ids: np.ndarray
     scores: np.ndarray
-    latitudes: np.ndarray | None = None
-    longitudes: np.ndarray | None = None
-    footprints: np.ndarray | None = None
+    latitudes: np.ndarray
+    longitudes: np.ndarray
+    footprints: np.ndarray
     taus: dict[int, np.ndarray] = field(default_factory=dict)
     excluded_ids: tuple[int, ...] = ()
     _distances: np.ndarray | None = field(default=None, init=False, repr=False,
@@ -95,8 +95,6 @@ class ScoreField:
         The spatial screen, the variograms and kriging all share it.
         """
         if self._distances is None:
-            if self.latitudes is None:
-                raise DataError("score field carries no geometry")
             self._distances = pairwise_distances(self.latitudes, self.longitudes)
             self._distances.flags.writeable = False
         return self._distances

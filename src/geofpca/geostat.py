@@ -16,12 +16,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
-from .dataset import GeoLocation, SpectralDataset, haversine_km, pairwise_distances
+from .dataset import GeoLocation, haversine_km
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
+PERM_CHUNK = 128  # Moran permutations evaluated per array pass
 
 
 @dataclass
@@ -116,29 +117,7 @@ def exponential_variogram(h, sill: float, range_km: float):
     return sill * (1.0 - np.exp(-np.asarray(h, dtype=float) / range_km))
 
 
-def _score_geometry(scores: ScoreField, ds: SpectralDataset | None):
-    """Latitudes, longitudes, and footprints of the score-bearing soundings.
-
-    The field's embedded geometry is authoritative; ``ds`` is only consulted
-    for fields built without one (and must then contain every scored id).
-    """
-    if scores.latitudes is not None:
-        return scores.latitudes, scores.longitudes, scores.footprints
-    if ds is None:
-        raise DataError("score field carries no geometry and no dataset was given")
-    rows = np.array([ds.index_of(int(i)) for i in scores.sounding_ids])
-    return ds.latitudes[rows], ds.longitudes[rows], ds.footprints[rows]
-
-
-def _score_distances(scores: ScoreField, ds: SpectralDataset | None) -> np.ndarray:
-    """Pairwise distances of the score-bearing soundings (cached on the field)."""
-    if scores.latitudes is not None:
-        return scores.distances()
-    lat, lon, _ = _score_geometry(scores, ds)
-    return pairwise_distances(lat, lon)
-
-
-def empirical_semivariogram(scores: ScoreField, k: int, ds: SpectralDataset,
+def empirical_semivariogram(scores: ScoreField, k: int,
                             bins: VariogramBins | None = None) -> EmpiricalVariogram:
     """Nugget-corrected binned semivariogram of one component's scores.
 
@@ -147,14 +126,13 @@ def empirical_semivariogram(scores: ScoreField, k: int, ds: SpectralDataset,
     ``bins.min_pairs`` pairs are dropped.
     """
     bins = bins or VariogramBins()
-    lat, lon, fps = _score_geometry(scores, ds)
-    n = lat.size
+    n = scores.sounding_ids.size
     if n < 2:
         raise DataError("need at least 2 scored soundings for a semivariogram")
     u = scores.component(k)
-    tau = scores.tau_for(fps, k)
+    tau = scores.tau_for(scores.footprints, k)
     iu, ju = np.triu_indices(n, k=1)
-    d = _score_distances(scores, ds)[iu, ju]
+    d = scores.distances()[iu, ju]
     sq = 0.5 * (u[iu] - u[ju]) ** 2
     nug = 0.5 * (tau[iu] + tau[ju])
     h_max = d.max() * bins.max_fraction
@@ -229,9 +207,9 @@ def fit_variogram_wls(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
                         sill <= 0.0, ev)
 
 
-def spatial_dependence_test(scores: ScoreField, k: int, ds: SpectralDataset,
-                            n_perm: int = 999, alpha: float = 0.05,
-                            seed: int = 0, n_neighbors: int = 10) -> SpatialTestResult:
+def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
+                            alpha: float = 0.05, seed: int = 0,
+                            n_neighbors: int = 10) -> SpatialTestResult:
     """Moran's I permutation test with inverse-distance k-nearest weights.
 
     The p-value is two-sided around the permutation-null expectation
@@ -246,25 +224,27 @@ def spatial_dependence_test(scores: ScoreField, k: int, ds: SpectralDataset,
     if float(z @ z) <= 0.0:
         raise DegenerateScoresError(f"component {k}: degenerate (zero-variance) scores")
 
-    d = _score_distances(scores, ds).copy()  # the shared matrix stays intact
+    d = scores.distances().copy()  # the shared matrix stays intact
     np.fill_diagonal(d, np.inf)
     m = min(n_neighbors, n - 1)
     nb = np.argsort(d, axis=1, kind="stable")[:, :m]
     wts = 1.0 / np.maximum(d[np.arange(n)[:, None], nb], 1e-9)
     s0 = wts.sum()
 
-    def moran(v):
-        return n / s0 * float(np.sum(v[:, None] * wts * v[nb])) / float(v @ v)
-
-    stat = moran(z)
+    stat = n / s0 * float(np.sum(z[:, None] * wts * z[nb])) / float(z @ z)
     e_i = -1.0 / (n - 1)
+    ref = abs(stat - e_i)
     rng = np.random.default_rng(seed)
     exceed = 0
-    ref = abs(stat - e_i)
-    for _ in range(n_perm):
-        zp = z[rng.permutation(n)]
-        if abs(moran(zp) - e_i) >= ref:
-            exceed += 1
+    # Permuted statistics in chunks of rows: O(PERM_CHUNK * n) memory.
+    for start in range(0, n_perm, PERM_CHUNK):
+        zp = z[np.stack([rng.permutation(n)
+                         for _ in range(min(PERM_CHUNK, n_perm - start))])]
+        lag = np.zeros_like(zp)
+        for j in range(m):
+            lag += wts[:, j] * zp[:, nb[:, j]]
+        perm_stats = n / s0 * np.sum(zp * lag, axis=1) / np.sum(zp * zp, axis=1)
+        exceed += int(np.count_nonzero(np.abs(perm_stats - e_i) >= ref))
     p = (1 + exceed) / (1 + n_perm)
     return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
 
@@ -295,8 +275,7 @@ class KrigingSystem:
             return
         if fit is None:
             raise DataError(f"component {k}: no variogram fit available for kriging")
-        lat, lon, fps = _score_geometry(scores, None)
-        tau = scores.tau_for(fps, k)
+        tau = scores.tau_for(scores.footprints, k)
         if u.size < 2:
             # A single observation pins the constant mean exactly.
             self.constant = (float(u[0]), float(fit.sill + tau[0]))
@@ -320,7 +299,7 @@ class KrigingSystem:
         self.weights = sol_u - self.kappa * sol_1
         self.sol_1, self.denom = sol_1, denom
         self.chol, self.sill, self.range_km = chol, sill, rng
-        self.latitudes, self.longitudes = lat, lon
+        self.latitudes, self.longitudes = scores.latitudes, scores.longitudes
 
     def predict(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and prediction variances at T locations (two length-T arrays)."""

@@ -166,7 +166,7 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     for k in range(basis.K):
         if scores.sounding_ids.size >= 20:
             try:
-                test = spatial_dependence_test(scores, k, ds, config.n_perm,
+                test = spatial_dependence_test(scores, k, config.n_perm,
                                                config.alpha, config.seed)
             except DegenerateScoresError:
                 # Constant scores: the reduced mean predictor is exact.
@@ -176,7 +176,7 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
             test = None  # too few soundings to screen; keep the kriging path
         tests.append(test)
         try:
-            ev = empirical_semivariogram(scores, k, ds, config.bins)
+            ev = empirical_semivariogram(scores, k, config.bins)
             fits.append(fit_variogram_wls(ev, config.weight_scheme))
         except GeofpcaError as e:
             if test is None or test.dependent:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import trim_mean
 
 from .dataset import GeoLocation, SpectralDataset, Sounding, pairwise_distances
 from .errors import DataError, GeofpcaError
@@ -424,6 +423,13 @@ def _spawn_seed(seed: Seed, i_rho: int, rep: int) -> tuple[int, ...]:
     return base + (i_rho, rep)
 
 
+def _trim_mean(a: np.ndarray, proportion: float) -> float:
+    """Mean after cutting ``int(proportion * n)`` values from each end (scipy's trim_mean)."""
+    n = a.size
+    lo = int(proportion * n)
+    return float(np.mean(np.partition(a, (lo, n - lo - 1))[lo:n - lo]))
+
+
 def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = None,
                        unmix_config: UnmixConfig | None = None,
                        trim: float = 0.1, threads: int = 1) -> StudyResult:
@@ -435,6 +441,8 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
     """
     if n_reps < 2:
         raise DataError("n_reps must be >= 2")
+    if not 0.0 <= trim < 0.5:
+        raise DataError(f"trim {trim} outside [0, 0.5)")
     cfg = cfg or SimulationConfig()
     unmix_config = unmix_config or UnmixConfig(fit=FitConfig(n_perm=199))
     tasks = [(cfg, unmix_config, float(rho), i, rep)
@@ -458,7 +466,7 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
             errs = np.array([abs(getattr(r, attr) - r.alpha_true) / r.alpha_true
                              for r in good])
             rows.append(StudyRow(float(rho), method,
-                                 float(trim_mean(errs, trim)) if errs.size else math.nan,
+                                 _trim_mean(errs, trim) if errs.size else math.nan,
                                  len(good), int(base_seed)))
     return StudyResult(rows, records, n_failures)
 

@@ -116,19 +116,29 @@ def _epanechnikov(t: np.ndarray) -> np.ndarray:
     return 0.75 * out
 
 
-def _local_linear(x: np.ndarray, y: np.ndarray, x0: float, h: float) -> float:
-    """Local linear estimate at x0; NaN when no kernel mass is available."""
-    w = _epanechnikov((x - x0) / h)
-    s0 = w.sum()
-    if s0 <= 0.0:
-        return math.nan
-    d = x - x0
-    s1, s2 = float(w @ d), float(w @ (d * d))
-    t0, t1 = float(w @ y), float(w @ (d * y))
+def _local_linear(x: np.ndarray, y: np.ndarray, x0: np.ndarray, h: float,
+                  leave_one_out: bool = False) -> np.ndarray:
+    """Local linear estimates at the points x0 from one T x n kernel matrix.
+
+    NaN where no kernel mass reaches a point; ``leave_one_out`` fits each
+    x0 = x without its own observation.
+    """
+    d = x[None, :] - np.asarray(x0, dtype=float)[:, None]
+    w = _epanechnikov(d / h)
+    if leave_one_out:
+        np.fill_diagonal(w, 0.0)
+    wd = w * d
+    s0, s1, s2 = w.sum(axis=1), wd.sum(axis=1), (wd * d).sum(axis=1)
+    t0, t1 = w @ y, wd @ y
     denom = s0 * s2 - s1 * s1
-    if denom <= 1e-12 * max(s0 * s2, 1e-300):
-        return t0 / s0  # single effective point: fall back to the local mean
-    return (s2 * t0 - s1 * t1) / denom
+    out = np.full(s0.shape, math.nan)
+    mass = s0 > 0.0
+    # Single effective point: fall back to the local mean.
+    flat = mass & (denom <= 1e-12 * np.maximum(s0 * s2, 1e-300))
+    line = mass & ~flat
+    out[flat] = t0[flat] / s0[flat]
+    out[line] = (s2[line] * t0[line] - s1[line] * t1[line]) / denom[line]
+    return out
 
 
 def _mad_inliers(u: np.ndarray, threshold: float) -> np.ndarray:
@@ -137,8 +147,7 @@ def _mad_inliers(u: np.ndarray, threshold: float) -> np.ndarray:
     return np.abs(u - med) <= threshold * mad
 
 
-def smooth_scores(scores: ScoreField, ds: SpectralDataset | None = None,
-                  bandwidth: float | str = "cv",
+def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
                   outlier_mad: float = 3.0,
                   cv_grid: np.ndarray | None = None) -> ScoreField:
     """Local-linear smoothing of each component's scores along latitude.
@@ -149,8 +158,6 @@ def smooth_scores(scores: ScoreField, ds: SpectralDataset | None = None,
     ``bandwidth`` is a fixed width in degrees or ``"cv"`` for leave-one-out
     selection over a log-spaced grid.
     """
-    if scores.latitudes is None:
-        raise DataError("score field carries no geometry; cannot smooth")
     lats = scores.latitudes
     fps = scores.footprints
     smoothed = scores.scores.copy()
@@ -173,11 +180,11 @@ def smooth_scores(scores: ScoreField, ds: SpectralDataset | None = None,
                 h = _cv_bandwidth(xf, yf, cv_grid)
             else:
                 h = float(bandwidth)
-            smoothed[sel, k] = [_local_linear(xf, yf, x0, h) for x0 in x]
+            smoothed[sel, k] = _local_linear(xf, yf, x, h)
             if np.isnan(smoothed[sel, k]).any():
                 # Fixed bandwidth too narrow somewhere: widen to the data span.
                 span = float(xf.max() - xf.min()) or 1.0
-                smoothed[sel, k] = [_local_linear(xf, yf, x0, span) for x0 in x]
+                smoothed[sel, k] = _local_linear(xf, yf, x, span)
     return scores.with_scores(smoothed)
 
 
@@ -192,19 +199,12 @@ def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None) -> floa
         grid = np.geomspace(lo, span, 8)
     best_h, best_err = None, math.inf
     for h in grid:
-        errs = []
-        ok = True
-        for i in range(x.size):
-            mask = np.arange(x.size) != i
-            pred = _local_linear(x[mask], y[mask], float(x[i]), float(h))
-            if math.isnan(pred):
-                ok = False
-                break
-            errs.append((pred - y[i]) ** 2)
-        if ok:
-            err = float(np.mean(errs))
-            if err < best_err:
-                best_h, best_err = float(h), err
+        pred = _local_linear(x, y, x, float(h), leave_one_out=True)
+        if np.isnan(pred).any():
+            continue
+        err = float(np.mean((pred - y) ** 2))
+        if err < best_err:
+            best_h, best_err = float(h), err
     if best_h is None:
         raise DataError("bandwidth grid exhausted: every candidate was degenerate")
     return best_h
@@ -228,12 +228,6 @@ def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray, f_water: np.ndar
     if clamp:
         alpha = min(max(alpha, 0.0), 1.0)
     return alpha
-
-
-def interpolation_land_fraction(obs: np.ndarray, nearest_land: np.ndarray,
-                                nearest_water: np.ndarray, clamp: bool = True) -> float:
-    """Baseline fraction estimate using raw neighboring spectra as endmembers."""
-    return estimate_land_fraction(obs, nearest_land, nearest_water, clamp=clamp)
 
 
 @dataclass
@@ -354,7 +348,7 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
         if not good_i.any():
             raise DataError(f"sounding {sid}: no shared observed wavelengths for "
                             "the interpolation baseline")
-        alpha_i = interpolation_land_fraction(obs[good_i], r_l[good_i], r_w[good_i])
+        alpha_i = estimate_land_fraction(obs[good_i], r_l[good_i], r_w[good_i])
         resid_i = float(np.linalg.norm(
             obs[good_i] - alpha_i * r_l[good_i] - (1 - alpha_i) * r_w[good_i]))
         estimates.append(LandFractionEstimate(sid, alpha_i, "interpolation", resid_i))

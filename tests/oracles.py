@@ -182,3 +182,77 @@ def rmspe_loop(scores_obs, scores_pred, eigenvectors):
             acc += (scores_obs[j] - scores_pred[j]) * eigenvectors[w, j]
         total += acc * acc
     return math.sqrt(total / m)
+
+
+def local_linear_point(x, y, x0, h):
+    """Local linear estimate at one point by scalar kernel sums.
+
+    NaN when no kernel mass reaches x0; the local mean when the kernel sees a
+    single effective point.
+    """
+    t = (x - x0) / h
+    w = 0.75 * (1.0 - t * t)
+    w[np.abs(t) >= 1.0] = 0.0
+    s0 = w.sum()
+    if s0 <= 0.0:
+        return math.nan
+    d = x - x0
+    s1, s2 = float(w @ d), float(w @ (d * d))
+    t0, t1 = float(w @ y), float(w @ (d * y))
+    denom = s0 * s2 - s1 * s1
+    if denom <= 1e-12 * max(s0 * s2, 1e-300):
+        return t0 / s0
+    return (s2 * t0 - s1 * t1) / denom
+
+
+def cv_bandwidth_loop(x, y, grid=None):
+    """Leave-one-out bandwidth by refitting without each point in turn.
+
+    Returns the grid value with the smallest mean squared leave-one-out error,
+    skipping every candidate that leaves some point without kernel mass, or
+    None when no candidate survives.
+    """
+    if grid is None:
+        span = float(x.max() - x.min())
+        lo = max(2.0 * float(np.median(np.diff(np.sort(x)))), span / 20.0)
+        grid = np.geomspace(lo, span, 8)
+    best_h, best_err = None, math.inf
+    for h in grid:
+        errs = []
+        for i in range(x.size):
+            mask = np.arange(x.size) != i
+            pred = local_linear_point(x[mask], y[mask], float(x[i]), float(h))
+            if math.isnan(pred):
+                break
+            errs.append((pred - y[i]) ** 2)
+        else:
+            err = float(np.mean(errs))
+            if err < best_err:
+                best_h, best_err = float(h), err
+    return best_h
+
+
+def moran_permutation_loop(u, dist, n_perm, seed, n_neighbors=10):
+    """Moran's I with inverse-distance k-nearest weights and its permutation p-value.
+
+    One permutation per pass, drawn from ``default_rng(seed)`` in order; the
+    p-value is two-sided around -1/(n-1). Returns (statistic, p-value).
+    """
+    n = len(u)
+    z = u - u.mean()
+    d = np.array(dist, dtype=float)
+    np.fill_diagonal(d, np.inf)
+    m = min(n_neighbors, n - 1)
+    nb = np.argsort(d, axis=1, kind="stable")[:, :m]
+    wts = 1.0 / np.maximum(d[np.arange(n)[:, None], nb], 1e-9)
+    s0 = wts.sum()
+
+    def moran(v):
+        return n / s0 * float(np.sum(v[:, None] * wts * v[nb])) / float(v @ v)
+
+    stat = moran(z)
+    e_i = -1.0 / (n - 1)
+    rng = np.random.default_rng(seed)
+    exceed = sum(abs(moran(z[rng.permutation(n)]) - e_i) >= abs(stat - e_i)
+                 for _ in range(n_perm))
+    return stat, (1 + exceed) / (1 + n_perm)

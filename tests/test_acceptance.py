@@ -155,7 +155,7 @@ def test_criterion_4c_variogram_consistency(report):
         u = chol @ rng.standard_normal(n) + rng.normal(0, np.sqrt(tau), n)
         field = ScoreField(np.arange(1, n + 1), u[:, None], lat, lon,
                            np.full(n, 4), {4: np.array([tau])})
-        ev = empirical_semivariogram(field, 0, None)
+        ev = empirical_semivariogram(field, 0)
         fit = fit_variogram_wls(ev, "n")
         sills.append(fit.sill)
         ranges.append(fit.range_km)
@@ -223,7 +223,7 @@ def test_criterion_5_oracle_equivalence(report):
     vtaus = {p: np.array([0.1 * p]) for p in range(1, 9)}
     vfield = ScoreField(np.arange(1, m + 1), vu[:, None], vlat, vlon, vfp, vtaus)
     bins = VariogramBins(n_bins=8, min_pairs=5)
-    ev = empirical_semivariogram(vfield, 0, None, bins)
+    ev = empirical_semivariogram(vfield, 0, bins)
     d = pairwise_distances(vlat, vlon)
     hmax = d[np.triu_indices(m, 1)].max() * bins.max_fraction
     edges = np.linspace(0.0, hmax, bins.n_bins + 1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geofpca
 from geofpca.cli import main
 from geofpca.dataset import load_dataset, save_dataset
 from geofpca.imputation import FitConfig, load_model
@@ -238,3 +243,74 @@ class TestValidate:
         assert run(["validate", "--input", path, "--r", r,
                     "--out", tmp_path / "r.csv"]) == 3
         assert "--r expects" in capsys.readouterr().err
+
+
+class TestNonNumericConfigValue:
+    """A config value that does not convert exits 3 with one line naming its key."""
+
+    def run_with_config(self, tmp_path, capsys, args, doc):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        code = run(args + ["--config", config])
+        return code, capsys.readouterr().err
+
+    def assert_names_key(self, code, err, key):
+        assert code == 3
+        assert err.count("\n") == 1
+        assert f"config key '{key}'" in err
+
+    def test_fit(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        code, err = self.run_with_config(
+            tmp_path, capsys, ["fit", "--input", path, "--out", tmp_path / "m.json"],
+            {"n_perm": "lots"})
+        self.assert_names_key(code, err, "n_perm")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_impute_checked_before_the_model_is_read(self, tmp_path, capsys):
+        code, err = self.run_with_config(
+            tmp_path, capsys, ["impute", "--model", tmp_path / "nope.json",
+                               "--lon", 23.77, "--footprint", 4,
+                               "--out", tmp_path / "s.csv"],
+            {"lat": "north"})
+        self.assert_names_key(code, err, "lat")
+
+    def test_unmix(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        code, err = self.run_with_config(
+            tmp_path, capsys, ["unmix", "--input", path, "--out", tmp_path / "f.csv"],
+            {"land_hi": "high"})
+        self.assert_names_key(code, err, "land_hi")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"study": True, "n_reps": "many"}, "n_reps"),
+        ({"study": True, "rho_grid": "0.01:x"}, "rho_grid"),
+        ({"rho": [0.05]}, "rho"),
+    ])
+    def test_simulate(self, tmp_path, capsys, doc, key):
+        code, err = self.run_with_config(
+            tmp_path, capsys, ["simulate", "--out", tmp_path / "s.csv"], doc)
+        self.assert_names_key(code, err, key)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"lat_halfwidth": "wide"}, "lat_halfwidth"),
+        ({"centers": "12:twelve"}, "centers"),
+        ({"threads": "2.5"}, "threads"),
+    ])
+    def test_validate(self, orbit_csv, tmp_path, capsys, doc, key):
+        path, _ = orbit_csv
+        code, err = self.run_with_config(
+            tmp_path, capsys, ["validate", "--input", path, "--r", "1:1",
+                               "--out", tmp_path / "r.csv"], doc)
+        self.assert_names_key(code, err, key)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(geofpca.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import geofpca.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import make_dataset
 from geofpca.dataset import (GeoLocation, common_wavelengths, cross_tracks,
-                             great_circle_distance, haversine_km, load_dataset,
-                             remove_cross_tracks, save_dataset, select_region)
+                             haversine_km, load_dataset, remove_cross_tracks,
+                             save_dataset, select_region)
 from geofpca.errors import DataError
 from oracles import law_of_cosines_km
 
@@ -107,17 +107,17 @@ class TestLoad:
 class TestDistance:
     def test_identity(self):
         p = GeoLocation(12.3, -45.6)
-        assert great_circle_distance(p, p) == 0.0
+        assert haversine_km(p.latitude, p.longitude, p.latitude, p.longitude) == 0.0
 
     def test_one_degree_meridian(self):
-        d = great_circle_distance(GeoLocation(0.0, 0.0), GeoLocation(1.0, 0.0))
+        d = haversine_km(0.0, 0.0, 1.0, 0.0)
         assert d == pytest.approx(111.1950, abs=1e-3)
 
     def test_matches_law_of_cosines(self, rng):
         for _ in range(50):
             lat1, lat2 = rng.uniform(-80, 80, 2)
             lon1, lon2 = rng.uniform(-179, 179, 2)
-            ours = great_circle_distance(GeoLocation(lat1, lon1), GeoLocation(lat2, lon2))
+            ours = haversine_km(lat1, lon1, lat2, lon2)
             ref = law_of_cosines_km(lat1, lon1, lat2, lon2)
             assert ours == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
@@ -125,17 +125,16 @@ class TestDistance:
         pts = [GeoLocation(lat, lon) for lat, lon in
                zip(rng.uniform(-60, 60, 30), rng.uniform(-170, 170, 30))]
         for a, b, c in zip(pts, pts[1:], pts[2:]):
-            dab = great_circle_distance(a, b)
-            dbc = great_circle_distance(b, c)
-            dac = great_circle_distance(a, c)
+            dab = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+            dbc = haversine_km(b.latitude, b.longitude, c.latitude, c.longitude)
+            dac = haversine_km(a.latitude, a.longitude, c.latitude, c.longitude)
             assert dac <= dab + dbc + 1e-9
 
     def test_vectorized_matches_scalar(self):
         lats = np.array([0.0, 10.0])
         d = haversine_km(lats, np.zeros(2), lats + 1.0, np.ones(2))
         for i in range(2):
-            ref = great_circle_distance(GeoLocation(lats[i], 0.0),
-                                        GeoLocation(lats[i] + 1.0, 1.0))
+            ref = haversine_km(lats[i], 0.0, lats[i] + 1.0, 1.0)
             assert d[i] == pytest.approx(ref, rel=1e-12)
 
 

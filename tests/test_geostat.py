@@ -8,7 +8,8 @@ from geofpca.fpca import ScoreField
 from geofpca.geostat import (KrigingSystem, VariogramBins, empirical_semivariogram,
                              exponential_variogram, fit_variogram_wls,
                              krige_score, spatial_dependence_test)
-from oracles import allpairs_variogram, bordered_kriging, cholesky_kriging
+from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
+                     moran_permutation_loop)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -36,17 +37,17 @@ def transect_latitudes(n, spacing_km=1.0, lat0=35.0):
 class TestEmpiricalSemivariogram:
     def test_constant_scores_zero(self):
         sf = score_field(transect_latitudes(30), np.full(30, 2.2), [0.0])
-        ev = empirical_semivariogram(sf, 0, None)
+        ev = empirical_semivariogram(sf, 0)
         np.testing.assert_allclose(ev.values, 0.0, atol=1e-12)
 
     def test_pure_nugget_corrected_to_zero(self, rng):
         n, v = 2000, 3.0
         u = rng.normal(0.0, np.sqrt(v), n)
         lats = transect_latitudes(n, 0.05)
-        corrected = empirical_semivariogram(score_field(lats, u, [v]), 0, None)
+        corrected = empirical_semivariogram(score_field(lats, u, [v]), 0)
         assert np.abs(corrected.values).max() < 0.1 * v
         # Without the correction the short-lag bins sit at the nugget level.
-        uncorrected = empirical_semivariogram(score_field(lats, u, [0.0]), 0, None)
+        uncorrected = empirical_semivariogram(score_field(lats, u, [0.0]), 0)
         assert uncorrected.values[0] == pytest.approx(v, rel=0.1)
 
     def test_matches_allpairs_oracle(self, rng):
@@ -58,7 +59,7 @@ class TestEmpiricalSemivariogram:
         taus = {p: np.array([0.1 * p]) for p in range(1, 9)}
         sf = score_field(lats, u, taus, lons=lons, footprints=fps)
         bins = VariogramBins(n_bins=8, min_pairs=5)
-        ev = empirical_semivariogram(sf, 0, None, bins)
+        ev = empirical_semivariogram(sf, 0, bins)
         d = pairwise_distances(lats, lons)
         hmax = d[np.triu_indices(n, 1)].max() * bins.max_fraction
         edges = np.linspace(0.0, hmax, bins.n_bins + 1)
@@ -74,13 +75,13 @@ class TestEmpiricalSemivariogram:
 
     def test_sparse_bins_dropped(self, rng):
         sf = score_field(transect_latitudes(12), rng.normal(size=12), [0.0])
-        ev = empirical_semivariogram(sf, 0, None, VariogramBins(min_pairs=4))
+        ev = empirical_semivariogram(sf, 0, VariogramBins(min_pairs=4))
         assert (ev.counts >= 4).all()
 
     def test_no_bins_retained_raises(self, rng):
         sf = score_field(transect_latitudes(4), rng.normal(size=4), [0.0])
         with pytest.raises(DataError, match="no variogram bin"):
-            empirical_semivariogram(sf, 0, None, VariogramBins(min_pairs=50))
+            empirical_semivariogram(sf, 0, VariogramBins(min_pairs=50))
 
 
 class TestFitVariogram:
@@ -106,7 +107,7 @@ class TestFitVariogram:
         for _ in range(50):
             u = chol @ rng.standard_normal(n) + rng.normal(0, np.sqrt(tau), n)
             sf = score_field(lats, u, [tau], lons=lons)
-            ev = empirical_semivariogram(sf, 0, None)
+            ev = empirical_semivariogram(sf, 0)
             fit = fit_variogram_wls(ev, "n")
             sills.append(fit.sill)
             ranges.append(fit.range_km)
@@ -146,7 +147,7 @@ class TestSpatialDependenceTest:
         rejections = 0
         for rep in range(reps):
             sf = score_field(lats, rng.standard_normal(n), [0.0])
-            res = spatial_dependence_test(sf, 0, None, n_perm=99, alpha=alpha,
+            res = spatial_dependence_test(sf, 0, n_perm=99, alpha=alpha,
                                           seed=rep)
             rejections += res.dependent
         rate = rejections / reps
@@ -163,25 +164,57 @@ class TestSpatialDependenceTest:
         for rep in range(40):
             u = chol @ rng.standard_normal(n)
             sf = score_field(lats, u, [0.0])
-            res = spatial_dependence_test(sf, 0, None, n_perm=199, seed=rep)
+            res = spatial_dependence_test(sf, 0, n_perm=199, seed=rep)
             detected += res.dependent
         assert detected >= 0.95 * 40
 
     def test_constant_scores_degenerate(self):
         sf = score_field(transect_latitudes(25), np.full(25, 1.0), [0.0])
         with pytest.raises(DataError, match="degenerate"):
-            spatial_dependence_test(sf, 0, None)
+            spatial_dependence_test(sf, 0)
 
     def test_needs_twenty_soundings(self, rng):
         sf = score_field(transect_latitudes(10), rng.standard_normal(10), [0.0])
         with pytest.raises(DataError, match=">= 20"):
-            spatial_dependence_test(sf, 0, None)
+            spatial_dependence_test(sf, 0)
 
     def test_deterministic_given_seed(self, rng):
         sf = score_field(transect_latitudes(30), rng.standard_normal(30), [0.0])
-        r1 = spatial_dependence_test(sf, 0, None, seed=11)
-        r2 = spatial_dependence_test(sf, 0, None, seed=11)
+        r1 = spatial_dependence_test(sf, 0, seed=11)
+        r2 = spatial_dependence_test(sf, 0, seed=11)
         assert r1.p_value == r2.p_value and r1.statistic == r2.statistic
+
+
+class TestMoranMatchesLoopOracle:
+    """The chunked permutation statistics against one permutation per pass."""
+
+    @pytest.mark.parametrize("n", [20, 40, 264, 1200])
+    def test_p_value_and_statistic(self, n):
+        rng = np.random.default_rng(n)
+        lats = 35.0 + rng.uniform(0.0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        dist = pairwise_distances(lats, lons)
+        # 99 and 300 are not multiples of the permutation chunk.
+        n_perms = (99, 300) if n == 1200 else (99, 300, 999)
+        for strength in (0.0, 0.3, 1.0):
+            u = strength * np.sin(25.0 * lats) + rng.standard_normal(n)
+            sf = score_field(lats, u, [0.0], lons=lons)
+            for seed, n_perm in enumerate(n_perms):
+                res = spatial_dependence_test(sf, 0, n_perm=n_perm, seed=seed)
+                stat, p = moran_permutation_loop(u, dist, n_perm, seed)
+                assert res.p_value == p
+                assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+
+    def test_fewer_points_than_neighbors(self, rng):
+        n = 20
+        lats = transect_latitudes(n)
+        u = rng.standard_normal(n)
+        res = spatial_dependence_test(score_field(lats, u, [0.0]), 0,
+                                      n_perm=129, seed=3, n_neighbors=40)
+        stat, p = moran_permutation_loop(u, pairwise_distances(lats, np.full(n, 23.8)),
+                                         129, 3, n_neighbors=40)
+        assert res.p_value == p
+        assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
 
 
 def simple_fit(sill, range_km):
@@ -309,7 +342,7 @@ class TestKrigingSystem:
 
     def test_shared_distances_left_intact(self, rng):
         sf = score_field(transect_latitudes(30), rng.standard_normal(30), [0.0])
-        spatial_dependence_test(sf, 0, None, n_perm=99)
+        spatial_dependence_test(sf, 0, n_perm=99)
         d = sf.distances()
         assert not d.flags.writeable
         np.testing.assert_array_equal(np.diag(d), 0.0)

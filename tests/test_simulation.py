@@ -4,7 +4,7 @@ import pytest
 from geofpca.dataset import load_dataset, save_dataset
 from geofpca.errors import DataError
 from geofpca.simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
-                                run_unmixing_study, simulate_error_process,
+                                _trim_mean, run_unmixing_study, simulate_error_process,
                                 simulate_mixed_transect, simulate_orbit,
                                 study_to_csv, synthetic_profile)
 
@@ -81,12 +81,13 @@ class TestMixedTransect:
 
     def test_spatial_covariance_matches_model(self):
         # Empirical covariance between two water sites vs the exponential law.
-        from geofpca.dataset import great_circle_distance
+        from geofpca.dataset import haversine_km
         pairs = np.array([
             simulate_mixed_transect(SimulationConfig(rho=0.0, seed=(2000, i)))[1]
             .water_scores[:2, 0] for i in range(1000)])
         ds, _ = simulate_mixed_transect(SimulationConfig(rho=0.0, seed=(2000, 0)))
-        d = great_circle_distance(ds.soundings[0].location, ds.soundings[1].location)
+        a, b = ds.soundings[0].location, ds.soundings[1].location
+        d = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
         expected = 5.0 * np.exp(-d / 10.0)
         emp = np.cov(pairs.T)[0, 1]
         assert emp == pytest.approx(expected, rel=0.10)
@@ -161,3 +162,20 @@ class TestStudy:
     def test_rejects_single_rep(self):
         with pytest.raises(DataError):
             run_unmixing_study([0.01], 1, SimulationConfig())
+
+    @pytest.mark.parametrize("trim", [-0.1, 0.5, 0.7])
+    def test_rejects_trim_outside_half_interval(self, trim):
+        with pytest.raises(DataError, match="trim"):
+            run_unmixing_study([0.01], 2, SimulationConfig(), trim=trim)
+
+
+class TestTrimMean:
+    def test_bit_identical_to_scipy(self):
+        from scipy.stats import trim_mean
+        rng = np.random.default_rng(12)
+        for n in range(2, 101):
+            for trim in (0.0, 0.1, 0.25, 0.49):
+                a = rng.lognormal(0.0, 1.5, n)
+                if n % 3 == 0:
+                    a = np.round(a, 1)  # ties
+                assert _trim_mean(a, trim) == float(trim_mean(a, trim))

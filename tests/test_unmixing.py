@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, replace_sounding
+from geofpca.dataset import haversine_km
 from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.imputation import FitConfig
 from geofpca.simulation import (SimulationConfig, run_unmixing_study,
                                 simulate_mixed_transect)
-from geofpca.unmixing import (UnmixConfig, detect_mixed_region,
-                              estimate_land_fraction, interpolation_land_fraction,
+from geofpca.unmixing import (UnmixConfig, _cv_bandwidth, _local_linear,
+                              detect_mixed_region, estimate_land_fraction,
                               smooth_scores, unmix_region)
-from oracles import local_linear_fit
+from oracles import cv_bandwidth_loop, local_linear_fit, local_linear_point
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -115,6 +116,59 @@ class TestSmoothScores:
             smooth_scores(field_from(lats, rng.standard_normal(4)), bandwidth=0.1)
 
 
+class TestBatchedSmoothingMatchesLoopOracles:
+    """Kernel-matrix local-linear fits against per-point and refit loops."""
+
+    def test_points_match_scalar_oracle(self, rng):
+        x = np.sort(35.0 + rng.uniform(0.0, 0.4, 60))
+        y = np.cos(12.0 * (x - 35.0)) + 0.1 * rng.standard_normal(60)
+        # At the data points, where the smoother is evaluated; the two points
+        # outside the data see no kernel mass. (Far from the data the two-point
+        # fit is ill-conditioned and summation order shows past 1e-12.)
+        x0 = np.append(x, [34.5, 35.9])
+        for h in (0.01, 0.05, 0.3):
+            got = _local_linear(x, y, x0, h)
+            want = np.array([local_linear_point(x, y, float(t), h) for t in x0])
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_single_effective_point_falls_back_to_local_mean(self):
+        x = np.array([0.0, 0.0, 0.0, 5.0, 10.0])
+        y = np.array([1.0, 2.0, 6.0, 40.0, 50.0])
+        got = _local_linear(x, y, np.array([0.0, 0.2, 2.5]), 1.0)
+        want = [local_linear_point(x, y, t, 1.0) for t in (0.0, 0.2, 2.5)]
+        assert got[0] == want[0] == 3.0
+        assert got[1] == want[1] == 3.0
+        assert np.isnan(got[2]) and np.isnan(want[2])
+
+    def test_cv_bandwidth_matches_refit_loop(self):
+        for seed, n in ((1, 8), (2, 25), (3, 60), (4, 150)):
+            rng = np.random.default_rng(seed)
+            x = 35.0 + np.sort(rng.uniform(0.0, 0.6, n))
+            y = np.sin(8.0 * (x - 35.0)) + 0.2 * rng.standard_normal(n)
+            h = _cv_bandwidth(x, y, None)
+            assert h == cv_bandwidth_loop(x, y)
+            got = _local_linear(x, y, x, h)
+            want = [local_linear_point(x, y, float(t), h) for t in x]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_candidate_with_empty_kernel_skipped(self):
+        # With h <= 2.8 the point at 5.0 has no neighbor once it is left out.
+        x = np.array([0.0, 0.1, 0.2, 0.3, 2.0, 2.1, 2.2, 5.0])
+        y = np.array([1.0, 1.2, 0.9, 1.1, 3.0, 3.2, 2.9, 6.0])
+        for grid in ([0.5, 1.0, 4.0], [0.5, 4.0, 6.0, 9.0]):
+            h = _cv_bandwidth(x, y, np.array(grid))
+            assert h == cv_bandwidth_loop(x, y, grid)
+            assert h >= 4.0
+
+    def test_grid_exhausted(self):
+        x = np.array([0.0, 0.1, 0.2, 0.3, 2.0, 2.1, 2.2, 5.0])
+        y = np.ones(8)
+        assert cv_bandwidth_loop(x, y, [0.5, 1.0]) is None
+        with pytest.raises(DataError, match="grid exhausted"):
+            _cv_bandwidth(x, y, np.array([0.5, 1.0]))
+
+
 class TestEstimateLandFraction:
     def setup_method(self):
         rng = np.random.default_rng(9)
@@ -151,27 +205,43 @@ class TestEstimateLandFraction:
 
 
 class TestInterpolationLandFraction:
+    """The baseline: the unmixing formula with raw neighbor spectra as endmembers."""
+
     def test_equals_land_neighbor(self):
         rng = np.random.default_rng(3)
         land = 70.0 + rng.uniform(0, 5, 12)
         water = 20.0 + rng.uniform(0, 5, 12)
-        assert interpolation_land_fraction(land, land, water) == 1.0
+        assert estimate_land_fraction(land, land, water) == 1.0
 
     def test_midpoint(self):
         rng = np.random.default_rng(4)
         land = 70.0 + rng.uniform(0, 5, 12)
         water = 20.0 + rng.uniform(0, 5, 12)
         obs = 0.5 * (land + water)
-        assert interpolation_land_fraction(obs, land, water) == pytest.approx(0.5, abs=1e-12)
+        assert estimate_land_fraction(obs, land, water) == pytest.approx(0.5, abs=1e-12)
 
-    def test_same_formula_as_unmixing_on_shared_inputs(self, rng):
-        # With noise-free endmembers equal to the kriged spectra the two
-        # estimators coincide by construction.
-        land = 70.0 + rng.uniform(0, 5, 15)
-        water = 20.0 + rng.uniform(0, 5, 15)
-        obs = 0.37 * land + 0.63 * water
-        assert interpolation_land_fraction(obs, land, water) == \
-            estimate_land_fraction(obs, land, water)
+    def test_same_formula_as_unmixing_on_shared_inputs(self):
+        # unmix_region's baseline applies the unmixing formula to the nearest
+        # raw reference spectra of the same footprint.
+        ds, truth = simulate_mixed_transect(SimulationConfig(rho=0.02, seed=5))
+        spec = detect_mixed_region(ds)
+        estimates, models = unmix_region(ds, spec, UnmixConfig(fit=FitConfig(n_perm=99)))
+        target = ds.get(truth.mixed_id)
+        common = sorted(set(models["land"].wavelengths.indices) &
+                        set(models["water"].wavelengths.indices))
+        pos = np.asarray(common) - 1
+        nearest = {}
+        for label, (lo, hi) in spec.endmember_windows().items():
+            pool = [s for s in ds.soundings
+                    if lo <= s.latitude <= hi and s.footprint == target.footprint]
+            nearest[label] = min(pool, key=lambda s: haversine_km(
+                target.latitude, target.longitude, s.latitude, s.longitude)).radiance[pos]
+        obs = target.radiance[pos]
+        good = ~(np.isnan(obs) | np.isnan(nearest["land"]) | np.isnan(nearest["water"]))
+        alpha = next(e.alpha for e in estimates
+                     if e.sounding_id == truth.mixed_id and e.method == "interpolation")
+        assert alpha == estimate_land_fraction(obs[good], nearest["land"][good],
+                                               nearest["water"][good])
 
 
 class TestUnmixRegion:
