@@ -1,16 +1,19 @@
 """Command-line pipeline: fit, impute, unmix, simulate, validate.
 
 Every command is a pure function of its input files, flags, and seed, and
-re-runs are byte-identical. A ``--config`` JSON file may carry the same keys
-as the flags; explicit flags win. Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical failure.
+re-runs are byte-identical. A ``--config`` JSON file may carry the command's
+flags as keys (``--n-perm`` is ``n_perm``); explicit flags win. The parser is
+the schema: a file value is converted and checked as its flag would be, and a
+key the command does not declare is a data error. Options left unset keep the
+library's defaults. Exit codes: 0 success, 2 usage error, 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,12 +21,13 @@ from pathlib import Path
 from . import __version__
 from .dataset import load_dataset, save_dataset, select_region
 from .errors import DataError, NumericalError
-from .geostat import VariogramBins
+from .geostat import WEIGHT_SCHEMES, VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
                          save_model)
+from .mean_model import COVARIATE_MODES
 from .simulation import (SimulationConfig, run_unmixing_study,
                          simulate_mixed_transect, study_to_csv)
-from .unmixing import UnmixConfig, detect_mixed_region, unmix_region
+from .unmixing import detect_mixed_region, unmix_region
 from .validation import (report_to_csv, run_imputation_experiment,
                          select_centers, summary_to_csv)
 
@@ -32,28 +36,40 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+# CLI keys whose library field has another name.
+_FIELD = {"fve": "fve_threshold", "weights": "weight_scheme",
+          "bin_max_fraction": "max_fraction"}
 
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    """File config overlaid by explicitly set flags (flags win)."""
+
+def _read_config(path, actions: dict[str, argparse.Action], command: str) -> dict:
+    """The config file's non-null values, each converted as its flag's would be."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise DataError(f"cannot read config file {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"config file {path} must hold a JSON object")
     cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as e:
-            raise DataError(f"cannot read config file {args.config}: {e}") from None
-        if not isinstance(doc, dict):
-            raise DataError(f"config file {args.config} must hold a JSON object")
-        cfg.update(doc)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    for key, value in doc.items():
+        if key not in actions:
+            raise DataError(f"config key {key!r}: {command} has no such option")
+        if value is not None:
+            cfg[key] = _convert(actions[key], value)
     return cfg
 
 
-def _echo(command: str, cfg: dict) -> None:
-    print(f"config {command}: " + json.dumps(cfg, sort_keys=True))
+def _convert(action: argparse.Action, value):
+    """A JSON value read as the flag reads its text; a bad one is a data error."""
+    if action.type is not None:
+        value = _as(action.type, str(value), action.dest)
+    elif not isinstance(value, bool if action.nargs == 0 else str):
+        expected = "true or false" if action.nargs == 0 else "a string"
+        raise DataError(f"config key {action.dest!r}: expected {expected}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"config key {action.dest!r}: expected one of "
+                        f"{', '.join(action.choices)}, got {value!r}")
+    return value
 
 
 def _as(kind: type, value, key: str):
@@ -65,31 +81,21 @@ def _as(kind: type, value, key: str):
                         f"got {value!r}") from None
 
 
-def _num(cfg: dict, key: str, kind: type, default=None):
-    """``kind(cfg[key])``, or ``default`` when the key is absent or null."""
-    val = cfg.get(key)
-    return default if val is None else _as(kind, val, key)
+def _options(target, cfg: dict) -> dict:
+    """The set keys of ``cfg`` that name optional parameters of ``target``."""
+    params = inspect.signature(target).parameters
+    return {k: v for k, v in cfg.items()
+            if k in params and params[k].default is not inspect.Parameter.empty}
 
 
 def _fit_config(cfg: dict) -> FitConfig:
-    fc = FitConfig()
-    bins = VariogramBins(
-        n_bins=_num(cfg, "n_bins", int, fc.bins.n_bins),
-        max_fraction=_num(cfg, "bin_max_fraction", float, fc.bins.max_fraction),
-        min_pairs=_num(cfg, "min_pairs", int, fc.bins.min_pairs),
-    )
-    return FitConfig(
-        fve_threshold=_num(cfg, "fve", float, fc.fve_threshold),
-        min_coverage=_num(cfg, "min_coverage", float, fc.min_coverage),
-        covariates=str(cfg.get("covariates", fc.covariates)),
-        max_lat_span=_num(cfg, "max_lat_span", float, fc.max_lat_span),
-        max_gap_km=_num(cfg, "max_gap_km", float, math.inf),
-        bins=bins,
-        weight_scheme=str(cfg.get("weights", fc.weight_scheme)),
-        n_perm=_num(cfg, "n_perm", int, fc.n_perm),
-        alpha=_num(cfg, "alpha", float, fc.alpha),
-        seed=_num(cfg, "seed", int, fc.seed),
-    )
+    named = {_FIELD.get(k, k): v for k, v in cfg.items()}
+    return FitConfig(bins=VariogramBins(**_options(VariogramBins, named)),
+                     **_options(FitConfig, named))
+
+
+def _threads(cfg: dict) -> int:
+    return cfg.get("threads") or os.cpu_count() or 1
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -116,7 +122,7 @@ def _read_targets(path) -> list[tuple[int, float, float, int]]:
     """Rows (id, latitude, longitude, footprint) of a targets CSV."""
     try:
         lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise DataError(f"cannot read targets file {path}: {e}") from None
     if not lines or lines[0].split(",")[:4] != ["id", "latitude", "longitude",
                                                 "footprint"]:
@@ -135,12 +141,19 @@ def _read_targets(path) -> list[tuple[int, float, float, int]]:
     return targets
 
 
-def cmd_fit(args) -> int:
-    keys = ["input", "region", "fve", "min_coverage", "covariates", "max_lat_span",
-            "n_bins", "bin_max_fraction", "min_pairs", "weights", "n_perm",
-            "alpha", "seed", "out"]
-    cfg = _merge_config(args, keys)
-    _echo("fit", cfg)
+def _read_truth(path) -> dict[int, float]:
+    """{sounding id: true land fraction} from a truth JSON object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        return {int(k): float(v) for k, v in doc.items()}
+    except (OSError, TypeError, ValueError) as e:
+        raise DataError(f"cannot read truth file {path}: {e}") from None
+
+
+def cmd_fit(cfg: dict) -> int:
     fit_cfg = _fit_config(cfg)
     ds = load_dataset(cfg["input"])
     if cfg.get("region"):
@@ -163,18 +176,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_impute(args) -> int:
-    keys = ["model", "lat", "lon", "footprint", "targets", "out"]
-    cfg = _merge_config(args, keys)
-    _echo("impute", cfg)
+def cmd_impute(cfg: dict) -> int:
     if cfg.get("targets"):
         targets = _read_targets(cfg["targets"])
     else:
         for key in ("lat", "lon", "footprint"):
             if cfg.get(key) is None:
                 raise DataError("impute needs --targets or --lat/--lon/--footprint")
-        targets = [(0, _num(cfg, "lat", float), _num(cfg, "lon", float),
-                    _num(cfg, "footprint", int))]
+        targets = [(0, cfg["lat"], cfg["lon"], cfg["footprint"])]
     model = load_model(cfg["model"])
     spectra = impute_radiance(model, [t[1] for t in targets], [t[2] for t in targets],
                               [t[3] for t in targets])
@@ -190,24 +199,15 @@ def cmd_impute(args) -> int:
     return EXIT_OK
 
 
-def cmd_unmix(args) -> int:
-    keys = ["input", "land_hi", "water_lo", "ref_length", "delta0", "fve",
-            "n_perm", "seed", "truth", "out", "summary"]
-    cfg = _merge_config(args, keys)
-    _echo("unmix", cfg)
-    land_hi = _num(cfg, "land_hi", float, 0.70)
-    water_lo = _num(cfg, "water_lo", float, 0.30)
-    ref_length = _num(cfg, "ref_length", float, 0.6)
-    unmix_cfg = UnmixConfig(fit=_fit_config(cfg), land_hi=land_hi, water_lo=water_lo,
-                            ref_length=ref_length)
+def cmd_unmix(cfg: dict) -> int:
+    fit_cfg = _fit_config(cfg)
+    truth = _read_truth(cfg["truth"]) if cfg.get("truth") else None
     ds = load_dataset(cfg["input"])
-    spec = detect_mixed_region(ds, land_hi=land_hi, water_lo=water_lo,
-                               delta0=_num(cfg, "delta0", float),
-                               ref_length=ref_length)
+    spec = detect_mixed_region(ds, **_options(detect_mixed_region, cfg))
     print(f"mixed window [{spec.m_window[0]!r}, {spec.m_window[1]!r}] "
           f"delta0={spec.delta0!r} references {spec.s1_label}/{spec.s2_label} "
           f"qualified={spec.qualified}")
-    estimates, _ = unmix_region(ds, spec, unmix_cfg)
+    estimates, _ = unmix_region(ds, spec, fit_cfg)
     by_id: dict[int, dict[str, float]] = {}
     for e in estimates:
         by_id.setdefault(e.sounding_id, {})[e.method] = e.alpha
@@ -224,10 +224,6 @@ def cmd_unmix(args) -> int:
     if cfg.get("summary"):
         summary: dict = {"n_mixed": len(spec.mixed_ids), "qualified": spec.qualified,
                          "delta0": spec.delta0}
-        truth = None
-        if cfg.get("truth"):
-            with open(cfg["truth"]) as fh:
-                truth = {int(k): float(v) for k, v in json.load(fh).items()}
         for method in ("unmixing", "interpolation"):
             vals = {sid: by_id[sid][method] for sid in spec.mixed_ids}
             if truth:
@@ -243,24 +239,13 @@ def cmd_unmix(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    keys = ["rho", "seed", "n_sites", "grid_length", "alpha", "out", "truth",
-            "study", "rho_grid", "n_reps", "threads"]
-    cfg = _merge_config(args, keys)
-    _echo("simulate", cfg)
-    sim_cfg = SimulationConfig(
-        n_sites=_num(cfg, "n_sites", int, 41),
-        grid_length=_num(cfg, "grid_length", int, 120),
-        rho=_num(cfg, "rho", float, 0.05),
-        alpha=_num(cfg, "alpha", float),
-        seed=_num(cfg, "seed", int, 0),
-    )
+def cmd_simulate(cfg: dict) -> int:
+    sim_cfg = SimulationConfig(**_options(SimulationConfig, cfg))
     if cfg.get("study"):
         grid = [_as(float, x, "rho_grid")
-                for x in str(cfg.get("rho_grid", "0.01:0.05:0.1:0.15:0.2")).split(":")]
-        result = run_unmixing_study(grid, _num(cfg, "n_reps", int, 200), sim_cfg,
-                                    threads=(_num(cfg, "threads", int)
-                                             or os.cpu_count() or 1))
+                for x in cfg.get("rho_grid", "0.01:0.05:0.1:0.15:0.2").split(":")]
+        result = run_unmixing_study(grid, cfg.get("n_reps", 200), sim_cfg,
+                                    threads=_threads(cfg))
         study_to_csv(result, cfg["out"])
         print(f"study over rho={grid} written to {cfg['out']} "
               f"({result.n_failures} failures)")
@@ -287,37 +272,50 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    keys = ["input", "r", "centers", "footprint", "min_region_count",
-            "lat_halfwidth", "fve", "n_perm", "seed", "threads", "out", "summary"]
-    cfg = _merge_config(args, keys)
-    _echo("validate", cfg)
-    r_values = _parse_r(str(cfg.get("r", "1:8")))
-    fit_cfg = _fit_config(cfg)
-    lat_halfwidth = _num(cfg, "lat_halfwidth", float, 0.25)
-    threads = _num(cfg, "threads", int) or os.cpu_count() or 1
-    footprint = _num(cfg, "footprint", int, 4)
-    min_region_count = _num(cfg, "min_region_count", int, 164)
-    spec = str(cfg.get("centers", "auto"))
+def cmd_validate(cfg: dict) -> int:
+    experiment = _options(run_imputation_experiment, cfg)
+    if "r" in cfg:
+        experiment["r_values"] = _parse_r(cfg["r"])
+    experiment.update(config=_fit_config(cfg), threads=_threads(cfg))
+    spec = cfg.get("centers", "auto")
     centers = None if spec == "auto" else [_as(int, x, "centers")
                                            for x in spec.split(":")]
     ds = load_dataset(cfg["input"])
     if centers is None:
-        centers = select_centers(ds, footprint=footprint,
-                                 min_region_count=min_region_count,
-                                 lat_halfwidth=lat_halfwidth)
+        centers = select_centers(ds, **_options(select_centers, cfg))
         if not centers:
             print("no qualifying centers found", file=sys.stderr)
             return EXIT_DATA
-    report = run_imputation_experiment(ds, centers, r_values, fit_cfg,
-                                       lat_halfwidth=lat_halfwidth, threads=threads)
+    report = run_imputation_experiment(ds, centers, **experiment)
     report_to_csv(report, cfg["out"])
     if cfg.get("summary"):
         summary_to_csv(report, cfg["summary"])
-    print(f"{len(centers)} centers, r={r_values[0]}..{r_values[-1]}: "
+    print(f"{len(centers)} centers, r={min(report.by_r)}..{max(report.by_r)}: "
           f"{len(report.rows)} rows, "
           f"{len(report.failures)} failed cells; report at {cfg['out']}")
     return EXIT_OK
+
+
+def _fit_options() -> argparse.ArgumentParser:
+    """The FitConfig flags, shared by fit, unmix and validate."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--fve", type=float, help="FVE threshold")
+    p.add_argument("--min-coverage", type=float,
+                   help="least share of soundings that observe a kept wavelength")
+    p.add_argument("--covariates", choices=COVARIATE_MODES)
+    p.add_argument("--max-lat-span", type=float,
+                   help="homogeneity guard on the fitted region, degrees")
+    p.add_argument("--max-gap-km", type=float,
+                   help="drop error-covariance differencing triples with a "
+                        "neighbour gap above this many km")
+    p.add_argument("--n-bins", type=int)
+    p.add_argument("--bin-max-fraction", type=float)
+    p.add_argument("--min-pairs", type=int)
+    p.add_argument("--weights", choices=WEIGHT_SCHEMES)
+    p.add_argument("--n-perm", type=int)
+    p.add_argument("--alpha", type=float, help="spatial test level")
+    p.add_argument("--seed", type=int)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,95 +326,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    fit_options = [_fit_options()]
 
-    p = sub.add_parser("fit", help="fit a model on a CSV region")
+    def command(name, func, required_keys, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.add_argument("--config", help="JSON file keyed by this command's flags "
+                                        "(flags win)")
+        p.set_defaults(func=func, required_keys=required_keys, schema=p)
+        return p
+
+    p = command("fit", cmd_fit, ("input", "out"), "fit a model on a CSV region",
+                fit_options)
     p.add_argument("--input", help="dataset CSV")
     p.add_argument("--region", help="latitude window LO:HI")
-    p.add_argument("--fve", type=float, help="FVE threshold (default 0.99)")
-    p.add_argument("--min-coverage", dest="min_coverage", type=float)
-    p.add_argument("--covariates", choices=["latitude", "latlon"])
-    p.add_argument("--max-lat-span", dest="max_lat_span", type=float)
-    p.add_argument("--n-bins", dest="n_bins", type=int)
-    p.add_argument("--bin-max-fraction", dest="bin_max_fraction", type=float)
-    p.add_argument("--min-pairs", dest="min_pairs", type=int)
-    p.add_argument("--weights", choices=["nh2", "n"])
-    p.add_argument("--n-perm", dest="n_perm", type=int)
-    p.add_argument("--alpha", type=float, help="spatial test level (default 0.05)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="model JSON path")
-    p.add_argument("--config", help="JSON config file (flags win)")
-    p.set_defaults(func=cmd_fit, required_keys=("input", "out"))
 
-    p = sub.add_parser("impute", help="impute spectra at target locations")
+    p = command("impute", cmd_impute, ("model", "out"),
+                "impute spectra at target locations")
     p.add_argument("--model", help="fitted model JSON")
     p.add_argument("--lat", type=float)
     p.add_argument("--lon", type=float)
     p.add_argument("--footprint", type=int)
     p.add_argument("--targets", help="CSV with id,latitude,longitude,footprint")
     p.add_argument("--out", help="output spectra CSV")
-    p.add_argument("--config", help="JSON config file (flags win)")
-    p.set_defaults(func=cmd_impute, required_keys=("model", "out"))
 
-    p = sub.add_parser("unmix", help="estimate land fractions in a mixed region")
+    p = command("unmix", cmd_unmix, ("input", "out"),
+                "estimate land fractions in a mixed region", fit_options)
     p.add_argument("--input", help="dataset CSV")
-    p.add_argument("--land-hi", dest="land_hi", type=float)
-    p.add_argument("--water-lo", dest="water_lo", type=float)
-    p.add_argument("--ref-length", dest="ref_length", type=float)
+    p.add_argument("--land-hi", type=float)
+    p.add_argument("--water-lo", type=float)
+    p.add_argument("--ref-length", type=float)
     p.add_argument("--delta0", type=float)
-    p.add_argument("--fve", type=float)
-    p.add_argument("--n-perm", dest="n_perm", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--truth", help="JSON {sounding_id: true fraction}")
     p.add_argument("--out", help="land-fraction CSV")
     p.add_argument("--summary", help="summary JSON")
-    p.add_argument("--config", help="JSON config file (flags win)")
-    p.set_defaults(func=cmd_unmix, required_keys=("input", "out"))
 
-    p = sub.add_parser("simulate", help="generate a synthetic transect or study")
-    p.add_argument("--rho", type=float, help="noise ratio (default 0.05)")
+    p = command("simulate", cmd_simulate, ("out",),
+                "generate a synthetic transect or study")
+    p.add_argument("--rho", type=float, help="noise ratio")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n-sites", dest="n_sites", type=int)
-    p.add_argument("--grid-length", dest="grid_length", type=int)
+    p.add_argument("--n-sites", type=int)
+    p.add_argument("--grid-length", type=int)
     p.add_argument("--alpha", type=float, help="fixed mixed fraction")
     p.add_argument("--study", action="store_true", default=None,
                    help="run the replicated unmixing study instead")
-    p.add_argument("--rho-grid", dest="rho_grid", help="colon-separated rho values")
-    p.add_argument("--n-reps", dest="n_reps", type=int)
+    p.add_argument("--rho-grid", help="colon-separated rho values")
+    p.add_argument("--n-reps", type=int)
     p.add_argument("--threads", type=int,
                    help="worker processes (default: the CPU count)")
     p.add_argument("--out", help="dataset CSV (or study CSV with --study)")
     p.add_argument("--truth", help="truth JSON path")
-    p.add_argument("--config", help="JSON config file (flags win)")
-    p.set_defaults(func=cmd_simulate, required_keys=("out",))
 
-    p = sub.add_parser("validate", help="cross-track removal experiment")
+    p = command("validate", cmd_validate, ("input", "out"),
+                "cross-track removal experiment", fit_options)
     p.add_argument("--input", help="dataset CSV")
-    p.add_argument("--r", help="cross-track range LO:HI (default 1:8)")
-    p.add_argument("--centers", help="'auto' or colon-separated sounding ids")
-    p.add_argument("--footprint", type=int, help="center footprint (default 4)")
-    p.add_argument("--min-region-count", dest="min_region_count", type=int)
-    p.add_argument("--lat-halfwidth", dest="lat_halfwidth", type=float)
-    p.add_argument("--fve", type=float)
-    p.add_argument("--n-perm", dest="n_perm", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--r", help="cross-track range LO:HI (integers in 1..8)")
+    p.add_argument("--centers", help="'auto' (default) or colon-separated sounding ids")
+    p.add_argument("--footprint", type=int, help="center footprint")
+    p.add_argument("--min-region-count", type=int)
+    p.add_argument("--lat-halfwidth", type=float)
     p.add_argument("--threads", type=int,
                    help="worker processes (default: the CPU count)")
     p.add_argument("--out", help="report CSV")
     p.add_argument("--summary", help="per-r summary CSV")
-    p.add_argument("--config", help="JSON config file (flags win)")
-    p.set_defaults(func=cmd_validate, required_keys=("input", "out"))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    actions = {a.dest: a for a in args.schema._actions
+               if a.dest not in ("help", "config")}
     try:
-        cfg = _merge_config(args, list(getattr(args, "required_keys", ())))
-        for key in getattr(args, "required_keys", ()):
+        cfg = _read_config(args.config, actions, args.command) if args.config else {}
+        cfg.update((k, getattr(args, k)) for k in actions
+                   if getattr(args, k) is not None)
+        for key in args.required_keys:
             if not cfg.get(key):
                 parser.error(f"the --{key} option is required (flag or config file)")
-        return args.func(args)
+        print(f"config {args.command}: " + json.dumps(cfg, sort_keys=True))
+        return args.func(cfg)
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -25,12 +25,12 @@ from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
                    eigendecompose, estimate_error_covariance,
                    estimate_signal_covariance)
-from .geostat import (KrigingSystem, SpatialTestResult, VariogramBins, VariogramFit,
-                      empirical_semivariogram, fit_variogram_wls,
+from .geostat import (WEIGHT_SCHEMES, KrigingSystem, SpatialTestResult, VariogramBins,
+                      VariogramFit, empirical_semivariogram, fit_variogram_wls,
                       spatial_dependence_test)
 # Unused here; perfbench's tracer self-test checks it is rebound in this module.
 from .geostat import krige_score  # noqa: F401
-from .mean_model import MeanModel, evaluate_mean_at, fit_mean_model
+from .mean_model import COVARIATE_MODES, MeanModel, evaluate_mean_at, fit_mean_model
 
 ScoreTransform = Callable[[ScoreField, SpectralDataset], ScoreField]
 
@@ -51,44 +51,41 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_perm < 99:
-            raise DataError(f"n_perm {self.n_perm} < 99: too few permutations "
-                            "for the spatial dependence screen")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha {self.alpha} outside (0, 1)")
+        b = self.bins
+        for ok, problem in (
+            (0.0 < self.fve_threshold <= 1.0,
+             f"fve_threshold {self.fve_threshold} outside (0, 1]"),
+            (0.0 < self.min_coverage <= 1.0,
+             f"min_coverage {self.min_coverage} outside (0, 1]"),
+            (self.covariates in COVARIATE_MODES,
+             f"covariates {self.covariates!r} not one of {COVARIATE_MODES}"),
+            (self.max_lat_span > 0.0, f"max_lat_span {self.max_lat_span} must be > 0"),
+            (self.max_gap_km > 0.0, f"max_gap_km {self.max_gap_km} must be > 0"),
+            (b.n_bins >= 1, f"n_bins {b.n_bins} must be >= 1"),
+            (0.0 < b.max_fraction <= 1.0, f"bin max_fraction {b.max_fraction} outside (0, 1]"),
+            (b.min_pairs >= 1, f"min_pairs {b.min_pairs} must be >= 1"),
+            (self.weight_scheme in WEIGHT_SCHEMES,
+             f"weight_scheme {self.weight_scheme!r} not one of {WEIGHT_SCHEMES}"),
+            (self.n_perm >= 99, f"n_perm {self.n_perm} < 99: too few permutations "
+                                "for the spatial dependence screen"),
+            (0.0 < self.alpha < 1.0, f"alpha {self.alpha} outside (0, 1)"),
+        ):
+            if not ok:
+                raise DataError(problem)
 
     def to_dict(self) -> dict:
-        return {
-            "fve_threshold": self.fve_threshold,
-            "min_coverage": self.min_coverage,
-            "covariates": self.covariates,
-            "max_lat_span": self.max_lat_span,
-            "max_gap_km": self.max_gap_km if math.isfinite(self.max_gap_km) else None,
-            "bins": {"n_bins": self.bins.n_bins, "max_fraction": self.bins.max_fraction,
-                     "min_pairs": self.bins.min_pairs},
-            "weight_scheme": self.weight_scheme,
-            "n_perm": self.n_perm,
-            "alpha": self.alpha,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        if not math.isfinite(self.max_gap_km):
+            d["max_gap_km"] = None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitConfig":
-        b = d.get("bins", {})
-        gap = d.get("max_gap_km")
-        return cls(
-            fve_threshold=d.get("fve_threshold", 0.99),
-            min_coverage=d.get("min_coverage", 1.0),
-            covariates=d.get("covariates", "latitude"),
-            max_lat_span=d.get("max_lat_span", 0.6),
-            max_gap_km=math.inf if gap is None else float(gap),
-            bins=VariogramBins(b.get("n_bins", 15), b.get("max_fraction", 0.5),
-                               b.get("min_pairs", 10)),
-            weight_scheme=d.get("weight_scheme", "nh2"),
-            n_perm=d.get("n_perm", 999),
-            alpha=d.get("alpha", 0.05),
-            seed=d.get("seed", 0),
-        )
+        """Inverse of ``to_dict``; absent keys take the field defaults."""
+        kw = {**d, "bins": VariogramBins(**d.get("bins", {}))}
+        if "max_gap_km" in kw and kw["max_gap_km"] is None:
+            kw["max_gap_km"] = math.inf
+        return cls(**kw)
 
 
 @dataclass

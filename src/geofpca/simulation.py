@@ -8,12 +8,11 @@ process is the low-rank sine/cosine design whose pointwise variance is one,
 scaled by a noise curve proportional to the regional mean radiance.
 
 Built-in endmember profiles stand in for instrument-derived coefficient and
-eigenvector curves; real profiles can be supplied from a JSON file.
+eigenvector curves.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,7 +23,7 @@ import numpy as np
 from .dataset import GeoLocation, SpectralDataset, Sounding, pairwise_distances
 from .errors import DataError, GeofpcaError
 from .imputation import FitConfig
-from .unmixing import UnmixConfig, detect_mixed_region, unmix_region
+from .unmixing import detect_mixed_region, unmix_region
 
 Seed = int | tuple[int, ...]
 
@@ -36,15 +35,6 @@ class EndmemberProfile:
     intercept: np.ndarray
     slope: np.ndarray
     eigenvectors: np.ndarray  # m x 3, orthonormal columns
-
-    @classmethod
-    def from_file(cls, path, key: str) -> "EndmemberProfile":
-        with open(path) as fh:
-            doc = json.load(fh)
-        d = doc[key]
-        ev = np.asarray(d["eigenvectors"], dtype=float)
-        return cls(np.asarray(d["intercept"], dtype=float),
-                   np.asarray(d["slope"], dtype=float), ev)
 
 
 def _orthonormal_against_affine(x: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
@@ -145,15 +135,7 @@ class SimulationConfig:
     land_range_km: float = 7.0
     water_iid_vars: tuple[float, ...] = (2.0,)
     land_iid_vars: tuple[float, ...] = (2.0, 1.0)
-    endmember_file: str | None = None
     seed: Seed = 0
-
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["water_iid_vars"] = list(self.water_iid_vars)
-        d["land_iid_vars"] = list(self.land_iid_vars)
-        d["seed"] = list(self.seed) if isinstance(self.seed, tuple) else self.seed
-        return d
 
 
 @dataclass
@@ -175,14 +157,6 @@ class TransectTruth:
     land_profile: EndmemberProfile
 
 
-def _load_profiles(cfg: SimulationConfig) -> tuple[EndmemberProfile, EndmemberProfile]:
-    if cfg.endmember_file:
-        return (EndmemberProfile.from_file(cfg.endmember_file, "water"),
-                EndmemberProfile.from_file(cfg.endmember_file, "land"))
-    return (synthetic_profile(cfg.grid_length, "water"),
-            synthetic_profile(cfg.grid_length, "land"))
-
-
 def simulate_mixed_transect(cfg: SimulationConfig | None = None
                             ) -> tuple[SpectralDataset, TransectTruth]:
     """Simulate the single-footprint land/water transect with a mixed middle site.
@@ -198,7 +172,7 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
         raise DataError("rho must be >= 0")
     rng = np.random.default_rng(cfg.seed)
     m = cfg.grid_length
-    water_p, land_p = _load_profiles(cfg)
+    water_p, land_p = synthetic_profile(m, "water"), synthetic_profile(m, "land")
     mid = cfg.n_sites // 2
     lats = cfg.center_lat + np.linspace(-cfg.lat_span / 2, cfg.lat_span / 2, cfg.n_sites)
     lons = cfg.center_lon + cfg.lon_drift * (lats - cfg.center_lat)
@@ -402,14 +376,18 @@ class StudyResult:
     n_failures: int
 
 
+# The study's endmember fits run fewer Moran permutations than fit_geofpca's default.
+STUDY_FIT = FitConfig(n_perm=199)
+
+
 def _study_cell(args) -> StudyRecord:
-    cfg, unmix_cfg, rho, i_rho, rep = args
+    cfg, rho, i_rho, rep = args
     rep_cfg = replace(cfg, rho=rho, alpha=None,
                       seed=_spawn_seed(cfg.seed, i_rho, rep))
     ds, truth = simulate_mixed_transect(rep_cfg)
     try:
         spec = detect_mixed_region(ds)
-        estimates, _ = unmix_region(ds, spec, unmix_cfg)
+        estimates, _ = unmix_region(ds, spec, STUDY_FIT)
     except GeofpcaError as e:
         return StudyRecord(rho, rep, truth.alpha, math.nan, math.nan, str(e))
     by_method = {e.method: e.alpha for e in estimates
@@ -431,7 +409,6 @@ def _trim_mean(a: np.ndarray, proportion: float) -> float:
 
 
 def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = None,
-                       unmix_config: UnmixConfig | None = None,
                        trim: float = 0.1, threads: int = 1) -> StudyResult:
     """Replicated comparison of unmixing vs interpolation across noise levels.
 
@@ -444,8 +421,7 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
     if not 0.0 <= trim < 0.5:
         raise DataError(f"trim {trim} outside [0, 0.5)")
     cfg = cfg or SimulationConfig()
-    unmix_config = unmix_config or UnmixConfig(fit=FitConfig(n_perm=199))
-    tasks = [(cfg, unmix_config, float(rho), i, rep)
+    tasks = [(cfg, float(rho), i, rep)
              for i, rho in enumerate(rho_grid) for rep in range(n_reps)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -13,7 +13,7 @@ for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,13 @@ from .fpca import ScoreField
 from .imputation import FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance
 
 MAD_SCALE = 1.4826  # scaled-MAD consistency factor for a normal sample
+OUTLIER_MAD = 3.0  # scaled MADs beyond which a score is left out of the smoother
+# When an endmember score within EXTREME_REACH multiples of delta0 of the mixed
+# window lies beyond EXTREME_MAD scaled MADs, smoothing uses FIXED_BANDWIDTH
+# degrees instead of a cross-validated bandwidth.
+EXTREME_MAD = 4.0
+EXTREME_REACH = 3.0
+FIXED_BANDWIDTH = 0.1
 
 
 @dataclass
@@ -148,7 +155,7 @@ def _mad_inliers(u: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
-                  outlier_mad: float = 3.0,
+                  outlier_mad: float = OUTLIER_MAD,
                   cv_grid: np.ndarray | None = None) -> ScoreField:
     """Local-linear smoothing of each component's scores along latitude.
 
@@ -230,54 +237,34 @@ def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray, f_water: np.ndar
     return alpha
 
 
-@dataclass
-class UnmixConfig:
-    """Configuration for the end-to-end unmixing procedure."""
-
-    fit: FitConfig = field(default_factory=FitConfig)
-    land_hi: float = 0.70
-    water_lo: float = 0.30
-    ref_length: float = 0.6
-    fixed_bandwidth: float = 0.1
-    outlier_mad: float = 3.0
-    extreme_mad: float = 4.0
-    extreme_reach: float = 3.0  # multiples of delta0 around the mixed window
-
-
-def _has_extreme_scores(scores: ScoreField, spec: MixedRegionSpec,
-                        extreme_mad: float, reach: float) -> bool:
-    """Any score near the mixed window beyond ``extreme_mad`` scaled MADs?"""
+def _has_extreme_scores(scores: ScoreField, spec: MixedRegionSpec) -> bool:
+    """Any score near the mixed window beyond ``EXTREME_MAD`` scaled MADs?"""
     lo, hi = spec.m_window
-    near = (scores.latitudes >= lo - reach * spec.delta0) & \
-           (scores.latitudes <= hi + reach * spec.delta0)
+    near = (scores.latitudes >= lo - EXTREME_REACH * spec.delta0) & \
+           (scores.latitudes <= hi + EXTREME_REACH * spec.delta0)
     if not near.any():
         return False
     for p in np.unique(scores.footprints):
         sel = scores.footprints == p
         for k in range(scores.n_components):
             u = scores.scores[sel, k]
-            inl = _mad_inliers(u, extreme_mad)
+            inl = _mad_inliers(u, EXTREME_MAD)
             if (~inl & near[sel]).any():
                 return True
     return False
 
 
 def _fit_endmember_model(ds: SpectralDataset, window: tuple[float, float],
-                         spec: MixedRegionSpec, config: UnmixConfig,
+                         spec: MixedRegionSpec, config: FitConfig | None,
                          label: str) -> GeoFpcaModel:
     try:
         region = select_region(ds, window)
 
         def transform(scores: ScoreField, _ds: SpectralDataset) -> ScoreField:
-            if _has_extreme_scores(scores, spec, config.extreme_mad,
-                                   config.extreme_reach):
-                bw: float | str = config.fixed_bandwidth
-            else:
-                bw = "cv"
-            return smooth_scores(scores, bandwidth=bw,
-                                 outlier_mad=config.outlier_mad)
+            bw = FIXED_BANDWIDTH if _has_extreme_scores(scores, spec) else "cv"
+            return smooth_scores(scores, bandwidth=bw)
 
-        return fit_geofpca(region, config.fit, score_transform=transform)
+        return fit_geofpca(region, config, score_transform=transform)
     except GeofpcaError as e:
         raise type(e)(f"[{label} endmember] {e}") from e
 
@@ -297,16 +284,16 @@ def _nearest_spectrum(ds: SpectralDataset, window: tuple[float, float],
 
 
 def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
-                 config: UnmixConfig | None = None
+                 config: FitConfig | None = None
                  ) -> tuple[list[LandFractionEstimate], dict[str, GeoFpcaModel]]:
     """Estimate land fractions for every sounding in the mixed window.
 
     Fits one endmember model per reference region (with smoothed scores),
     imputes land and water spectra at each mixed sounding, and returns both
     the unmixing and the raw-neighbor interpolation estimate per sounding,
-    plus the two fitted models keyed 'land'/'water'.
+    plus the two fitted models keyed 'land'/'water'. ``config`` applies to
+    both endmember fits.
     """
-    config = config or UnmixConfig()
     if not spec.qualified:
         raise DataError(
             f"region not qualified for unmixing: references are "

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geofpca
-from geofpca.cli import main
+from geofpca.cli import build_parser, main
 from geofpca.dataset import load_dataset, save_dataset
 from geofpca.imputation import FitConfig, load_model
 from geofpca.simulation import OrbitConfig, SimulationConfig, simulate_mixed_transect, simulate_orbit
@@ -314,3 +317,136 @@ def test_cli_import_does_not_load_scipy_stats():
          "import geofpca.cli, sys; print('scipy.stats' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+class TestUnmixTruthFile:
+    """A bad --truth file exits 3 with one line before any output is written."""
+
+    @pytest.mark.parametrize("content", [None, '{"21": 0.4', '{"21": "most"}'],
+                             ids=["missing", "invalid-json", "non-numeric"])
+    def test_rejected_up_front(self, sim_csv, tmp_path, capsys, content):
+        path, _ = sim_csv
+        truth = tmp_path / "truth.json"
+        if content is not None:
+            truth.write_text(content)
+        out = tmp_path / "f.csv"
+        assert run(["unmix", "--input", path, "--n-perm", 99, "--out", out,
+                    "--summary", tmp_path / "s.json", "--truth", truth]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "truth file" in err
+        assert not out.exists()
+
+
+def no_input_args(command, tmp_path):
+    """Flags for ``command`` with a missing input, so nothing is fitted.
+
+    ``simulate`` reads no input; with these flags it writes its default transect.
+    """
+    missing, out = tmp_path / "missing.csv", tmp_path / "out.csv"
+    return {
+        "fit": ["fit", "--input", missing, "--out", out],
+        "impute": ["impute", "--model", missing, "--lat", 35.2, "--lon", 23.77,
+                   "--footprint", 4, "--out", out],
+        "unmix": ["unmix", "--input", missing, "--out", out],
+        "simulate": ["simulate", "--out", out],
+        "validate": ["validate", "--input", missing, "--out", out],
+    }[command]
+
+
+def schema_keys(command):
+    """The config keys ``command`` declares: the dests of its parser's options."""
+    schema = build_parser().parse_args([command]).schema
+    return sorted(a.dest for a in schema._actions if a.dest not in ("help", "config"))
+
+
+class TestConfigSchema:
+    """The parser is the config schema of every command."""
+
+    def run_with_config(self, tmp_path, capsys, args, doc):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        code = run(args + ["--config", config])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "fve_threshold"), ("impute", "n_perm"), ("unmix", "centers"),
+        ("simulate", "fve"), ("validate", "land_hi"),
+    ])
+    def test_undeclared_key_exits_3(self, tmp_path, capsys, command, key):
+        assert key not in schema_keys(command)
+        code, err = self.run_with_config(tmp_path, capsys,
+                                         no_input_args(command, tmp_path), {key: 0.5})
+        assert code == 3
+        assert err.count("\n") == 1 and f"config key '{key}'" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "unmix", "validate"])
+    @pytest.mark.parametrize("key", ["covariates", "weights"])
+    def test_bad_choice_from_file_exits_3(self, tmp_path, capsys, command, key):
+        code, err = self.run_with_config(tmp_path, capsys,
+                                         no_input_args(command, tmp_path), {key: "bogus"})
+        assert code == 3
+        assert err.count("\n") == 1 and f"config key '{key}'" in err
+
+    @pytest.mark.parametrize("command", ["fit", "impute", "unmix", "simulate", "validate"])
+    def test_config_file_opened_once(self, tmp_path, monkeypatch, command):
+        config = tmp_path / "c.json"
+        config.write_text("{}")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(config):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        run(no_input_args(command, tmp_path) + ["--config", config])
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("command, key", [("impute", "targets"), ("unmix", "truth")])
+    def test_path_with_nul_byte_exits_3(self, tmp_path, capsys, command, key):
+        code, err = self.run_with_config(tmp_path, capsys,
+                                         no_input_args(command, tmp_path), {key: "a\0b"})
+        assert code == 3 and err.count("\n") == 1
+
+    def test_switch_takes_a_json_boolean(self, tmp_path, capsys):
+        code, err = self.run_with_config(tmp_path, capsys,
+                                         no_input_args("simulate", tmp_path),
+                                         {"study": "false"})
+        assert code == 3 and "config key 'study'" in err
+
+    def test_fit_bounds_checked_for_every_command(self, tmp_path, capsys):
+        args = no_input_args("validate", tmp_path) + ["--fve", 1.5]
+        assert run(args) == 3
+        assert "fve_threshold 1.5" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False,
+                                                          allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("command", ["fit", "impute", "unmix", "validate"])
+def test_any_config_object_exits_2_or_3(tmp_path, capsys, command):
+    # threads is left out: a drawn value could ask for a large worker pool.
+    keys = st.sampled_from([k for k in schema_keys(command) if k != "threads"])
+    config = tmp_path / "c.json"
+    args = no_input_args(command, tmp_path) + ["--config", config]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(keys | st.text(), JSON_VALUES, max_size=6))
+    def prop(doc):
+        config.write_text(json.dumps(doc))
+        try:
+            code = run(args)
+        except SystemExit as e:
+            code = e.code
+        capsys.readouterr()
+        assert code in (2, 3)
+
+    prop()

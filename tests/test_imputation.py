@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset
 from geofpca.dataset import GeoLocation, WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
+from geofpca.geostat import VariogramBins
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -241,6 +245,42 @@ class TestFitConfigValidation:
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(DataError, match="alpha"):
             FitConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"fve_threshold": 0.0}, "fve_threshold"),
+        ({"fve_threshold": 1.5}, "fve_threshold"),
+        ({"fve_threshold": math.nan}, "fve_threshold"),
+        ({"min_coverage": 0.0}, "min_coverage"),
+        ({"min_coverage": 1.01}, "min_coverage"),
+        ({"covariates": "longitude"}, "covariates"),
+        ({"weight_scheme": "n3"}, "weight_scheme"),
+        ({"max_lat_span": 0.0}, "max_lat_span"),
+        ({"max_gap_km": 0.0}, "max_gap_km"),
+        ({"max_gap_km": -math.inf}, "max_gap_km"),
+        ({"bins": VariogramBins(n_bins=0)}, "n_bins"),
+        ({"bins": VariogramBins(min_pairs=0)}, "min_pairs"),
+        ({"bins": VariogramBins(max_fraction=0.0)}, "max_fraction"),
+        ({"bins": VariogramBins(max_fraction=1.5)}, "max_fraction"),
+    ])
+    def test_field_out_of_bounds(self, kwargs, field):
+        with pytest.raises(DataError, match=field):
+            FitConfig(**kwargs)
+
+    def test_bounds_are_inclusive_where_stated(self):
+        FitConfig(fve_threshold=1.0, min_coverage=1.0, max_gap_km=math.inf,
+                  bins=VariogramBins(n_bins=1, max_fraction=1.0, min_pairs=1))
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(),
+        FitConfig(fve_threshold=0.9, min_coverage=0.8, covariates="latlon",
+                  max_lat_span=0.4, max_gap_km=12.5,
+                  bins=VariogramBins(n_bins=9, max_fraction=0.7, min_pairs=4),
+                  weight_scheme="n", n_perm=199, alpha=0.1, seed=7),
+    ], ids=["defaults", "every-field-set"])
+    def test_dict_round_trip(self, config):
+        assert FitConfig.from_dict(config.to_dict()) == config
+        doc = json.loads(json.dumps(config.to_dict(), allow_nan=False))
+        assert FitConfig.from_dict(doc) == config
 
 
 class TestInterpolateRadiance:

@@ -10,9 +10,8 @@ from geofpca.fpca import ScoreField
 from geofpca.imputation import FitConfig
 from geofpca.simulation import (SimulationConfig, run_unmixing_study,
                                 simulate_mixed_transect)
-from geofpca.unmixing import (UnmixConfig, _cv_bandwidth, _local_linear,
-                              detect_mixed_region, estimate_land_fraction,
-                              smooth_scores, unmix_region)
+from geofpca.unmixing import (_cv_bandwidth, _local_linear, detect_mixed_region,
+                              estimate_land_fraction, smooth_scores, unmix_region)
 from oracles import cv_bandwidth_loop, local_linear_fit, local_linear_point
 
 THREADS = min(8, os.cpu_count() or 1)
@@ -225,7 +224,7 @@ class TestInterpolationLandFraction:
         # raw reference spectra of the same footprint.
         ds, truth = simulate_mixed_transect(SimulationConfig(rho=0.02, seed=5))
         spec = detect_mixed_region(ds)
-        estimates, models = unmix_region(ds, spec, UnmixConfig(fit=FitConfig(n_perm=99)))
+        estimates, models = unmix_region(ds, spec, FitConfig(n_perm=99))
         target = ds.get(truth.mixed_id)
         common = sorted(set(models["land"].wavelengths.indices) &
                         set(models["water"].wavelengths.indices))
@@ -270,7 +269,7 @@ class TestUnmixRegion:
             ds = replace_sounding(ds, truth.mixed_id, land_fraction=0.5)
             spec = detect_mixed_region(ds)
             estimates, _ = unmix_region(ds, spec,
-                                        UnmixConfig(fit=FitConfig(n_perm=99)))
+                                        FitConfig(n_perm=99))
             alpha = next(e.alpha for e in estimates
                          if e.sounding_id == truth.mixed_id and e.method == "unmixing")
             errs.append(alpha)
@@ -280,7 +279,7 @@ class TestUnmixRegion:
         ds, truth = simulate_mixed_transect(SimulationConfig(rho=0.02, seed=5))
         spec = detect_mixed_region(ds)
         estimates, models = unmix_region(ds, spec,
-                                         UnmixConfig(fit=FitConfig(n_perm=99)))
+                                         FitConfig(n_perm=99))
         methods = sorted(e.method for e in estimates
                          if e.sounding_id == truth.mixed_id)
         assert methods == ["interpolation", "unmixing"]
