@@ -1,12 +1,13 @@
 """Command-line pipeline: fit, impute, unmix, simulate, validate.
 
 Every command is a pure function of its input files, flags, and seed, and
-re-runs are byte-identical. A ``--config`` JSON file may carry the command's
-flags as keys (``--n-perm`` is ``n_perm``); explicit flags win. The parser is
-the schema: a file value is converted and checked as its flag would be, and a
-key the command does not declare is a data error. Options left unset keep the
-library's defaults. Exit codes: 0 success, 2 usage error, 3 data error,
-4 numerical failure.
+re-runs are byte-identical: BLAS runs on one thread whatever
+``OPENBLAS_NUM_THREADS`` says (:func:`geofpca.parallel.pin_blas`). A
+``--config`` JSON file may carry the command's flags as keys (``--n-perm`` is
+``n_perm``); explicit flags win. The parser is the schema: a file value is
+converted and checked as its flag would be, and a key the command does not
+declare is a data error. Options left unset keep the library's defaults. Exit
+codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .geostat import WEIGHT_SCHEMES, VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
                          save_model)
 from .mean_model import COVARIATE_MODES
+from .parallel import pin_blas
 from .simulation import (SimulationConfig, run_unmixing_study,
                          simulate_mixed_transect, study_to_csv)
 from .unmixing import detect_mixed_region, unmix_region
@@ -76,6 +78,8 @@ def _as(kind: type, value, key: str):
     """``kind(value)`` for the config key ``key``; a bad value is a data error."""
     try:
         return kind(value)
+    except argparse.ArgumentTypeError as e:
+        raise DataError(f"config key {key!r}: {e}") from None
     except (TypeError, ValueError):
         raise DataError(f"config key {key!r}: expected {kind.__name__}, "
                         f"got {value!r}") from None
@@ -94,8 +98,24 @@ def _fit_config(cfg: dict) -> FitConfig:
                      **_options(FitConfig, named))
 
 
+def _cpu_count() -> int:
+    return os.cpu_count() or 1
+
+
+def _thread_count(text: str) -> int:
+    """A ``--threads`` value: an integer from 1 to the CPU count."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not 1 <= threads <= _cpu_count():
+        raise argparse.ArgumentTypeError(
+            f"expected 1 <= threads <= {_cpu_count()} (the CPU count), got {threads}")
+    return threads
+
+
 def _threads(cfg: dict) -> int:
-    return cfg.get("threads") or os.cpu_count() or 1
+    return cfg.get("threads", _cpu_count())
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -372,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the replicated unmixing study instead")
     p.add_argument("--rho-grid", help="colon-separated rho values")
     p.add_argument("--n-reps", type=int)
-    p.add_argument("--threads", type=int,
-                   help="worker processes (default: the CPU count)")
+    p.add_argument("--threads", type=_thread_count,
+                   help="worker processes, 1 to the CPU count (default: the CPU count)")
     p.add_argument("--out", help="dataset CSV (or study CSV with --study)")
     p.add_argument("--truth", help="truth JSON path")
 
@@ -385,14 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--footprint", type=int, help="center footprint")
     p.add_argument("--min-region-count", type=int)
     p.add_argument("--lat-halfwidth", type=float)
-    p.add_argument("--threads", type=int,
-                   help="worker processes (default: the CPU count)")
+    p.add_argument("--threads", type=_thread_count,
+                   help="worker processes, 1 to the CPU count (default: the CPU count)")
     p.add_argument("--out", help="report CSV")
     p.add_argument("--summary", help="per-r summary CSV")
     return parser
 
 
 def main(argv=None) -> int:
+    pin_blas()
     parser = build_parser()
     args = parser.parse_args(argv)
     actions = {a.dest: a for a in args.schema._actions

@@ -325,9 +325,10 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
 
     The sidecar (``<path>.json`` by default) may declare ``grid_length``,
     ``unit``, and ``orbit_id``; extra keys are kept as metadata. Empty cells
-    and the literal ``NaN`` mark missing radiance; an empty ``land_fraction``
-    cell marks an absent land fraction. Duplicate (footprint, latitude) pairs
-    keep the first row and emit a warning.
+    and the literal ``NaN`` mark missing radiance; an infinite radiance is a
+    data error. An empty ``land_fraction`` cell marks an absent land fraction.
+    Duplicate (footprint, latitude) pairs keep the first row and emit a
+    warning.
     """
     path = Path(path)
     if not path.exists():
@@ -390,6 +391,9 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
                 rad[j] = np.nan
             else:
                 rad[j] = _parse_cell(cell, line_no, f"radiance w_{j + 1}")
+                if math.isinf(rad[j]):
+                    raise DataError(f"line {line_no}: non-finite radiance w_{j + 1} "
+                                    f"{cell!r} (leave the cell empty or NaN if missing)")
         key = (fp, lat)
         if key in seen_keys:
             warnings.warn(

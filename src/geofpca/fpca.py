@@ -74,6 +74,8 @@ class ScoreField:
     excluded_ids: tuple[int, ...] = ()
     _distances: np.ndarray | None = field(default=None, init=False, repr=False,
                                           compare=False)
+    _nearest: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                           repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -98,6 +100,21 @@ class ScoreField:
             self._distances = pairwise_distances(self.latitudes, self.longitudes)
             self._distances.flags.writeable = False
         return self._distances
+
+    def nearest(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each sounding's m nearest other soundings and their distances (two n x m arrays).
+
+        Ties keep sounding order. Computed once per m and read-only; every
+        component's spatial screen shares it.
+        """
+        if self._nearest is None or self._nearest[0].shape[1] != m:
+            d = self.distances().copy()
+            np.fill_diagonal(d, np.inf)
+            nb = np.argsort(d, axis=1, kind="stable")[:, :m]
+            d_nb = d[np.arange(d.shape[0])[:, None], nb]
+            nb.flags.writeable = d_nb.flags.writeable = False
+            self._nearest = (nb, d_nb)
+        return self._nearest
 
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))

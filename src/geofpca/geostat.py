@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize
 
 from .dataset import GeoLocation, haversine_km
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
+
+# scipy is imported inside the functions that use it: importing it costs more
+# than many CLI commands compute, and `impute` needs only scipy.linalg.
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
@@ -174,6 +175,8 @@ def fit_variogram_wls(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
     [0, 10 * max bin value], range in [h_1/10, 10 * h_L]. If every bin value
     is <= 0 the fit is returned at sill 0 with the degenerate flag set.
     """
+    from scipy.optimize import minimize
+
     if ev.distances.size < 2:
         raise DataError("need at least 2 variogram bins to fit")
     w = _wls_weights(ev, weight_scheme)
@@ -224,11 +227,9 @@ def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
     if float(z @ z) <= 0.0:
         raise DegenerateScoresError(f"component {k}: degenerate (zero-variance) scores")
 
-    d = scores.distances().copy()  # the shared matrix stays intact
-    np.fill_diagonal(d, np.inf)
     m = min(n_neighbors, n - 1)
-    nb = np.argsort(d, axis=1, kind="stable")[:, :m]
-    wts = 1.0 / np.maximum(d[np.arange(n)[:, None], nb], 1e-9)
+    nb, d_nb = scores.nearest(m)
+    wts = 1.0 / np.maximum(d_nb, 1e-9)
     s0 = wts.sum()
 
     stat = n / s0 * float(np.sum(z[:, None] * wts * z[nb])) / float(z @ z)
@@ -281,6 +282,8 @@ class KrigingSystem:
             self.constant = (float(u[0]), float(fit.sill + tau[0]))
             return
 
+        from scipy.linalg import cho_factor, cho_solve
+
         sill, rng = fit.sill, fit.range_km
         cov = np.divide(scores.distances(), -rng)
         np.exp(cov, out=cov)
@@ -303,6 +306,8 @@ class KrigingSystem:
 
     def predict(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and prediction variances at T locations (two length-T arrays)."""
+        from scipy.linalg import solve_triangular
+
         lat = np.asarray(latitudes, dtype=float)
         lon = np.asarray(longitudes, dtype=float)
         if self.constant is not None:

@@ -14,7 +14,6 @@ eigenvector curves.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 from .dataset import GeoLocation, SpectralDataset, Sounding, pairwise_distances
 from .errors import DataError, GeofpcaError
 from .imputation import FitConfig
+from .parallel import map_tasks
 from .unmixing import detect_mixed_region, unmix_region
 
 Seed = int | tuple[int, ...]
@@ -380,8 +380,8 @@ class StudyResult:
 STUDY_FIT = FitConfig(n_perm=199)
 
 
-def _study_cell(args) -> StudyRecord:
-    cfg, rho, i_rho, rep = args
+def _study_cell(cfg: SimulationConfig, replicate) -> StudyRecord:
+    rho, i_rho, rep = replicate
     rep_cfg = replace(cfg, rho=rho, alpha=None,
                       seed=_spawn_seed(cfg.seed, i_rho, rep))
     ds, truth = simulate_mixed_transect(rep_cfg)
@@ -421,14 +421,10 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
     if not 0.0 <= trim < 0.5:
         raise DataError(f"trim {trim} outside [0, 0.5)")
     cfg = cfg or SimulationConfig()
-    tasks = [(cfg, float(rho), i, rep)
-             for i, rho in enumerate(rho_grid) for rep in range(n_reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_study_cell, tasks,
-                                    chunksize=max(1, len(tasks) // (threads * 8))))
-    else:
-        records = [_study_cell(t) for t in tasks]
+    replicates = [(float(rho), i, rep)
+                  for i, rho in enumerate(rho_grid) for rep in range(n_reps)]
+    records = map_tasks(_study_cell, cfg, replicates, threads,
+                        chunksize=max(1, len(replicates) // (max(threads, 1) * 8)))
 
     base_seed = cfg.seed[0] if isinstance(cfg.seed, tuple) else cfg.seed
     rows = []

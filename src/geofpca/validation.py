@@ -11,7 +11,6 @@ intervals for the mean.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .errors import DataError, GeofpcaError
 from .fpca import FpcaBasis, compute_scores
 from .imputation import (FitConfig, fit_geofpca, impute_radiance,
                          interpolate_radiance, predict_scores)
+from .parallel import map_tasks
 
 
 def rrmse(imputed: np.ndarray, observed: np.ndarray) -> float:
@@ -135,8 +135,9 @@ class ExperimentReport:
 _METRICS = ("rrmse_functional", "rrmse_interpolation", "rmspe")
 
 
-def _experiment_cell(args) -> tuple[int, int, list[ExperimentRow], str | None]:
-    ds, center, r, config, lat_halfwidth = args
+def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str | None]:
+    ds, config, lat_halfwidth = shared
+    center, r = cell
     try:
         center_lat = ds.get(center).latitude
         region = select_region(ds, (center_lat - lat_halfwidth,
@@ -184,13 +185,8 @@ def run_imputation_experiment(ds: SpectralDataset, centers, r_values=range(1, 9)
     the experiment continues through them.
     """
     config = config or FitConfig()
-    tasks = [(ds, int(c), int(r), config, lat_halfwidth)
-             for c in centers for r in r_values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_experiment_cell, tasks, chunksize=1))
-    else:
-        results = [_experiment_cell(t) for t in tasks]
+    cells = [(int(c), int(r)) for c in centers for r in r_values]
+    results = map_tasks(_experiment_cell, (ds, config, lat_halfwidth), cells, threads)
 
     rows: list[ExperimentRow] = []
     failures = []

@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from geofpca.dataset import GeoLocation, Sounding, SpectralDataset
+from geofpca.parallel import pin_blas
+
+
+def pytest_sessionstart(session):
+    # The CLI's BLAS setting: serial tests do not oversubscribe the CPUs.
+    pin_blas()
 
 
 def make_dataset(lats, footprints, radiance, lons=None, land_fractions=None,

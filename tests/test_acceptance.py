@@ -328,7 +328,7 @@ def test_criterion_7_cli_determinism(tmp_path, report):
     val_args = ["validate", "--input", orbit, "--r", "1:2", "--centers", "auto",
                 "--min-region-count", 8, "--lat-halfwidth", 1.0, "--n-perm", 99]
     assert run(val_args + ["--threads", 1, "--out", r1]) == 0
-    assert run(val_args + ["--threads", 4, "--out", r2]) == 0
+    assert run(val_args + ["--threads", THREADS, "--out", r2]) == 0
     checks.append(("validate (thread-count independent)",
                    r1.read_bytes() == r2.read_bytes()))
 

@@ -18,6 +18,10 @@ from geofpca.simulation import OrbitConfig, SimulationConfig, simulate_mixed_tra
 from geofpca.validation import run_imputation_experiment, select_centers
 
 
+# A two-worker pool where the machine allows it: --threads is at most the CPU count.
+POOL = min(2, os.cpu_count() or 1)
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -41,7 +45,7 @@ class TestSimulate:
     def test_study_mode(self, tmp_path):
         out = tmp_path / "study.csv"
         assert run(["simulate", "--study", "--rho-grid", "0.01:0.1", "--n-reps", 2,
-                    "--seed", 3, "--threads", 2, "--out", out]) == 0
+                    "--seed", 3, "--threads", POOL, "--out", out]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "rho,method,trimmed_mean_rel_abs_error,n_reps,seed"
         assert len(lines) == 5
@@ -209,7 +213,7 @@ class TestValidate:
         summary = tmp_path / "summary.csv"
         code = run(["validate", "--input", path, "--r", "1:2", "--centers", "auto",
                     "--min-region-count", 8, "--lat-halfwidth", 1.0,
-                    "--n-perm", 99, "--threads", 2,
+                    "--n-perm", 99, "--threads", POOL,
                     "--out", out, "--summary", summary])
         assert code == 0
         centers = select_centers(ds, footprint=4, min_region_count=8,
@@ -308,15 +312,100 @@ class TestNonNumericConfigValue:
         self.assert_names_key(code, err, key)
 
 
-def test_cli_import_does_not_load_scipy_stats():
+def run_python(code, *args, **env):
+    """Standard output of ``python -c code args`` in a fresh process, with ``env`` set."""
     src = str(Path(geofpca.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import geofpca.cli, sys; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         capture_output=True, text=True, env=full_env, timeout=300,
+                         check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = run_python("import geofpca.cli, sys; "
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert loaded == "[]"
+
+
+def test_impute_loads_no_scipy_optimize(sim_csv, tmp_path):
+    path, _ = sim_csv
+    model = tmp_path / "model.json"
+    assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
+                "--out", model]) == 0
+    out = run_python("import sys; from geofpca.cli import main; "
+                     "code = main(sys.argv[1:]); print(code, 'scipy.optimize' in sys.modules)",
+                     "impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
+                     "--footprint", 4, "--out", tmp_path / "s.csv")
+    assert out.splitlines()[-1] == "0 False"
+
+
+def test_validate_bytes_independent_of_openblas_threads(tmp_path):
+    # 240 soundings: large enough that an unpinned OpenBLAS threads its kernels.
+    path = tmp_path / "orbit.csv"
+    ds, _ = simulate_orbit(OrbitConfig(n_tracks=30, seed=5, grid_length=24,
+                                       track_spacing=0.004))
+    save_dataset(ds, path)
+    center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.csv"
+        run_python("import sys; from geofpca.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "validate", "--input", path, "--r", "2:2", "--centers", center,
+                   "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1,
+                   "--out", out, OPENBLAS_NUM_THREADS=threads)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("scipy_first", [True, False],
+                         ids=["scipy-loaded-before", "scipy-loaded-after"])
+def test_pin_blas_leaves_every_openblas_at_one_thread(scipy_first):
+    code = "\n".join([
+        "import json, numpy",
+        "import scipy.linalg" if scipy_first else "",
+        "from geofpca.parallel import _loaded_openblas, pin_blas",
+        "pin_blas()",
+        "import scipy.linalg",
+        "print(json.dumps([getattr(lib, 'scipy_openblas_get_num_threads' + suffix)()",
+        "                  for lib, suffix in _loaded_openblas()]))",
+    ])
+    counts = json.loads(run_python(code, OPENBLAS_NUM_THREADS="2"))
+    if not counts:
+        pytest.skip("no OpenBLAS with the scipy_openblas symbols is loaded")
+    assert counts == [1] * len(counts)
+
+
+class TestThreadsBound:
+    """--threads is 1 to the CPU count; only the exit code is tested, so no pool starts."""
+
+    def args(self, command, tmp_path):
+        extra = ["--study"] if command == "simulate" else []
+        return no_input_args(command, tmp_path) + extra
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("threads", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, command, threads):
+        with pytest.raises(SystemExit) as err:
+            run(self.args(command, tmp_path) + ["--threads", threads])
+        assert err.value.code == 2
+        assert "argument --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    @pytest.mark.parametrize("threads", [0, -3, (os.cpu_count() or 1) + 1])
+    def test_out_of_range_config_exits_3(self, tmp_path, capsys, command, threads):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"threads": threads}))
+        assert run(self.args(command, tmp_path) + ["--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config key 'threads'" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_bounds_are_inclusive(self, command):
+        for threads in (1, os.cpu_count() or 1):
+            args = build_parser().parse_args([command, "--threads", str(threads)])
+            assert args.threads == threads
 
 
 class TestUnmixTruthFile:

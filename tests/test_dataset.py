@@ -42,6 +42,16 @@ class TestLoad:
         assert math.isnan(ds.get(2).radiance[0])
         assert ds.get(1).land_fraction is None
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_radiance_names_line_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path, "\n".join([
+            "id,latitude,longitude,footprint,land_fraction,w_1,w_2",
+            "1,34.0,23.0,1,,5,6",
+            f"2,34.1,23.0,1,,5,{cell}",
+        ]) + "\n")
+        with pytest.raises(DataError, match="line 3: non-finite radiance w_2"):
+            load_dataset(path)
+
     def test_bad_footprint_names_row(self, tmp_path):
         path = write_csv(tmp_path, "\n".join([
             "id,latitude,longitude,footprint,land_fraction,w_1",

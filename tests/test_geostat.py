@@ -205,6 +205,26 @@ class TestMoranMatchesLoopOracle:
                 assert res.p_value == p
                 assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
 
+    def test_components_share_one_neighbour_table(self):
+        n = 264
+        rng = np.random.default_rng(5)
+        lats = 35.0 + rng.uniform(0.0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        u = np.column_stack([np.sin(25.0 * lats) + rng.standard_normal(n),
+                             rng.standard_normal(n),
+                             0.3 * np.cos(20.0 * lats) + rng.standard_normal(n)])
+        sf = score_field(lats, u, [0.0, 0.0, 0.0], lons=lons)
+        dist = pairwise_distances(lats, lons)
+        # A change of n_neighbors between components must rebuild the table.
+        for k, m in ((0, 10), (1, 10), (2, 5), (0, 10)):
+            res = spatial_dependence_test(sf, k, n_perm=199, seed=k, n_neighbors=m)
+            stat, p = moran_permutation_loop(u[:, k], dist, 199, k, n_neighbors=m)
+            assert res.p_value == p
+            assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+        table = sf.nearest(10)
+        assert sf.nearest(10) is table
+        assert not any(a.flags.writeable for a in table)
+
     def test_fewer_points_than_neighbors(self, rng):
         n = 20
         lats = transect_latitudes(n)
