@@ -10,10 +10,10 @@ validation harness accompany the estimators.
 
 __version__ = "0.1.0"
 
-from .dataset import (CrossTrack, GeoLocation, Sounding, SpectralDataset,
-                      WavelengthSet, common_wavelengths, cross_tracks,
-                      haversine_km, load_dataset, remove_cross_tracks,
-                      save_dataset, select_region)
+from .dataset import (GeoLocation, Sounding, SpectralDataset, WavelengthSet,
+                      common_wavelengths, haversine_km, load_dataset,
+                      remove_cross_tracks, save_dataset, select_region,
+                      track_numbers)
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores, eigendecompose,
@@ -25,7 +25,7 @@ from .geostat import (EmpiricalVariogram, KrigingSystem, SpatialTestResult,
 from .imputation import (FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance,
                          interpolate_radiance, load_model, predict_scores,
                          save_model)
-from .mean_model import MeanModel, evaluate_mean, evaluate_mean_at, fit_mean_model
+from .mean_model import MeanModel, evaluate_mean_at, fit_mean_model
 from .simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
                          run_unmixing_study, simulate_error_process,
                          simulate_mixed_transect, simulate_orbit, synthetic_profile)

@@ -433,6 +433,10 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as e:
+        # Every file the commands write, and any input opened without a check.
+        print(f"data error: cannot access {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

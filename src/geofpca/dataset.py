@@ -109,14 +109,6 @@ class WavelengthSet:
         return np.asarray(self.indices, dtype=float)
 
 
-@dataclass(frozen=True)
-class CrossTrack:
-    """Soundings sharing one along-track position (at most one per footprint)."""
-
-    index: int
-    member_ids: tuple[int, ...]
-
-
 class SpectralDataset:
     """Immutable ordered collection of soundings over a shared grid.
 
@@ -256,23 +248,18 @@ def common_wavelengths(ds: SpectralDataset, min_coverage: float = 1.0) -> Wavele
     return WavelengthSet(tuple(int(j) + 1 for j in np.flatnonzero(ok)))
 
 
-def cross_tracks(ds: SpectralDataset) -> list[CrossTrack]:
-    """Group soundings into cross-tracks by per-footprint rank in row order.
+def track_numbers(ds: SpectralDataset) -> np.ndarray:
+    """Each row's cross-track number: its rank in row order within its footprint.
 
     Requires the orbit-ordered file contract: within each footprint, row
     order equals acquisition order, and corresponding ranks across footprints
-    share an along-track position.
+    share an along-track position. A track holds at most one row per footprint.
     """
-    ranks = {}
-    counters: dict[int, int] = {}
-    for i, s in enumerate(ds.soundings):
-        r = counters.get(s.footprint, 0)
-        counters[s.footprint] = r + 1
-        ranks.setdefault(r, []).append(i)
-    tracks = []
-    for r in sorted(ranks):
-        members = sorted(ranks[r], key=lambda i: ds.soundings[i].footprint)
-        tracks.append(CrossTrack(r, tuple(ds.soundings[i].id for i in members)))
+    fps = ds.footprints
+    tracks = np.empty(len(ds), dtype=int)
+    for p in np.unique(fps):
+        sel = fps == p
+        tracks[sel] = np.arange(np.count_nonzero(sel))
     return tracks
 
 
@@ -286,31 +273,24 @@ def remove_cross_tracks(ds: SpectralDataset, center: int, r: int
     """
     if not 1 <= r <= 8:
         raise DataError(f"r {r} outside 1..8")
-    tracks = cross_tracks(ds)
-    track_of = {}
-    for t in tracks:
-        for sid in t.member_ids:
-            track_of[sid] = t.index
-    if center not in track_of:
+    at = np.flatnonzero(ds.ids == center)
+    if at.size == 0:
         raise DataError(f"center sounding {center} not in dataset")
-    t0 = track_of[center]
+    tracks = track_numbers(ds)
+    t0, n_tracks = int(tracks[at[0]]), int(tracks.max()) + 1
     if r % 2 == 1:
         lo, hi = t0 - (r - 1) // 2, t0 + (r - 1) // 2
     else:
         lo, hi = t0 - r // 2, t0 + r // 2 - 1
-    if lo < 0 or hi >= len(tracks):
+    if lo < 0 or hi >= n_tracks:
         raise DataError(
             f"not enough cross-tracks around sounding {center} for r={r} "
-            f"(need tracks {lo}..{hi} of 0..{len(tracks) - 1})"
+            f"(need tracks {lo}..{hi} of 0..{n_tracks - 1})"
         )
-    held_ids = set()
-    for t in tracks[lo:hi + 1]:
-        held_ids.update(t.member_ids)
-    held = [i for i, s in enumerate(ds.soundings) if s.id in held_ids]
-    train = [i for i, s in enumerate(ds.soundings) if s.id not in held_ids]
-    if not train:
+    held = (tracks >= lo) & (tracks <= hi)
+    if held.all():
         raise DataError("cross-track removal leaves no training soundings")
-    return ds.subset(train), ds.subset(held)
+    return ds.subset(np.flatnonzero(~held)), ds.subset(np.flatnonzero(held))
 
 
 def _parse_cell(text: str, line_no: int, what: str) -> float:
@@ -323,12 +303,12 @@ def _parse_cell(text: str, line_no: int, what: str) -> float:
 def load_dataset(path, sidecar=None) -> SpectralDataset:
     """Load a dataset from CSV, with an optional JSON sidecar.
 
-    The sidecar (``<path>.json`` by default) may declare ``grid_length``,
-    ``unit``, and ``orbit_id``; extra keys are kept as metadata. Empty cells
-    and the literal ``NaN`` mark missing radiance; an infinite radiance is a
-    data error. An empty ``land_fraction`` cell marks an absent land fraction.
-    Duplicate (footprint, latitude) pairs keep the first row and emit a
-    warning.
+    Both files are UTF-8. The sidecar (``<path>.json`` by default) holds a
+    JSON object that may declare an integer ``grid_length``, ``unit``, and
+    ``orbit_id``; extra keys are kept as metadata. Empty cells and the literal
+    ``NaN`` mark missing radiance; an infinite radiance is a data error. An
+    empty ``land_fraction`` cell marks an absent land fraction. Duplicate
+    (footprint, latitude) pairs keep the first row and emit a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -336,11 +316,20 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
     metadata: dict = {}
     sidecar = Path(sidecar) if sidecar else Path(str(path) + ".json")
     if sidecar.exists():
-        with open(sidecar) as fh:
-            metadata.update(json.load(fh))
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as e:  # also UnicodeDecodeError
+            raise DataError(f"{sidecar}: sidecar is not valid JSON ({e})") from None
+        if not isinstance(doc, dict):
+            raise DataError(f"{sidecar}: sidecar must hold a JSON object")
+        metadata.update(doc)
 
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -356,10 +345,13 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
         if not re.fullmatch(rf"w_{j}", name):
             raise DataError(f"{path}: radiance column {j} named {name!r}, expected 'w_{j}'")
     declared = metadata.get("grid_length")
-    if declared is not None and int(declared) != width:
-        raise DataError(
-            f"{path}: sidecar grid_length {declared} != {width} radiance columns"
-        )
+    if declared is not None:
+        if type(declared) is not int:  # a JSON integer, never truncated or parsed
+            raise DataError(f"{sidecar}: grid_length {declared!r} is not an integer")
+        if declared != width:
+            raise DataError(
+                f"{path}: sidecar grid_length {declared} != {width} radiance columns"
+            )
 
     soundings = []
     seen_keys = set()

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (GeoLocation, SpectralDataset, WavelengthSet,
-                      common_wavelengths)
+from .dataset import SpectralDataset, WavelengthSet, common_wavelengths
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
@@ -225,44 +224,49 @@ def impute_radiance(model: GeoFpcaModel, latitudes, longitudes, footprints,
     return spectra
 
 
-def interpolate_radiance(ds: SpectralDataset, target: GeoLocation, footprint: int,
+def interpolate_radiance(ds: SpectralDataset, latitudes, footprints,
                          ws: WavelengthSet | None = None) -> np.ndarray:
-    """Per-wavelength linear interpolation in latitude over one footprint.
+    """Per-wavelength linear interpolation in latitude at T targets (T x m).
 
-    The baseline method: each wavelength is interpolated between the nearest
-    same-footprint soundings below and above the target latitude, with
+    The baseline method: each target's wavelength is interpolated between the
+    nearest soundings of its footprint below and above its latitude, with
     nearest-value extrapolation outside the observed range.
     """
-    rows = np.flatnonzero(ds.footprints == footprint)
-    if rows.size < 2:
-        raise DataError(
-            f"footprint {footprint}: {rows.size} soundings, need >= 2 to interpolate"
-        )
-    order = np.argsort(ds.latitudes[rows], kind="stable")
-    rows = rows[order]
-    lats = ds.latitudes[rows]
+    x = np.asarray(latitudes, dtype=float)
+    fps = np.asarray(footprints)
+    if x.ndim != 1 or fps.shape != x.shape or not np.isfinite(x).all():
+        raise DataError("need one finite target latitude per footprint")
     pos = ws.positions if ws is not None else np.arange(ds.grid_length)
-    y = ds.radiance[np.ix_(rows, pos)]
-    out = np.empty(pos.size)
-    x0 = target.latitude
-    complete = ~np.isnan(y).any(axis=0)
-    if complete.any():
-        idx = np.searchsorted(lats, x0)
-        if idx == 0:
-            out[complete] = y[0, complete]
-        elif idx == lats.size:
-            out[complete] = y[-1, complete]
-        else:
-            t = (x0 - lats[idx - 1]) / (lats[idx] - lats[idx - 1])
-            out[complete] = (1 - t) * y[idx - 1, complete] + t * y[idx, complete]
-    for j in np.flatnonzero(~complete):
-        good = ~np.isnan(y[:, j])
-        if not good.any():
-            w_label = int(ws.indices[j]) if ws is not None else int(pos[j]) + 1
+    out = np.empty((x.size, pos.size))
+    for p in np.unique(fps):
+        rows = np.flatnonzero(ds.footprints == p)
+        if rows.size < 2:
             raise DataError(
-                f"footprint {footprint}: wavelength w_{w_label} has no observed values"
+                f"footprint {p}: {rows.size} soundings, need >= 2 to interpolate"
             )
-        out[j] = np.interp(x0, lats[good], y[good, j])
+        rows = rows[np.argsort(ds.latitudes[rows], kind="stable")]
+        lats = ds.latitudes[rows]
+        y = ds.radiance[np.ix_(rows, pos)]
+        sel = np.flatnonzero(fps == p)
+        x0 = x[sel]
+        complete = ~np.isnan(y).any(axis=0)
+        yc = y[:, complete]
+        # Nearest value beyond either end; the interior rows are replaced below.
+        idx = np.searchsorted(lats, x0)
+        block = yc[np.minimum(idx, lats.size - 1)]
+        inner = (idx > 0) & (idx < lats.size)
+        i = idx[inner]
+        t = ((x0[inner] - lats[i - 1]) / (lats[i] - lats[i - 1]))[:, None]
+        block[inner] = (1 - t) * yc[i - 1] + t * yc[i]
+        out[np.ix_(sel, complete)] = block
+        for j in np.flatnonzero(~complete):
+            good = ~np.isnan(y[:, j])
+            if not good.any():
+                w_label = int(ws.indices[j]) if ws is not None else int(pos[j]) + 1
+                raise DataError(
+                    f"footprint {p}: wavelength w_{w_label} has no observed values"
+                )
+            out[sel, j] = np.interp(x0, lats[good], y[good, j])
     return out
 
 

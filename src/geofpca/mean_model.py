@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GeoLocation, SpectralDataset, WavelengthSet
+from .dataset import SpectralDataset, WavelengthSet
 from .errors import DataError, NumericalError
 
 COVARIATE_MODES = ("latitude", "latlon")
@@ -133,11 +133,6 @@ def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
         sel = fps == p
         out[sel] = beta[0] + covs[sel] @ beta[1:]
     return out
-
-
-def evaluate_mean(model: MeanModel, loc: GeoLocation, footprint: int) -> np.ndarray:
-    """Mean spectrum over the model's wavelength set at one location."""
-    return evaluate_mean_at(model, [loc.latitude], [loc.longitude], [footprint])[0]
 
 
 def evaluate_mean_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray

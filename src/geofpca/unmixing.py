@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (GeoLocation, SpectralDataset, cross_tracks, haversine_km,
-                      select_region)
+from .dataset import SpectralDataset, haversine_km, select_region, track_numbers
 from .errors import DataError, GeofpcaError
 from .fpca import ScoreField
 from .imputation import FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance
@@ -88,10 +87,11 @@ def detect_mixed_region(ds: SpectralDataset, land_hi: float = 0.70,
     lats = ds.latitudes
     l1, l2 = float(lats[mixed].min()), float(lats[mixed].max())
     if delta0 is None:
-        track_lats = []
-        for t in cross_tracks(ds):
-            track_lats.append(np.mean([ds.get(i).latitude for i in t.member_ids]))
-        track_lats = np.sort(np.asarray(track_lats))
+        # Each track's mean latitude, summed in footprint order.
+        tracks = track_numbers(ds)
+        order = np.lexsort((ds.footprints, tracks))
+        ends = np.flatnonzero(np.diff(tracks[order])) + 1
+        track_lats = np.sort([t.mean() for t in np.split(lats[order], ends)])
         if track_lats.size < 2:
             raise DataError("cannot infer cross-track spacing from a single track")
         delta0 = float(np.diff(track_lats).mean())
@@ -154,13 +154,11 @@ def _mad_inliers(u: np.ndarray, threshold: float) -> np.ndarray:
     return np.abs(u - med) <= threshold * mad
 
 
-def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
-                  outlier_mad: float = OUTLIER_MAD,
-                  cv_grid: np.ndarray | None = None) -> ScoreField:
+def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv") -> ScoreField:
     """Local-linear smoothing of each component's scores along latitude.
 
     Smoothing runs per (component, footprint) with an Epanechnikov kernel.
-    Outliers beyond ``outlier_mad`` scaled MADs from the group median are
+    Outliers beyond ``OUTLIER_MAD`` scaled MADs from the group median are
     dropped from the fit (their locations still receive smoothed values).
     ``bandwidth`` is a fixed width in degrees or ``"cv"`` for leave-one-out
     selection over a log-spaced grid.
@@ -175,7 +173,7 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
         x = lats[sel]
         for k in range(scores.n_components):
             y = scores.scores[sel, k]
-            inliers = _mad_inliers(y, outlier_mad)
+            inliers = _mad_inliers(y, OUTLIER_MAD)
             if inliers.sum() < 2:
                 raise DataError(
                     f"footprint {int(p)}, component {k}: fewer than 2 inlier scores"
@@ -184,7 +182,7 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
             if isinstance(bandwidth, str):
                 if bandwidth != "cv":
                     raise DataError(f"unknown bandwidth mode {bandwidth!r}")
-                h = _cv_bandwidth(xf, yf, cv_grid)
+                h = _cv_bandwidth(xf, yf)
             else:
                 h = float(bandwidth)
             smoothed[sel, k] = _local_linear(xf, yf, x, h)
@@ -195,7 +193,7 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv",
     return scores.with_scores(smoothed)
 
 
-def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None) -> float:
+def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None = None) -> float:
     """Leave-one-out bandwidth selection; candidates failing anywhere are skipped."""
     span = float(x.max() - x.min())
     if span <= 0:
@@ -269,18 +267,23 @@ def _fit_endmember_model(ds: SpectralDataset, window: tuple[float, float],
         raise type(e)(f"[{label} endmember] {e}") from e
 
 
-def _nearest_spectrum(ds: SpectralDataset, window: tuple[float, float],
-                      target: GeoLocation, footprint: int) -> np.ndarray:
-    """Raw spectrum of the nearest reference sounding (same footprint if any)."""
+def _nearest_spectra(ds: SpectralDataset, window: tuple[float, float], latitudes,
+                     longitudes, footprints) -> np.ndarray:
+    """Raw spectra of each target's nearest reference sounding (T x W).
+
+    The nearest is taken among the window's soundings of the target's
+    footprint, or among all of them when the window lacks that footprint.
+    """
     lats = ds.latitudes
     sel = np.flatnonzero((lats >= window[0]) & (lats <= window[1]))
     if sel.size == 0:
         raise DataError(f"no soundings in reference window {window}")
-    same = sel[ds.footprints[sel] == footprint]
-    pool = same if same.size else sel
-    d = haversine_km(target.latitude, target.longitude,
-                     lats[pool], ds.longitudes[pool])
-    return ds.radiance[pool[int(np.argmin(d))]]
+    d = haversine_km(np.asarray(latitudes, dtype=float)[:, None],
+                     np.asarray(longitudes, dtype=float)[:, None],
+                     lats[sel], ds.longitudes[sel])
+    other = ds.footprints[sel] != np.asarray(footprints)[:, None]
+    d[other & ~other.all(axis=1, keepdims=True)] = np.inf
+    return ds.radiance[sel[np.argmin(d, axis=1)]]
 
 
 def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
@@ -310,17 +313,17 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
                                for w in common]) for label in models}
     grid_pos = np.asarray(common, dtype=int) - 1
 
-    mixed = [ds.get(sid) for sid in spec.mixed_ids]
-    lats = np.array([s.latitude for s in mixed])
-    lons = np.array([s.longitude for s in mixed])
-    fps = np.array([s.footprint for s in mixed], dtype=int)
+    rows = np.array([ds.index_of(sid) for sid in spec.mixed_ids], dtype=int)
+    lats, lons, fps = ds.latitudes[rows], ds.longitudes[rows], ds.footprints[rows]
     endmembers = {label: impute_radiance(model, lats, lons, fps)[:, pos_in[label]]
                   for label, model in models.items()}
+    nearest = {label: _nearest_spectra(ds, win, lats, lons, fps)[:, grid_pos]
+               for label, win in windows.items()}
+    observed = ds.radiance[rows][:, grid_pos]
 
     estimates: list[LandFractionEstimate] = []
-    for j, s in enumerate(mixed):
-        sid = s.id
-        obs = s.radiance[grid_pos]
+    for j, sid in enumerate(spec.mixed_ids):
+        obs = observed[j]
         good = ~np.isnan(obs)
         if not good.any():
             raise DataError(f"sounding {sid}: no observed radiance on the shared grid")
@@ -329,8 +332,7 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
         resid_u = float(np.linalg.norm(obs[good] - alpha_u * f_l - (1 - alpha_u) * f_w))
         estimates.append(LandFractionEstimate(sid, alpha_u, "unmixing", resid_u))
 
-        r_l = _nearest_spectrum(ds, windows["land"], s.location, s.footprint)[grid_pos]
-        r_w = _nearest_spectrum(ds, windows["water"], s.location, s.footprint)[grid_pos]
+        r_l, r_w = nearest["land"][j], nearest["water"][j]
         good_i = good & ~np.isnan(r_l) & ~np.isnan(r_w)
         if not good_i.any():
             raise DataError(f"sounding {sid}: no shared observed wavelengths for "

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SpectralDataset, cross_tracks, remove_cross_tracks, select_region
+from .dataset import SpectralDataset, remove_cross_tracks, select_region, track_numbers
 from .errors import DataError, GeofpcaError
 from .fpca import FpcaBasis, compute_scores
 from .imputation import (FitConfig, fit_geofpca, impute_radiance,
@@ -66,29 +66,19 @@ def select_centers(ds: SpectralDataset, footprint: int = 4,
     complete: 8 tracks x 8 footprints, all observed.
     """
     observed = _observed_mask(ds)
-    tracks = cross_tracks(ds)
-    track_of = {}
-    for t in tracks:
-        for sid in t.member_ids:
-            track_of[sid] = t.index
-    full_track = {}
-    for t in tracks:
-        rows = [ds.index_of(i) for i in t.member_ids]
-        full_track[t.index] = len(t.member_ids) == 8 and bool(observed[rows].all())
+    tracks = track_numbers(ds)
+    n_tracks = int(tracks.max()) + 1 if tracks.size else 0
+    # A track holds at most one sounding per footprint, so 8 observed is full.
+    full_track = np.bincount(tracks[observed], minlength=n_tracks) == 8
     lats = ds.latitudes
     centers = []
-    for i, s in enumerate(ds.soundings):
-        if s.footprint != footprint or not observed[i]:
-            continue
-        window = np.abs(lats - s.latitude) <= lat_halfwidth
+    for i in np.flatnonzero((ds.footprints == footprint) & observed):
+        window = np.abs(lats - lats[i]) <= lat_halfwidth
         if int((window & observed).sum()) < min_region_count:
             continue
-        t0 = track_of[s.id]
-        lo, hi = t0 - 4, t0 + 3  # the even rule for r = 8
-        if lo < 0 or hi >= len(tracks):
-            continue
-        if all(full_track[t] for t in range(lo, hi + 1)):
-            centers.append(s.id)
+        lo, hi = tracks[i] - 4, tracks[i] + 3  # the even rule for r = 8
+        if lo >= 0 and hi < n_tracks and full_track[lo:hi + 1].all():
+            centers.append(int(ds.ids[i]))
     return centers
 
 
@@ -156,20 +146,19 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
         keep = np.flatnonzero(good.any(axis=1))
         lats, lons = held.latitudes[keep], held.longitudes[keep]
         preds, _ = predict_scores(model, lats, lons)
-        imputed = impute_radiance(model, lats, lons, held.footprints[keep], preds)
+        fps = held.footprints[keep]
+        imputed = impute_radiance(model, lats, lons, fps, preds)
+        interp = interpolate_radiance(train, lats, fps, model.wavelengths)
         rows = []
         for j, i in enumerate(keep):
-            s, g = held.soundings[i], good[i]
+            sid, g = int(held.ids[i]), good[i]
             val_f = rrmse(imputed[j, g], observed[i, g])
-            interp = interpolate_radiance(train, s.location, s.footprint,
-                                          model.wavelengths)
-            val_i = rrmse(interp[g], observed[i, g])
-            if s.id in score_of:
-                val_p = rmspe(score_of[s.id], preds[j], model.basis)
+            val_i = rrmse(interp[j, g], observed[i, g])
+            if sid in score_of:
+                val_p = rmspe(score_of[sid], preds[j], model.basis)
             else:
                 val_p = math.nan  # incomplete spectrum: no observed scores
-            rows.append(ExperimentRow(center, r, s.id, s.footprint,
-                                      val_f, val_i, val_p))
+            rows.append(ExperimentRow(center, r, sid, int(fps[j]), val_f, val_i, val_p))
         return center, r, rows, None
     except (GeofpcaError, AssertionError) as e:
         return center, r, [], str(e)

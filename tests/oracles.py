@@ -10,6 +10,9 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from geofpca.dataset import haversine_km
+from geofpca.errors import DataError
+
 EARTH_RADIUS_KM = 6371.0088
 
 
@@ -256,3 +259,57 @@ def moran_permutation_loop(u, dist, n_perm, seed, n_neighbors=10):
     exceed = sum(abs(moran(z[rng.permutation(n)]) - e_i) >= abs(stat - e_i)
                  for _ in range(n_perm))
     return stat, (1 + exceed) / (1 + n_perm)
+
+
+def interpolate_radiance_point(ds, latitude, footprint, ws=None):
+    """The interpolation baseline at one target: a scalar search, column by column.
+
+    Each wavelength is interpolated between the nearest same-footprint
+    soundings below and above ``latitude``, with nearest-value extrapolation
+    outside the observed range. Raises ``DataError`` as the library does.
+    """
+    rows = np.flatnonzero(ds.footprints == footprint)
+    if rows.size < 2:
+        raise DataError(
+            f"footprint {footprint}: {rows.size} soundings, need >= 2 to interpolate"
+        )
+    rows = rows[np.argsort(ds.latitudes[rows], kind="stable")]
+    lats = ds.latitudes[rows]
+    pos = ws.positions if ws is not None else np.arange(ds.grid_length)
+    y = ds.radiance[np.ix_(rows, pos)]
+    out = np.empty(pos.size)
+    complete = ~np.isnan(y).any(axis=0)
+    if complete.any():
+        idx = np.searchsorted(lats, latitude)
+        if idx == 0:
+            out[complete] = y[0, complete]
+        elif idx == lats.size:
+            out[complete] = y[-1, complete]
+        else:
+            t = (latitude - lats[idx - 1]) / (lats[idx] - lats[idx - 1])
+            out[complete] = (1 - t) * y[idx - 1, complete] + t * y[idx, complete]
+    for j in np.flatnonzero(~complete):
+        good = ~np.isnan(y[:, j])
+        if not good.any():
+            w_label = int(ws.indices[j]) if ws is not None else int(pos[j]) + 1
+            raise DataError(
+                f"footprint {footprint}: wavelength w_{w_label} has no observed values"
+            )
+        out[j] = np.interp(latitude, lats[good], y[good, j])
+    return out
+
+
+def nearest_spectrum_point(ds, window, latitude, longitude, footprint):
+    """Raw spectrum of one target's nearest reference sounding in ``window``.
+
+    The pool is the window's soundings of the target's footprint, or all of
+    them when the window has none of that footprint; ties go to the first row.
+    """
+    lats = ds.latitudes
+    sel = np.flatnonzero((lats >= window[0]) & (lats <= window[1]))
+    if sel.size == 0:
+        raise DataError(f"no soundings in reference window {window}")
+    same = sel[ds.footprints[sel] == footprint]
+    pool = same if same.size else sel
+    d = haversine_km(latitude, longitude, lats[pool], ds.longitudes[pool])
+    return ds.radiance[pool[int(np.argmin(d))]]

@@ -1,4 +1,6 @@
 import builtins
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -539,3 +541,102 @@ def test_any_config_object_exits_2_or_3(tmp_path, capsys, command):
         assert code in (2, 3)
 
     prop()
+
+
+class TestBadDatasetFile:
+    """A malformed CSV or sidecar exits 3 with one line naming the file."""
+
+    @pytest.mark.parametrize("sidecar", ["{bad", "[1, 2]", '{"grid_length": "two"}',
+                                         '{"grid_length": 120.9}'],
+                             ids=["not-json", "not-an-object", "non-integer-grid-length",
+                                  "fractional-grid-length"])
+    def test_bad_sidecar(self, sim_csv, tmp_path, capsys, sidecar):
+        path, _ = sim_csv
+        data = tmp_path / "data.csv"
+        data.write_bytes(path.read_bytes())
+        (tmp_path / "data.csv.json").write_text(sidecar)
+        assert run(["fit", "--input", data, "--out", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data.csv.json" in err
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("id,latitude,longitude,footprint,land_fraction,w_1\n"
+                         "1,34.0,23.8,4,,caf\xe9\n".encode("latin-1"))
+        assert run(["fit", "--input", data, "--out", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "latin1.csv" in err and "UTF-8" in err
+
+
+class TestFileErrors:
+    """An output or input path the system refuses exits 3 with one line naming it."""
+
+    def assert_names(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot access {path}:" in err
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert run(["fit", "--input", tmp_path, "--out", tmp_path / "m.json"]) == 3
+        self.assert_names(capsys, tmp_path)
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth"])
+    def test_simulate_writers(self, tmp_path, capsys, flag):
+        out = {"--out": tmp_path / "s.csv", "--truth": tmp_path / "t.json"}
+        out[flag] = tmp_path / "missing" / "x"
+        assert run(["simulate", "--out", out["--out"], "--truth", out["--truth"]]) == 3
+        self.assert_names(capsys, out[flag])
+
+    def test_study_writer(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "study.csv"
+        assert run(["simulate", "--study", "--rho-grid", "0.01", "--n-reps", 2,
+                    "--threads", 1, "--out", out]) == 3
+        self.assert_names(capsys, out)
+
+    def test_fit_and_impute_writers(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        out = tmp_path / "missing" / "m.json"
+        assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
+                    "--out", out]) == 3
+        self.assert_names(capsys, out)
+        model = tmp_path / "m.json"
+        assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
+                    "--out", model]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "s.csv"
+        assert run(["impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
+                    "--footprint", 4, "--out", out]) == 3
+        self.assert_names(capsys, out)
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_unmix_writers(self, sim_csv, tmp_path, capsys, flag):
+        path, _ = sim_csv
+        out = {"--out": tmp_path / "f.csv", "--summary": tmp_path / "s.json"}
+        out[flag] = tmp_path / "missing" / "x"
+        assert run(["unmix", "--input", path, "--n-perm", 99, "--out", out["--out"],
+                    "--summary", out["--summary"]]) == 3
+        self.assert_names(capsys, out[flag])
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary"])
+    def test_validate_writers(self, orbit_csv, tmp_path, capsys, flag):
+        path, ds = orbit_csv
+        center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+        out = {"--out": tmp_path / "r.csv", "--summary": tmp_path / "s.csv"}
+        out[flag] = tmp_path / "missing" / "x"
+        assert run(["validate", "--input", path, "--r", "1:1", "--centers", center,
+                    "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1,
+                    "--out", out["--out"], "--summary", out["--summary"]]) == 3
+        self.assert_names(capsys, out[flag])
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark's launcher wraps exists in the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"
+    spec = importlib.util.spec_from_file_location("perfbench_launcher", path)
+    launcher = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launcher)
+    for module, name, how in launcher.TRACED:
+        assert callable(getattr(importlib.import_module(f"geofpca.{module}"), name)), \
+            f"geofpca.{module}.{name}"
+        assert how in ("span", "count")
+    krige_score = importlib.import_module("geofpca.geostat").krige_score
+    assert importlib.import_module("geofpca.imputation").krige_score is krige_score

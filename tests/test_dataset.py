@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from geofpca.dataset import (GeoLocation, common_wavelengths, cross_tracks,
+from geofpca.dataset import (GeoLocation, SpectralDataset, common_wavelengths,
                              haversine_km, load_dataset, remove_cross_tracks,
-                             save_dataset, select_region)
+                             save_dataset, select_region, track_numbers)
 from geofpca.errors import DataError
 from oracles import law_of_cosines_km
 
@@ -217,11 +217,24 @@ def orbit_dataset(n_tracks=8):
 
 class TestCrossTracks:
     def test_grouping(self):
-        ds = orbit_dataset()
-        tracks = cross_tracks(ds)
-        assert len(tracks) == 8
-        assert tracks[0].member_ids == tuple(100 * p for p in range(1, 9))
-        assert tracks[5].member_ids == tuple(100 * p + 5 for p in range(1, 9))
+        # Footprint-major rows, then the same soundings interleaved track by
+        # track: each row's track number is its id's track digit either way.
+        major = orbit_dataset()
+        order = np.argsort(major.ids % 100, kind="stable")
+        interleaved = SpectralDataset([major.soundings[i] for i in order], 2)
+        for ds in (major, interleaved):
+            tracks = track_numbers(ds)
+            assert tracks.dtype.kind == "i"
+            assert (tracks == ds.ids % 100).all()
+            assert sorted(ds.ids[tracks == 0]) == [100 * p for p in range(1, 9)]
+            assert sorted(ds.ids[tracks == 5]) == [100 * p + 5 for p in range(1, 9)]
+        assert track_numbers(major.subset([])).shape == (0,)
+
+    def test_ragged_footprints(self):
+        # Footprint 3 has one row fewer: its rows rank 0..2, the others 0..3.
+        ds = make_dataset([34.0, 34.0, 34.1, 34.1, 34.2, 34.2, 34.3],
+                          [1, 3, 1, 3, 1, 3, 1], np.ones((7, 1)))
+        assert list(track_numbers(ds)) == [0, 0, 1, 1, 2, 2, 3]
 
     def test_remove_r1(self):
         ds = orbit_dataset()

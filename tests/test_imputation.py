@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from geofpca.dataset import GeoLocation, WavelengthSet, haversine_km, pairwise_distances
+from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
 from geofpca.geostat import VariogramBins
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
@@ -14,7 +14,7 @@ from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
 from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
                                 simulate_orbit)
 from geofpca.validation import rrmse
-from oracles import bordered_kriging, cholesky_kriging
+from oracles import bordered_kriging, cholesky_kriging, interpolate_radiance_point
 
 
 def rank_k_dataset(rng, n=40, width=12, variances=(6.0,), noise=0.0, spacing=0.012):
@@ -286,54 +286,108 @@ class TestFitConfigValidation:
 class TestInterpolateRadiance:
     def test_midway_average(self):
         ds = make_dataset([34.0, 34.2], [4, 4], np.array([[2.0, 8.0], [4.0, 10.0]]))
-        got = interpolate_radiance(ds, GeoLocation(34.1, 23.8), 4)
-        np.testing.assert_allclose(got, [3.0, 9.0], atol=1e-12)
+        got = interpolate_radiance(ds, [34.1], [4])
+        np.testing.assert_allclose(got, [[3.0, 9.0]], atol=1e-12)
 
     def test_observed_latitude_exact(self):
         ds = make_dataset([34.0, 34.2, 34.4], [4] * 3,
                           np.array([[2.0], [5.0], [11.0]]))
-        got = interpolate_radiance(ds, GeoLocation(34.2, 23.8), 4)
-        assert got[0] == 5.0
+        got = interpolate_radiance(ds, [34.2], [4])
+        assert got[0, 0] == 5.0
 
     def test_linear_field_recovered_exactly(self, rng):
         lats = np.sort(34.0 + rng.uniform(0, 0.5, 20))
         slope, intercept = 3.0, 2.0
         rad = (intercept + slope * lats)[:, None] * np.ones((1, 4))
         ds = make_dataset(lats, [4] * 20, rad)
-        for _ in range(5):
-            lat0 = float(rng.uniform(lats[0], lats[-1]))
-            got = interpolate_radiance(ds, GeoLocation(lat0, 23.8), 4)
-            np.testing.assert_allclose(got, intercept + slope * lat0, atol=1e-12)
+        lat0 = rng.uniform(lats[0], lats[-1], 5)
+        got = interpolate_radiance(ds, lat0, [4] * 5)
+        np.testing.assert_allclose(got, (intercept + slope * lat0)[:, None] * np.ones(4),
+                                   atol=1e-12)
 
     def test_edge_extrapolation_is_nearest(self):
         ds = make_dataset([34.0, 34.2], [4, 4], np.array([[2.0], [4.0]]))
-        assert interpolate_radiance(ds, GeoLocation(33.5, 23.8), 4)[0] == 2.0
-        assert interpolate_radiance(ds, GeoLocation(35.0, 23.8), 4)[0] == 4.0
+        got = interpolate_radiance(ds, [33.5, 35.0], [4, 4])
+        assert got[0, 0] == 2.0
+        assert got[1, 0] == 4.0
 
     def test_same_footprint_only(self):
         ds = make_dataset([34.0, 34.2, 34.1], [4, 4, 5],
                           np.array([[2.0], [4.0], [100.0]]))
-        got = interpolate_radiance(ds, GeoLocation(34.1, 23.8), 4)
-        assert got[0] == 3.0
+        got = interpolate_radiance(ds, [34.1], [4])
+        assert got[0, 0] == 3.0
 
     def test_missing_column_uses_available_rows(self):
         rad = np.array([[2.0, 1.0], [np.nan, 2.0], [6.0, 3.0]])
         ds = make_dataset([34.0, 34.1, 34.2], [4] * 3, rad)
-        got = interpolate_radiance(ds, GeoLocation(34.1, 23.8), 4)
-        assert got[0] == pytest.approx(4.0)  # linear between rows 1 and 3
-        assert got[1] == pytest.approx(2.0)
+        got = interpolate_radiance(ds, [34.1], [4])
+        assert got[0, 0] == pytest.approx(4.0)  # linear between rows 1 and 3
+        assert got[0, 1] == pytest.approx(2.0)
 
     def test_no_soundings_raises(self):
         ds = make_dataset([34.0, 34.1], [4, 4], np.ones((2, 2)))
         with pytest.raises(DataError, match="footprint 6"):
-            interpolate_radiance(ds, GeoLocation(34.0, 23.8), 6)
+            interpolate_radiance(ds, [34.0], [6])
+        with pytest.raises(DataError, match="footprint 4.5"):
+            interpolate_radiance(ds, [34.0], [4.5])
 
     def test_restricted_wavelengths(self):
         ds = make_dataset([34.0, 34.2], [4, 4],
                           np.array([[2.0, 8.0, 1.0], [4.0, 10.0, 3.0]]))
-        got = interpolate_radiance(ds, GeoLocation(34.1, 23.8), 4,
-                                   WavelengthSet((1, 3)))
-        np.testing.assert_allclose(got, [3.0, 2.0])
+        got = interpolate_radiance(ds, [34.1], [4], WavelengthSet((1, 3)))
+        np.testing.assert_allclose(got, [[3.0, 2.0]])
+
+
+class TestInterpolateRadianceMatchesPointOracle:
+    """The batched baseline equals the per-target search value for value."""
+
+    @staticmethod
+    def holed_orbit(rng):
+        """Three footprints, unsorted rows, NaN holes in two of five columns."""
+        n = 30
+        lats = 34.0 + rng.uniform(0.0, 0.4, n)
+        fps = np.array([2, 5, 7] * 10)
+        rad = 50.0 + rng.normal(0.0, 3.0, (n, 5))
+        rad[[0, 4, 9], 1] = np.nan
+        rad[rng.choice(n, 8, replace=False), 3] = np.nan
+        return make_dataset(lats, fps, rad, ids=np.arange(1, n + 1))
+
+    def test_targets_below_at_between_and_above(self, rng):
+        ds = self.holed_orbit(rng)
+        targets = np.concatenate([[33.0, 33.99, 34.5, 35.0],    # outside the range
+                                  ds.latitudes,                   # at observed values
+                                  rng.uniform(34.0, 34.4, 30)])   # between
+        fps = np.concatenate([[2, 5, 7, 2], ds.footprints, rng.choice([2, 5, 7], 30)])
+        for ws in (None, WavelengthSet((1, 2, 4, 5))):
+            got = interpolate_radiance(ds, targets, fps, ws)
+            expected = np.array([interpolate_radiance_point(ds, float(x), int(p), ws)
+                                 for x, p in zip(targets, fps)])
+            assert got.shape == expected.shape
+            assert (got == expected).all()
+
+    def test_no_targets(self, rng):
+        ds = self.holed_orbit(rng)
+        got = interpolate_radiance(ds, [], [])
+        assert got.shape == (0, 5)
+        ws = WavelengthSet((2, 4))
+        assert interpolate_radiance(ds, np.empty(0), np.empty(0, dtype=int), ws).shape \
+            == (0, 2)
+
+    def test_empty_column_raises_for_its_footprint_only(self):
+        rad = np.array([[1.0, np.nan], [2.0, np.nan], [3.0, 4.0], [5.0, 6.0]])
+        ds = make_dataset([34.0, 34.2, 34.0, 34.2], [3, 3, 4, 4], rad)
+        expected = interpolate_radiance_point(ds, 34.1, 4)
+        assert (interpolate_radiance(ds, [34.1], [4])[0] == expected).all()
+        with pytest.raises(DataError, match="footprint 3: wavelength w_2"):
+            interpolate_radiance(ds, [34.1, 34.1], [4, 3])
+        with pytest.raises(DataError, match="footprint 3: wavelength w_2"):
+            interpolate_radiance_point(ds, 34.1, 3)
+
+    def test_rejects_mismatched_or_non_finite_targets(self):
+        ds = make_dataset([34.0, 34.2], [4, 4], np.ones((2, 2)))
+        for lats, fps in (([34.1, 34.2], [4]), ([np.nan], [4]), ([[34.1]], [[4]])):
+            with pytest.raises(DataError, match="one finite target latitude"):
+                interpolate_radiance(ds, lats, fps)
 
 
 class TestPersistence:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from geofpca.dataset import GeoLocation, WavelengthSet
+from geofpca.dataset import WavelengthSet
 from geofpca.errors import DataError, NumericalError
-from geofpca.mean_model import MeanModel, evaluate_mean, fit_mean_model
+from geofpca.mean_model import MeanModel, evaluate_mean_at, fit_mean_model
 from oracles import ols_pinv
 
 
@@ -134,24 +134,23 @@ def test_evaluate_reproduces_exact_linear_training_data():
     ds = make_dataset(lats, [4] * 4, rad)
     model = fit_mean_model(ds, WavelengthSet((1, 2, 3)))
     for i, lat in enumerate(lats):
-        got = evaluate_mean(model, GeoLocation(lat, 23.8), 4)
+        got = evaluate_mean_at(model, [lat], [23.8], [4])[0]
         np.testing.assert_allclose(got, rad[i], atol=1e-10)
 
 
 def test_evaluate_at_equator_returns_intercepts(rng):
     ds, truth = linear_dataset(rng, footprints=(3,), noise=0.0)
     model = fit_mean_model(ds, WavelengthSet((1, 2, 3, 4, 5, 6)))
-    got = evaluate_mean(model, GeoLocation(0.0, 23.8), 3)
+    got = evaluate_mean_at(model, [0.0], [23.8], [3])[0]
     np.testing.assert_allclose(got, truth[3][0], atol=1e-8)
 
 
 def test_evaluate_matches_matrix_product_oracle(rng):
     ds, _ = linear_dataset(rng, noise=1.0)
     model = fit_mean_model(ds, WavelengthSet((1, 2, 3, 4, 5, 6)))
-    loc = GeoLocation(34.77, 23.8)
-    got = evaluate_mean(model, loc, 2)
+    got = evaluate_mean_at(model, [34.77], [23.8], [2])[0]
     beta = model.coefficients[2]
-    expected = np.array([1.0, loc.latitude]) @ beta
+    expected = np.array([1.0, 34.77]) @ beta
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -159,7 +158,7 @@ def test_unfitted_footprint_raises(rng):
     ds, _ = linear_dataset(rng, footprints=(1,))
     model = fit_mean_model(ds, WavelengthSet((1, 2, 3, 4, 5, 6)))
     with pytest.raises(DataError, match="footprint 7"):
-        evaluate_mean(model, GeoLocation(34.0, 23.8), 7)
+        evaluate_mean_at(model, [34.0], [23.8], [7])
 
 
 def test_latlon_covariates(rng):
@@ -170,7 +169,7 @@ def test_latlon_covariates(rng):
     ds = make_dataset(lats, [1] * n, rad, lons=lons)
     model = fit_mean_model(ds, WavelengthSet((1, 2)), covariates="latlon")
     assert model.coefficients[1][:, 0] == pytest.approx([1.0, 2.0, 3.0], abs=1e-8)
-    got = evaluate_mean(model, GeoLocation(34.9, 23.9), 1)
+    got = evaluate_mean_at(model, [34.9], [23.9], [1])[0]
     assert got[0] == pytest.approx(1.0 + 2.0 * 34.9 + 3.0 * 23.9, abs=1e-8)
 
 

@@ -10,9 +10,11 @@ from geofpca.fpca import ScoreField
 from geofpca.imputation import FitConfig
 from geofpca.simulation import (SimulationConfig, run_unmixing_study,
                                 simulate_mixed_transect)
-from geofpca.unmixing import (_cv_bandwidth, _local_linear, detect_mixed_region,
-                              estimate_land_fraction, smooth_scores, unmix_region)
-from oracles import cv_bandwidth_loop, local_linear_fit, local_linear_point
+from geofpca.unmixing import (_cv_bandwidth, _local_linear, _nearest_spectra,
+                              detect_mixed_region, estimate_land_fraction,
+                              smooth_scores, unmix_region)
+from oracles import (cv_bandwidth_loop, local_linear_fit, local_linear_point,
+                     nearest_spectrum_point)
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -60,6 +62,25 @@ class TestDetectMixedRegion:
                                   pytest.approx(l1 - 0.003))
         assert spec.s2_window == (pytest.approx(l2 + 0.003),
                                   pytest.approx(l2 + 0.003 + 0.03))
+
+    def test_default_spacing_matches_track_loop(self, rng):
+        # Eight footprints with jittered latitudes, one footprint a track short,
+        # rows interleaved in shuffled footprint order: each track's mean is
+        # summed in footprint order all the same.
+        rows = [(t, int(p)) for t in range(12) for p in rng.permutation(np.arange(1, 9))
+                if (t, p) != (11, 6)]
+        lats = [35.0 + 0.01 * t + rng.normal(0.0, 1e-3) for t, _ in rows]
+        fps = [p for _, p in rows]
+        fractions = np.where(np.asarray(lats) < 35.05, 0.0, 1.0)
+        fractions[40] = 0.5
+        ds = make_dataset(lats, fps, np.ones((len(rows), 2)), land_fractions=fractions)
+        members: dict[int, list[tuple[int, float]]] = {}
+        seen: dict[int, int] = {}
+        for lat, p in zip(lats, fps):
+            seen[p] = seen.get(p, -1) + 1
+            members.setdefault(seen[p], []).append((p, lat))
+        means = [np.mean([lat for _, lat in sorted(m)]) for m in members.values()]
+        assert detect_mixed_region(ds).delta0 == float(np.diff(np.sort(means)).mean())
 
     def test_no_mixed_soundings(self):
         ds = transect_with_fractions([0.0] * 5 + [1.0] * 5)
@@ -241,6 +262,52 @@ class TestInterpolationLandFraction:
                      if e.sounding_id == truth.mixed_id and e.method == "interpolation")
         assert alpha == estimate_land_fraction(obs[good], nearest["land"][good],
                                                nearest["water"][good])
+
+
+class TestNearestSpectraMatchPointOracle:
+    """The batched reference pick equals the per-target pick, spectrum for spectrum."""
+
+    @staticmethod
+    def reference_orbit(rng):
+        n = 40
+        lats = 35.0 + rng.uniform(0.0, 0.2, n)
+        lons = 23.7 + rng.uniform(0.0, 0.1, n)
+        fps = rng.choice([1, 2, 4, 6], n)
+        fps[lats < 35.08] = np.where(fps[lats < 35.08] == 6, 1, fps[lats < 35.08])
+        rad = 30.0 + rng.normal(0.0, 2.0, (n, 4))
+        rad[rng.choice(n, 6, replace=False), 2] = np.nan
+        return make_dataset(lats, fps, rad, lons=lons)
+
+    def check(self, ds, window, lats, lons, fps):
+        got = _nearest_spectra(ds, window, lats, lons, fps)
+        expected = [nearest_spectrum_point(ds, window, float(a), float(o), int(p))
+                    for a, o, p in zip(lats, lons, fps)]
+        assert got.shape == (len(lats), ds.grid_length)
+        for row, spectrum in zip(got, expected):
+            assert np.array_equal(row, spectrum, equal_nan=True)
+
+    def test_several_footprints_and_holed_columns(self, rng):
+        ds = self.reference_orbit(rng)
+        lats = 35.0 + rng.uniform(-0.05, 0.25, 25)
+        lons = 23.7 + rng.uniform(0.0, 0.1, 25)
+        fps = rng.choice([1, 2, 4, 6], 25)
+        for window in ((35.0, 35.2), (35.0, 35.08), (35.12, 35.2)):
+            self.check(ds, window, lats, lons, fps)
+
+    def test_window_without_the_target_footprint(self, rng):
+        ds = self.reference_orbit(rng)
+        window = (35.0, 35.08)
+        assert 6 not in ds.footprints[(ds.latitudes >= 35.0) & (ds.latitudes <= 35.08)]
+        self.check(ds, window, [35.01, 35.1], [23.75, 23.72], [6, 6])
+
+    def test_no_targets(self, rng):
+        ds = self.reference_orbit(rng)
+        self.check(ds, (35.0, 35.2), [], [], [])
+
+    def test_empty_window_raises(self, rng):
+        ds = self.reference_orbit(rng)
+        with pytest.raises(DataError, match="no soundings in reference window"):
+            _nearest_spectra(ds, (36.0, 36.1), [35.1], [23.7], [1])
 
 
 class TestUnmixRegion:

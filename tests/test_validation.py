@@ -157,11 +157,11 @@ class TestExperiment:
         from geofpca.imputation import fit_geofpca
         model = fit_geofpca(train, FitConfig(n_perm=99))
         pos = model.wavelengths.positions
-        for row in report.rows:
-            s = held.get(row.sounding_id)
-            interp = interpolate_radiance(train, s.location, s.footprint,
-                                          model.wavelengths)
-            expected = rrmse(interp, s.radiance[pos])
+        rows = [held.index_of(row.sounding_id) for row in report.rows]
+        interp = interpolate_radiance(train, held.latitudes[rows], held.footprints[rows],
+                                      model.wavelengths)
+        for row, i, spectrum in zip(report.rows, rows, interp):
+            expected = rrmse(spectrum, held.radiance[i, pos])
             assert row.rrmse_interpolation == pytest.approx(expected, abs=1e-12)
 
     def test_aggregates_equal_recomputation(self):
