@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DataError
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
+DISTANCE_BLOCK = 64  # rows of the distance matrix evaluated per array pass
 
 _BASE_COLUMNS = ("id", "latitude", "longitude", "footprint", "land_fraction")
 
@@ -213,8 +214,20 @@ def haversine_km(lat1, lon1, lat2, lon2):
 
 
 def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of haversine distances in km."""
-    return haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+    """Symmetric matrix of haversine distances in km.
+
+    Evaluates the upper triangle, DISTANCE_BLOCK rows at a time, and mirrors
+    it: the haversine is exactly symmetric in its two points, so the matrix
+    equals the full n x n evaluation bit for bit.
+    """
+    n = lat.size
+    d = np.empty((n, n))
+    for start in range(0, n, DISTANCE_BLOCK):
+        rows = slice(start, start + DISTANCE_BLOCK)
+        d[rows, start:] = haversine_km(lat[rows, None], lon[rows, None],
+                                       lat[None, start:], lon[None, start:])
+        d[start:, rows] = d[rows, start:].T
+    return d
 
 
 def select_region(ds: SpectralDataset, lat_range: tuple[float, float]) -> SpectralDataset:

@@ -76,6 +76,7 @@ class ScoreField:
                                           compare=False)
     _nearest: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
+    _pair_bins: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -86,10 +87,13 @@ class ScoreField:
 
     def tau_for(self, footprints: np.ndarray, k: int) -> np.ndarray:
         """Per-sounding score-noise variance for component k."""
-        try:
-            return np.array([self.taus[int(p)][k] for p in footprints])
-        except KeyError as e:
-            raise DataError(f"no score-noise variance for footprint {e.args[0]}") from None
+        fps = np.asarray(footprints, dtype=int)
+        known = np.array(sorted(self.taus), dtype=int)
+        missing = fps[~np.isin(fps, known)]
+        if missing.size:
+            raise DataError(f"no score-noise variance for footprint {missing[0]}")
+        table = np.array([self.taus[int(p)][k] for p in known], dtype=float)
+        return table[np.searchsorted(known, fps)]
 
     def distances(self) -> np.ndarray:
         """Read-only haversine distance matrix of the soundings, computed once.
@@ -115,6 +119,38 @@ class ScoreField:
             nb.flags.writeable = d_nb.flags.writeable = False
             self._nearest = (nb, d_nb)
         return self._nearest
+
+    def binned_pairs(self, n_bins: int, max_fraction: float) -> tuple[np.ndarray, ...]:
+        """Pairs i < j grouped by distance bin: (i, j, bin starts, bin counts, bin mean distances).
+
+        The bins split [0, max_fraction * largest pair distance] into
+        ``n_bins`` equal widths, closed on the left and the last also on the
+        right; farther pairs are left out. Bin b holds pairs
+        ``starts[b]:starts[b] + counts[b]`` of ``i, j``, in row-major order,
+        so a mean over a bin's slice sums exactly as over those pairs in
+        ``triu`` order. Computed once per binning and read-only; every
+        component's semivariogram shares it.
+        """
+        key = (n_bins, max_fraction)
+        if self._pair_bins is None or self._pair_bins[0] != key:
+            d = self.distances()
+            h_max = d.max() * max_fraction
+            if h_max <= 0:
+                raise DataError("all pairwise distances are zero")
+            i, j = np.nonzero(np.triu(d <= h_max, 1))
+            d_ij = d[i, j]
+            which = np.digitize(d_ij, np.linspace(0.0, h_max, n_bins + 1)[1:-1])
+            order = np.argsort(which, kind="stable")
+            i, j, d_ij = i[order], j[order], d_ij[order]
+            counts = np.bincount(which, minlength=n_bins)
+            starts = np.cumsum(counts) - counts
+            mean_d = np.array([d_ij[a:a + c].mean() if c else np.nan
+                               for a, c in zip(starts, counts)])
+            tables = (i, j, starts, counts, mean_d)
+            for a in tables:
+                a.flags.writeable = False
+            self._pair_bins = (key, tables)
+        return self._pair_bins[1]
 
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))

@@ -18,12 +18,14 @@ from .dataset import GeoLocation, haversine_km
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
-# scipy is imported inside the functions that use it: importing it costs more
-# than many CLI commands compute, and `impute` needs only scipy.linalg.
+# scipy is imported inside fit_variogram_wls, its one user: importing it costs
+# more than many CLI commands compute. Kriging needs numpy alone, so `impute`
+# loads no scipy.
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
 PERM_CHUNK = 128  # Moran permutations evaluated per array pass
+SOLVE_BLOCK = 64  # rows per block of the forward substitution
 
 
 @dataclass
@@ -130,32 +132,19 @@ def empirical_semivariogram(scores: ScoreField, k: int,
     n = scores.sounding_ids.size
     if n < 2:
         raise DataError("need at least 2 scored soundings for a semivariogram")
+    i, j, starts, counts, mean_d = scores.binned_pairs(bins.n_bins, bins.max_fraction)
     u = scores.component(k)
     tau = scores.tau_for(scores.footprints, k)
-    iu, ju = np.triu_indices(n, k=1)
-    d = scores.distances()[iu, ju]
-    sq = 0.5 * (u[iu] - u[ju]) ** 2
-    nug = 0.5 * (tau[iu] + tau[ju])
-    h_max = d.max() * bins.max_fraction
-    if h_max <= 0:
-        raise DataError("all pairwise distances are zero")
-    edges = np.linspace(0.0, h_max, bins.n_bins + 1)
-    which = np.digitize(d, edges[1:-1], right=False)
-    inside = d <= h_max
-    dist, count, value = [], [], []
-    for b in range(bins.n_bins):
-        sel = inside & (which == b)
-        n_b = int(sel.sum())
-        if n_b < bins.min_pairs:
-            continue
-        dist.append(d[sel].mean())
-        count.append(n_b)
-        value.append(sq[sel].mean() - nug[sel].mean())
-    if not dist:
+    sq = 0.5 * (u[i] - u[j]) ** 2
+    nug = 0.5 * (tau[i] + tau[j])
+    keep = np.flatnonzero(counts >= bins.min_pairs)
+    if not keep.size:
         raise DataError(
             f"no variogram bin retained >= {bins.min_pairs} pairs (n={n})"
         )
-    return EmpiricalVariogram(np.array(dist), np.array(count), np.array(value))
+    values = [sq[a:a + c].mean() - nug[a:a + c].mean()
+              for a, c in zip(starts[keep], counts[keep])]
+    return EmpiricalVariogram(mean_d[keep], counts[keep], np.array(values))
 
 
 def _wls_weights(ev: EmpiricalVariogram, scheme: str) -> np.ndarray:
@@ -250,17 +239,32 @@ def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
     return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
 
 
+def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = B for lower-triangular L (n x n) by blocks of SOLVE_BLOCK rows.
+
+    Each block subtracts the solved rows above it in one matrix product and
+    solves its small diagonal block; B is n or n x T.
+    """
+    out = np.empty(rhs.shape)
+    for start in range(0, chol.shape[0], SOLVE_BLOCK):
+        stop = start + SOLVE_BLOCK
+        block = rhs[start:stop] - chol[start:stop, :start] @ out[:start]
+        out[start:stop] = np.linalg.solve(chol[start:stop, start:stop], block)
+    return out
+
+
 class KrigingSystem:
     """Plug-in ordinary kriging of one component's scores, factored once.
 
     The covariance is sill*exp(-d/range) off the diagonal and sill plus the
     footprint score-noise variance (with a relative jitter) on it. Building
-    the system factors it once and caches Sigma^-1 1, 1' Sigma^-1 1, the GLS
-    mean kappa and the weights Sigma^-1 u - kappa Sigma^-1 1, so T targets
-    cost one T x n cross-covariance and one triangular solve with T
-    right-hand sides. A component screened as spatially independent predicts
-    the plain score mean with ``marginal_variance``; a single observation
-    pins the mean exactly. Both then predict a constant.
+    the system factors it once as L L' and keeps h_u = L^-1 u, h_1 = L^-1 1,
+    1' Sigma^-1 1 = h_1'h_1 and the GLS mean kappa, so T targets cost one
+    n x T cross-covariance nu and one forward solve H = L^-1 nu with T
+    right-hand sides, which gives both the predictions and the variances.
+    A component screened as spatially independent predicts the plain score
+    mean with ``marginal_variance``; a single observation pins the mean
+    exactly. Both then predict a constant.
     """
 
     def __init__(self, scores: ScoreField, k: int, fit: VariogramFit | None,
@@ -282,44 +286,40 @@ class KrigingSystem:
             self.constant = (float(u[0]), float(fit.sill + tau[0]))
             return
 
-        from scipy.linalg import cho_factor, cho_solve
-
         sill, rng = fit.sill, fit.range_km
         cov = np.divide(scores.distances(), -rng)
         np.exp(cov, out=cov)
         cov *= sill
         np.fill_diagonal(cov, sill + tau + JITTER * sill)
         try:
-            chol, _ = cho_factor(cov, lower=True, overwrite_a=True)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as e:
             raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
-        sol_u = cho_solve((chol, True), u)
-        sol_1 = cho_solve((chol, True), np.ones_like(u))
-        denom = float(sol_1.sum())
+        h = _forward_solve(chol, np.column_stack([u, np.ones_like(u)]))
+        h_u, h_1 = h[:, 0], h[:, 1]
+        denom = float(h_1 @ h_1)
         if denom <= 0.0:
             raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
-        self.kappa = float(sol_u.sum()) / denom
-        self.weights = sol_u - self.kappa * sol_1
-        self.sol_1, self.denom = sol_1, denom
+        self.kappa = float(h_1 @ h_u) / denom
+        self.weights = h_u - self.kappa * h_1
+        self.h_1, self.denom = h_1, denom
         self.chol, self.sill, self.range_km = chol, sill, rng
         self.latitudes, self.longitudes = scores.latitudes, scores.longitudes
 
     def predict(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
         """Predictions and prediction variances at T locations (two length-T arrays)."""
-        from scipy.linalg import solve_triangular
-
         lat = np.asarray(latitudes, dtype=float)
         lon = np.asarray(longitudes, dtype=float)
         if self.constant is not None:
             return np.full(lat.shape, self.constant[0]), np.full(lat.shape, self.constant[1])
-        nu = haversine_km(lat[:, None], lon[:, None],
-                          self.latitudes[None, :], self.longitudes[None, :])
+        nu = haversine_km(self.latitudes[:, None], self.longitudes[:, None],
+                          lat[None, :], lon[None, :])
         np.divide(nu, -self.range_km, out=nu)
         np.exp(nu, out=nu)
         nu *= self.sill
-        pred = self.kappa + nu @ self.weights
-        slack = 1.0 - nu @ self.sol_1
-        half = solve_triangular(self.chol, nu.T, lower=True, check_finite=False)
+        half = _forward_solve(self.chol, nu)
+        pred = self.kappa + self.weights @ half
+        slack = 1.0 - self.h_1 @ half
         var = self.sill - np.einsum("ij,ij->j", half, half) + slack * slack / self.denom
         return pred, np.maximum(var, 0.0)
 

@@ -116,11 +116,18 @@ def fit_mean_model(ds: SpectralDataset, ws: WavelengthSet,
 
 def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
                      ) -> np.ndarray:
-    """Mean spectra over the model's wavelength set at T locations (T x m)."""
+    """Mean spectra over the model's wavelength set at T locations (T x m).
+
+    A footprint that is not a whole number is refused, never truncated.
+    """
     lat = np.asarray(latitudes, dtype=float)
-    fps = np.asarray(footprints, dtype=int)
-    if fps.shape != lat.shape:
+    given = np.asarray(footprints, dtype=float)
+    if given.shape != lat.shape:
         raise DataError("need one footprint per location")
+    whole = np.isfinite(given) & (given == np.round(given))
+    if not whole.all():
+        raise DataError(f"footprint {given[~whole][0]} is not an integer")
+    fps = given.astype(int)
     if model.covariates == "latitude":
         covs = lat[:, None]
     else:

@@ -8,7 +8,7 @@ eigensolver.
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from geofpca.dataset import haversine_km
 from geofpca.errors import DataError
@@ -101,6 +101,11 @@ def cholesky_kriging(cov, nu, u, sill):
     slack = 1.0 - float(ones @ sol_nu)
     var = sill - float(nu @ sol_nu) + slack * slack / denom
     return pred, max(var, 0.0)
+
+
+def triangular_solve(chol, rhs):
+    """L X = B by LAPACK's triangular solve, for lower-triangular L."""
+    return solve_triangular(chol, rhs, lower=True)
 
 
 def allpairs_variogram(lat, lon, u, tau, edges, min_pairs, dist_fn):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import make_dataset
 from geofpca.dataset import (GeoLocation, SpectralDataset, common_wavelengths,
-                             haversine_km, load_dataset, remove_cross_tracks,
-                             save_dataset, select_region, track_numbers)
+                             haversine_km, load_dataset, pairwise_distances,
+                             remove_cross_tracks, save_dataset, select_region,
+                             track_numbers)
 from geofpca.errors import DataError
 from oracles import law_of_cosines_km
 
@@ -146,6 +147,17 @@ class TestDistance:
         for i in range(2):
             ref = haversine_km(lats[i], 0.0, lats[i] + 1.0, 1.0)
             assert d[i] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, span", [(0, 0.3), (1, 0.3), (50, 0.3), (63, 0.3),
+                                         (64, 0.3), (65, 0.3), (264, 0.3), (1200, 0.3),
+                                         (300, 60.0)])
+    def test_pairwise_matches_full_evaluation(self, rng, n, span):
+        # The upper triangle is mirrored, so the matrix must equal the full
+        # n x n evaluation bit for bit, over a region and over the globe.
+        lats = 20.0 + rng.uniform(-span, span, n)
+        lons = 23.8 + rng.uniform(-2.0 * span, 2.0 * span, n)
+        full = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
+        np.testing.assert_array_equal(pairwise_distances(lats, lons), full)
 
 
 class TestSelectRegion:

@@ -3,13 +3,13 @@ import pytest
 
 from conftest import make_dataset
 from geofpca.dataset import GeoLocation, haversine_km, pairwise_distances
-from geofpca.errors import DataError
+from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
-from geofpca.geostat import (KrigingSystem, VariogramBins, empirical_semivariogram,
-                             exponential_variogram, fit_variogram_wls,
-                             krige_score, spatial_dependence_test)
+from geofpca.geostat import (KrigingSystem, VariogramBins, _forward_solve,
+                             empirical_semivariogram, exponential_variogram,
+                             fit_variogram_wls, krige_score, spatial_dependence_test)
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
-                     moran_permutation_loop)
+                     moran_permutation_loop, triangular_solve)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -354,6 +354,22 @@ class TestKrigingSystem:
         one = score_field([35.0], [3.25], [0.5])
         pred, var = KrigingSystem(one, 0, simple_fit(2.0, 10.0)).predict([35.5], [23.8])
         assert pred[0] == 3.25 and var[0] == 2.5
+
+    def test_not_spd_raises(self, rng):
+        sf = score_field(transect_latitudes(10), rng.normal(size=10), [-5.0])
+        with pytest.raises(NumericalError, match="not SPD"):
+            KrigingSystem(sf, 0, simple_fit(1.0, 10.0))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    def test_forward_solve_matches_triangular_oracle(self, rng, n):
+        lats = 35.0 + rng.uniform(0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
+        chol = np.linalg.cholesky(cov)
+        for rhs in (rng.standard_normal(n), *(rng.standard_normal((n, t)) for t in (0, 1, 16))):
+            x = _forward_solve(chol, rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, triangular_solve(chol, rhs), rtol=0, atol=1e-12)
 
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])

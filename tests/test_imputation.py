@@ -162,6 +162,17 @@ class TestImputeRadiance:
         with pytest.raises(DataError, match="footprint 7"):
             impute_radiance(model, [35.0], [23.8], [7])
 
+    def test_fractional_footprint_refused(self, water_region):
+        region, _ = water_region
+        model = fit_geofpca(region, FitConfig(n_perm=99))
+        p = int(region.footprints[0])
+        lat, lon = float(region.latitudes[0]), float(region.longitudes[0])
+        whole = impute_radiance(model, [lat], [lon], [float(p)])
+        np.testing.assert_array_equal(whole, impute_radiance(model, [lat], [lon], [p]))
+        for bad in (p + 0.7, math.nan):
+            with pytest.raises(DataError, match="not an integer"):
+                impute_radiance(model, [lat], [lon], [bad])
+
 
 class TestBatchedPrediction:
     @pytest.fixture
