@@ -38,6 +38,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+# impute refuses targets farther than this many degrees of latitude outside
+# the fitted region.
+IMPUTE_MARGIN_DEG = 0.05
+
 # CLI keys whose library field has another name.
 _FIELD = {"fve": "fve_threshold", "weights": "weight_scheme",
           "bin_max_fraction": "max_fraction"}
@@ -205,6 +209,11 @@ def cmd_impute(cfg: dict) -> int:
                 raise DataError("impute needs --targets or --lat/--lon/--footprint")
         targets = [(0, cfg["lat"], cfg["lon"], cfg["footprint"])]
     model = load_model(cfg["model"])
+    lo, hi = model.region
+    for sid, lat, _, _ in targets:
+        if not lo - IMPUTE_MARGIN_DEG <= lat <= hi + IMPUTE_MARGIN_DEG:
+            raise DataError(f"target {sid} at latitude {lat!r} is outside the fitted "
+                            f"region [{lo!r}, {hi!r}] widened by {IMPUTE_MARGIN_DEG} deg")
     spectra = impute_radiance(model, [t[1] for t in targets], [t[2] for t in targets],
                               [t[3] for t in targets])
     header = ["id", "latitude", "longitude", "footprint", "land_fraction"]

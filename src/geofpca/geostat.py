@@ -18,14 +18,17 @@ from .dataset import GeoLocation, haversine_km
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
-# scipy is imported inside fit_variogram_wls, its one user: importing it costs
-# more than many CLI commands compute. Kriging needs numpy alone, so `impute`
-# loads no scipy.
+# numpy alone: the WLS fit's Nelder-Mead and kriging's triangular solves are
+# written here, so no command loads scipy (importing it would cost more than
+# many CLI commands compute).
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
 PERM_CHUNK = 128  # Moran permutations evaluated per array pass
 SOLVE_BLOCK = 64  # rows per block of the forward substitution
+GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
+GRID_RTOL = 1e-9  # start-grid points this close to the broadcast minimum are re-scored
+XATOL, FATOL, MAXITER = 1e-10, 1e-12, 2000  # Nelder-Mead stopping rule
 
 
 @dataclass
@@ -155,17 +158,88 @@ def _wls_weights(ev: EmpiricalVariogram, scheme: str) -> np.ndarray:
     raise DataError(f"unknown weight scheme {scheme!r}")
 
 
-def fit_variogram_wls(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
-                      n_grid: int = 14) -> VariogramFit:
+def _sorted_vertices(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in the ascending order scipy's ``np.argsort`` gives.
+
+    Three distinct values (x == x fails only for NaN) have one order, which
+    Python's sort finds faster; a tie or a NaN takes numpy's own order.
+    """
+    a, b, c = fsim
+    if a != b and b != c and c != a and a == a and b == b and c == c:
+        order = sorted(range(3), key=fsim.__getitem__)
+    else:
+        order = np.argsort(fsim)
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(objective, x0: tuple[float, float]) -> tuple[list[float], float]:
+    """Minimize ``objective`` over two parameters from ``x0``: (best vertex, value).
+
+    The steps of scipy's ``minimize(method="Nelder-Mead")`` with its
+    non-adaptive coefficients (reflection 1, expansion 2, contractions and
+    shrink 1/2), no bounds, ``xatol=XATOL``, ``fatol=FATOL`` and
+    ``maxiter=MAXITER``, taken on Python floats: the same IEEE operations in
+    the same order, so the result is the same to the bit. The start simplex
+    scales each coordinate by 1.05 (0.00025 if it is 0); the search stops
+    when every vertex lies within XATOL and every value within FATOL of the
+    best (never on NaN), or after MAXITER - 1 iterations.
+    """
+    x0 = [float(v) for v in x0]
+    sim = [x0]
+    for k in range(2):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [objective(x) for x in sim]
+    sim, fsim = _sorted_vertices(*_sorted_vertices(sim, fsim))  # scipy sorts twice
+    for _ in range(MAXITER - 1):
+        (best, mid, worst), (f_best, f_mid, f_worst) = sim, fsim
+        if (all(abs(v[i] - best[i]) <= XATOL for v in (mid, worst) for i in (0, 1))
+                and abs(f_best - f_mid) <= FATOL and abs(f_best - f_worst) <= FATOL):
+            break
+        xbar = [(best[i] + mid[i]) / 2 for i in (0, 1)]
+        xr = [2 * xbar[i] - worst[i] for i in (0, 1)]
+        fxr = objective(xr)
+        shrink = False
+        if fxr < f_best:
+            xe = [3 * xbar[i] - 2 * worst[i] for i in (0, 1)]
+            fxe = objective(xe)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f_mid:
+            sim[2], fsim[2] = xr, fxr
+        elif fxr < f_worst:  # outside contraction
+            xc = [1.5 * xbar[i] - 0.5 * worst[i] for i in (0, 1)]
+            fxc = objective(xc)
+            if fxc <= fxr:
+                sim[2], fsim[2] = xc, fxc
+            else:
+                shrink = True
+        else:  # inside contraction
+            xcc = [0.5 * xbar[i] + 0.5 * worst[i] for i in (0, 1)]
+            fxcc = objective(xcc)
+            if fxcc < f_worst:
+                sim[2], fsim[2] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in (1, 2):
+                sim[j] = [best[i] + 0.5 * (sim[j][i] - best[i]) for i in (0, 1)]
+                fsim[j] = objective(sim[j])
+        sim, fsim = _sorted_vertices(sim, fsim)
+    return sim[0], float(np.min(fsim))  # as scipy: NaN if any value is NaN
+
+
+def fit_variogram_wls(ev: EmpiricalVariogram,
+                      weight_scheme: str = "nh2") -> VariogramFit:
     """Weighted-least-squares exponential fit to a binned semivariogram.
 
-    Minimizes the diagonally weighted squared misfit over a coarse log-grid in
-    (sill, range), then refines with Nelder-Mead. Bounds: sill in
-    [0, 10 * max bin value], range in [h_1/10, 10 * h_L]. If every bin value
-    is <= 0 the fit is returned at sill 0 with the degenerate flag set.
+    Minimizes the diagonally weighted squared misfit over a log-grid of
+    GRID_POINTS x GRID_POINTS (sill, range) values, then refines the best grid
+    point (the first on a tie) with Nelder-Mead. Bounds: sill in
+    [0, 10 * max bin value], range in [h_1/10, 10 * h_L]; the objective is
+    infinite outside them. If every bin value is <= 0 the fit is returned at
+    sill 0 with the degenerate flag set.
     """
-    from scipy.optimize import minimize
-
     if ev.distances.size < 2:
         raise DataError("need at least 2 variogram bins to fit")
     w = _wls_weights(ev, weight_scheme)
@@ -185,18 +259,22 @@ def fit_variogram_wls(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
         return VariogramFit(0.0, rng, weight_scheme, objective((0.0, rng)),
                             True, ev)
     sill_hi = 10.0 * vmax
-    sills = np.geomspace(vmax / 100.0, sill_hi, n_grid)
-    ranges = np.geomspace(r_lo, r_hi, n_grid)
-    grid = [(s, r) for s in sills for r in ranges]
-    best = min(grid, key=objective)
-    res = minimize(objective, x0=np.array(best), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    if not np.isfinite(res.fun):
+    sills = np.geomspace(vmax / 100.0, sill_hi, GRID_POINTS)
+    ranges = np.geomspace(r_lo, r_hi, GRID_POINTS)
+    resid = ev.values - exponential_variogram(ev.distances, sills[:, None, None],
+                                              ranges[None, :, None])
+    approx = (resid * (w * resid)).sum(axis=-1).ravel()
+    # The exact objective picks among the points near the broadcast minimum, in
+    # grid order (a NaN keeps every point), as a scan of the whole grid would.
+    near = np.flatnonzero(~(approx > approx.min() * (1.0 + GRID_RTOL)))
+    best = min(((sills[i // GRID_POINTS], ranges[i % GRID_POINTS]) for i in near),
+               key=objective)
+    x, fun = _nelder_mead(objective, best)
+    if not np.isfinite(fun):
         raise NumericalError("variogram objective is non-finite at the optimum")
-    sill = float(min(max(res.x[0], 0.0), sill_hi))
-    rng = float(min(max(res.x[1], r_lo), r_hi))
-    return VariogramFit(sill, rng, weight_scheme, float(res.fun),
-                        sill <= 0.0, ev)
+    sill = float(min(max(x[0], 0.0), sill_hi))
+    rng = float(min(max(x[1], r_lo), r_hi))
+    return VariogramFit(sill, rng, weight_scheme, fun, sill <= 0.0, ev)
 
 
 def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,

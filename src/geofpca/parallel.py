@@ -41,9 +41,9 @@ def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
 def pin_blas() -> None:
     """Run BLAS on one thread in this process, whatever the environment says.
 
-    Sets ``OPENBLAS_NUM_THREADS=1`` for an OpenBLAS loaded later (scipy's is
-    loaded on first use) and sets every loaded copy to one thread. Does
-    nothing where the OpenBLAS symbols do not exist.
+    Sets ``OPENBLAS_NUM_THREADS=1`` for an OpenBLAS loaded later (scipy's,
+    if a library caller imports scipy after this) and sets every loaded copy
+    to one thread. Does nothing where the OpenBLAS symbols do not exist.
     """
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     for lib, suffix in _loaded_openblas():

@@ -9,9 +9,12 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.optimize import minimize
 
 from geofpca.dataset import haversine_km
-from geofpca.errors import DataError
+from geofpca.errors import DataError, NumericalError
+from geofpca.geostat import (EmpiricalVariogram, VariogramFit, _wls_weights,
+                             exponential_variogram)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -318,3 +321,44 @@ def nearest_spectrum_point(ds, window, latitude, longitude, footprint):
     pool = same if same.size else sel
     d = haversine_km(latitude, longitude, lats[pool], ds.longitudes[pool])
     return ds.radiance[pool[int(np.argmin(d))]]
+
+
+def scipy_variogram_fit(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
+                        n_grid: int = 14) -> VariogramFit:
+    """The WLS exponential fit as the library made it with scipy.
+
+    The first best point of the whole n_grid x n_grid log-grid, each point
+    scored by the scalar objective, refined by ``scipy.optimize.minimize``'s
+    Nelder-Mead.
+    """
+    if ev.distances.size < 2:
+        raise DataError("need at least 2 variogram bins to fit")
+    w = _wls_weights(ev, weight_scheme)
+    r_lo, r_hi = ev.distances[0] / 10.0, ev.distances[-1] * 10.0
+
+    def objective(theta):
+        sill, rng = theta
+        if not (0.0 <= sill <= sill_hi and r_lo <= rng <= r_hi):
+            return np.inf
+        resid = ev.values - exponential_variogram(ev.distances, sill, rng)
+        return float(resid @ (w * resid))
+
+    vmax = float(ev.values.max())
+    if vmax <= 0.0:
+        sill_hi = 0.0
+        rng = float(np.sqrt(r_lo * r_hi))
+        return VariogramFit(0.0, rng, weight_scheme, objective((0.0, rng)),
+                            True, ev)
+    sill_hi = 10.0 * vmax
+    sills = np.geomspace(vmax / 100.0, sill_hi, n_grid)
+    ranges = np.geomspace(r_lo, r_hi, n_grid)
+    grid = [(s, r) for s in sills for r in ranges]
+    best = min(grid, key=objective)
+    res = minimize(objective, x0=np.array(best), method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
+    if not np.isfinite(res.fun):
+        raise NumericalError("variogram objective is non-finite at the optimum")
+    sill = float(min(max(res.x[0], 0.0), sill_hi))
+    rng = float(min(max(res.x[1], r_lo), r_hi))
+    return VariogramFit(sill, rng, weight_scheme, float(res.fun),
+                        sill <= 0.0, ev)

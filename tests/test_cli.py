@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geofpca
-from geofpca.cli import build_parser, main
+from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
 from geofpca.dataset import load_dataset, save_dataset
 from geofpca.imputation import FitConfig, load_model
 from geofpca.simulation import OrbitConfig, SimulationConfig, simulate_mixed_transect, simulate_orbit
@@ -153,6 +153,32 @@ class TestImpute:
                     "--out", out]) == 0
         assert len(load_dataset(out)) == 2
 
+
+    def test_out_of_region_target_exits_3(self, sim_csv, tmp_path, capsys):
+        path, _ = sim_csv
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
+                    "--out", model_path]) == 0
+        lo, hi = load_model(model_path).region
+        out = tmp_path / "spectra.csv"
+        assert run(["impute", "--model", model_path, "--lat", 10.0, "--lon", 23.77,
+                    "--footprint", 4, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "target 0 at latitude 10.0" in err
+        targets = tmp_path / "targets.csv"
+        for lat in (lo - IMPUTE_MARGIN_DEG - 1e-6, hi + IMPUTE_MARGIN_DEG + 1e-6):
+            targets.write_text("id,latitude,longitude,footprint\n"
+                               f"5,35.1,23.77,4\n9,{lat!r},23.78,4\n")
+            assert run(["impute", "--model", model_path, "--targets", targets,
+                        "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"target 9 at latitude {lat!r}" in err
+        assert not out.exists()
+        targets.write_text("id,latitude,longitude,footprint\n"
+                           f"5,{lo - IMPUTE_MARGIN_DEG!r},23.77,4\n"
+                           f"9,{hi + IMPUTE_MARGIN_DEG!r},23.78,4\n")
+        assert run(["impute", "--model", model_path, "--targets", targets,
+                    "--out", out]) == 0
 
     def test_missing_model_exits_3(self, tmp_path, capsys):
         assert run(["impute", "--model", tmp_path / "nope.json", "--lat", 35.2,
@@ -331,16 +357,36 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def scipy_loaded_by(*args):
+    """(exit code, scipy modules loaded) of one CLI command in a fresh process."""
+    out = run_python("import sys; from geofpca.cli import main; code = main(sys.argv[1:]); "
+                     "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))",
+                     *args)
+    return out.splitlines()[-1]
+
+
 def test_impute_loads_no_scipy(sim_csv, tmp_path):
     path, _ = sim_csv
     model = tmp_path / "model.json"
     assert run(["fit", "--input", path, "--region", "34.9:35.47", "--n-perm", 99,
                 "--out", model]) == 0
-    out = run_python("import sys; from geofpca.cli import main; code = main(sys.argv[1:]); "
-                     "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))",
-                     "impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
-                     "--footprint", 4, "--out", tmp_path / "s.csv")
-    assert out.splitlines()[-1] == "0 []"
+    assert scipy_loaded_by("impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
+                           "--footprint", 4, "--out", tmp_path / "s.csv") == "0 []"
+
+
+@pytest.mark.parametrize("command", ["fit", "unmix", "validate", "simulate-study"])
+def test_command_loads_no_scipy(sim_csv, orbit_csv, tmp_path, command):
+    transect, orbit = sim_csv[0], orbit_csv[0]
+    out = tmp_path / "out.csv"
+    args = {
+        "fit": ["fit", "--input", transect, "--region", "34.9:35.47", "--n-perm", 99],
+        "unmix": ["unmix", "--input", transect, "--n-perm", 99],
+        "validate": ["validate", "--input", orbit, "--r", "1:1", "--min-region-count", 8,
+                     "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1],
+        "simulate-study": ["simulate", "--study", "--rho-grid", "0.05", "--n-reps", 2,
+                           "--seed", 3, "--threads", 1],
+    }[command]
+    assert scipy_loaded_by(*args, "--out", out) == "0 []"
 
 
 def test_validate_bytes_independent_of_openblas_threads(tmp_path):

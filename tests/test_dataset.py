@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from geofpca.dataset import (GeoLocation, SpectralDataset, common_wavelengths,
@@ -113,6 +117,31 @@ class TestLoad:
         save_dataset(ds, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@st.composite
+def datasets(draw):
+    """Small datasets: any finite values, missing cells and absent land fractions."""
+    n = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 4))
+    lats = draw(st.lists(st.floats(-90.0, 90.0), min_size=n, max_size=n, unique=True))
+    lons = draw(st.lists(st.floats(-180.0, 180.0, exclude_min=True), min_size=n, max_size=n))
+    footprints = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    fractions = draw(st.lists(st.none() | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    cell = st.floats(allow_infinity=False)  # NaN is a missing cell
+    radiance = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                             min_size=n, max_size=n))
+    return make_dataset(lats, footprints, radiance, lons=lons, land_fractions=fractions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_csv_save_load_save_is_byte_identical(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        save_dataset(ds, first)
+        save_dataset(load_dataset(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestDistance:

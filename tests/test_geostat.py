@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from geofpca import geostat
 from geofpca.dataset import GeoLocation, haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
-from geofpca.geostat import (KrigingSystem, VariogramBins, _forward_solve,
+from geofpca.geostat import (GRID_POINTS, EmpiricalVariogram, KrigingSystem,
+                             VariogramBins, _forward_solve, _wls_weights,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, spatial_dependence_test)
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
-                     moran_permutation_loop, triangular_solve)
+                     moran_permutation_loop, scipy_variogram_fit, triangular_solve)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -121,6 +123,7 @@ class TestFitVariogram:
         fit = fit_variogram_wls(ev)
         assert fit.sill == 0.0
         assert fit.degenerate
+        assert fit_tuple(fit) == fit_tuple(scipy_variogram_fit(ev))
 
     def test_needs_two_bins(self):
         from geofpca.geostat import EmpiricalVariogram
@@ -138,6 +141,94 @@ class TestFitVariogram:
         f2 = fit_variogram_wls(ev, "n")
         assert f1.weight_scheme == "nh2" and f2.weight_scheme == "n"
         assert f1.sill != f2.sill  # different objectives, different optima
+
+
+VARIOGRAM_SHAPES = ("exact", "noisy", "flat", "noise-only", "convex", "two-bin")
+
+
+def variogram_corpus(seed, n):
+    """(shape, variogram, weight scheme) for n seeded variograms, shapes in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        shape = VARIOGRAM_SHAPES[i % len(VARIOGRAM_SHAPES)]
+        n_bins = 2 if shape == "two-bin" else int(rng.integers(3, 16))
+        h = np.sort(rng.uniform(0.5, 60.0, n_bins))
+        counts = rng.integers(10, 400, n_bins)
+        sill, range_km = rng.uniform(0.1, 5.0), rng.uniform(h[0], h[-1])
+        curve = exponential_variogram(h, sill, range_km)
+        if shape == "exact":
+            values = curve
+        elif shape in ("noisy", "two-bin"):
+            values = curve + rng.normal(0.0, 0.1 * sill, n_bins)
+        elif shape == "flat":
+            values = np.full(n_bins, sill)
+        elif shape == "noise-only":
+            values = rng.normal(0.0, 1.0, n_bins)
+        else:  # convex: the range runs to its upper bound
+            values = sill * (h / h[-1]) ** rng.uniform(1.2, 3.0)
+        scheme = ("nh2", "n")[(i // len(VARIOGRAM_SHAPES)) % 2]
+        yield shape, EmpiricalVariogram(h, counts, values), scheme
+
+
+def grid_objectives(ev, scheme):
+    """The WLS objective at every start-grid point, in grid order (sills outer)."""
+    w = _wls_weights(ev, scheme)
+    vmax = ev.values.max()
+    sills = np.geomspace(vmax / 100.0, 10.0 * vmax, GRID_POINTS)
+    ranges = np.geomspace(ev.distances[0] / 10.0, ev.distances[-1] * 10.0, GRID_POINTS)
+    resid = [ev.values - exponential_variogram(ev.distances, s, r)
+             for s in sills for r in ranges]
+    return np.array([float(x @ (w * x)) for x in resid])
+
+
+def fit_tuple(fit):
+    return fit.sill, fit.range_km, fit.objective, fit.degenerate
+
+
+class TestFitMatchesScipy:
+    """The numpy Nelder-Mead takes scipy's steps: every fit equals the oracle's."""
+
+    def test_seeded_corpus(self):
+        seen, bounded = set(), 0
+        for shape, ev, scheme in variogram_corpus(2024, 1000):
+            fit = fit_variogram_wls(ev, scheme)
+            assert fit_tuple(fit) == fit_tuple(scipy_variogram_fit(ev, scheme)), shape
+            seen.add((shape, scheme))
+            bounded += fit.range_km == ev.distances[-1] * 10.0
+        assert len(seen) == 2 * len(VARIOGRAM_SHAPES)
+        assert bounded > 0
+
+    def test_start_at_both_upper_bounds(self):
+        # A straight line: the best grid point is (sill_hi, r_hi), so both
+        # other start vertices lie outside the bounds and score infinity.
+        h = np.linspace(2.0, 30.0, 8)
+        ev = EmpiricalVariogram(h, np.full(8, 40), 0.05 * h)
+        best = int(np.argmin(grid_objectives(ev, "n")))
+        assert best == GRID_POINTS * GRID_POINTS - 1
+        fit = fit_variogram_wls(ev, "n")
+        assert fit_tuple(fit) == fit_tuple(scipy_variogram_fit(ev, "n"))
+        assert fit.range_km == h[-1] * 10.0
+
+    def test_stops_at_the_iteration_limit(self, monkeypatch):
+        ev = EmpiricalVariogram(np.array([24.67, 39.78, 41.54]), np.array([303, 391, 278]),
+                                np.array([18.046, 39.786, 46.428]))
+        fit = fit_variogram_wls(ev, "n")
+        assert fit_tuple(fit) == fit_tuple(scipy_variogram_fit(ev, "n"))
+        monkeypatch.setattr(geostat, "MAXITER", geostat.MAXITER + 1)
+        assert fit_tuple(fit_variogram_wls(ev, "n")) != fit_tuple(fit)  # the limit binds
+
+    def test_near_tie_in_the_grid(self):
+        # The last distance puts sill 1 midway between grid sills 9 and 10 at
+        # grid range 11, so the exact curve ties those two grid points to
+        # rounding; the later one wins.
+        h = np.geomspace(1.0, 25622.306390303125, 3)
+        range_km = np.geomspace(h[0] / 10.0, h[-1] * 10.0, GRID_POINTS)[11]
+        ev = EmpiricalVariogram(h, np.full(3, 50), exponential_variogram(h, 1.0, range_km))
+        f = grid_objectives(ev, "nh2")
+        first, second = np.argsort(f, kind="stable")[:2]
+        assert abs(f[second] - f[first]) <= 1e-9 * f[first] and first > second
+        assert fit_tuple(fit_variogram_wls(ev, "nh2")) == fit_tuple(
+            scipy_variogram_fit(ev, "nh2"))
 
 
 class TestSpatialDependenceTest:

@@ -1,13 +1,17 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
-from geofpca.geostat import VariogramBins
+from geofpca.geostat import WEIGHT_SCHEMES, VariogramBins
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -413,6 +417,18 @@ class TestPersistence:
         np.testing.assert_allclose(after, before, atol=1e-12)
         assert restored.basis.K == model.basis.K
         assert restored.config == model.config
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(6, 10), st.sampled_from(WEIGHT_SCHEMES))
+    def test_save_load_save_is_byte_identical(self, seed, n_tracks, scheme):
+        ds, _ = simulate_orbit(OrbitConfig(n_tracks=n_tracks, seed=seed, grid_length=12,
+                                           track_spacing=0.01))
+        model = fit_geofpca(ds, FitConfig(n_perm=99, weight_scheme=scheme))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "no.json"
