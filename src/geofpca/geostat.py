@@ -159,16 +159,8 @@ def _wls_weights(ev: EmpiricalVariogram, scheme: str) -> np.ndarray:
 
 
 def _sorted_vertices(sim: list, fsim: list) -> tuple[list, list]:
-    """Vertices and values in the ascending order scipy's ``np.argsort`` gives.
-
-    Three distinct values (x == x fails only for NaN) have one order, which
-    Python's sort finds faster; a tie or a NaN takes numpy's own order.
-    """
-    a, b, c = fsim
-    if a != b and b != c and c != a and a == a and b == b and c == c:
-        order = sorted(range(3), key=fsim.__getitem__)
-    else:
-        order = np.argsort(fsim)
+    """Vertices and values in the ascending order of ``np.argsort``, as scipy."""
+    order = np.argsort(fsim)
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 

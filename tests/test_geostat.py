@@ -230,6 +230,21 @@ class TestFitMatchesScipy:
         assert fit_tuple(fit_variogram_wls(ev, "nh2")) == fit_tuple(
             scipy_variogram_fit(ev, "nh2"))
 
+    def test_grid_pick_rescored_exactly(self):
+        # The near tie above with the first bin value one ulp lower and the
+        # second eight: the exact objective (a dot product, which OpenBLAS
+        # sums with fused multiply-adds) puts the later grid point one ulp
+        # below the earlier, while the broadcast sum of rounded products
+        # scores the two equal. A pick by the broadcast argmin alone would
+        # start Nelder-Mead from the earlier point and end elsewhere.
+        h = np.geomspace(1.0, 25622.306390303125, 3)
+        range_km = np.geomspace(h[0] / 10.0, h[-1] * 10.0, GRID_POINTS)[11]
+        v = exponential_variogram(h, 1.0, range_km)
+        v[:2] -= np.array([1, 8]) * np.spacing(v[:2])
+        ev = EmpiricalVariogram(h, np.full(3, 50), v)
+        assert fit_tuple(fit_variogram_wls(ev, "nh2")) == fit_tuple(
+            scipy_variogram_fit(ev, "nh2"))
+
 
 class TestSpatialDependenceTest:
     def test_iid_size_close_to_alpha(self, rng):
