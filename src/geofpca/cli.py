@@ -435,7 +435,15 @@ def main(argv=None) -> int:
             if not cfg.get(key):
                 parser.error(f"the --{key} option is required (flag or config file)")
         print(f"config {args.command}: " + json.dumps(cfg, sort_keys=True))
-        return args.func(cfg)
+        code = args.func(cfg)
+        sys.stdout.flush()  # here, so that a closed reader is reported below
+        return code
+    except BrokenPipeError as e:
+        # The reader of standard output went away (`| head -1`). Point the
+        # descriptor at devnull so the shutdown flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"data error: cannot write standard output: {e.strerror}", file=sys.stderr)
+        return EXIT_DATA
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -313,6 +313,27 @@ def _parse_cell(text: str, line_no: int, what: str) -> float:
         raise DataError(f"line {line_no}: unparseable {what} {text!r}") from None
 
 
+def _parse_radiance(cells: list[str], line_no: int) -> np.ndarray:
+    """One row's radiance: an empty or NaN cell is missing, an infinite one an error.
+
+    The whole row is parsed in one pass; a row that fails is read again cell
+    by cell, which names its first bad column.
+    """
+    try:
+        rad = np.array([float(c) if c else math.nan for c in cells])
+        if not np.isinf(rad).any():
+            return rad
+    except ValueError:
+        pass
+    rad = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        rad[j] = _parse_cell(cell, line_no, f"radiance w_{j + 1}") if cell else math.nan
+        if math.isinf(rad[j]):
+            raise DataError(f"line {line_no}: non-finite radiance w_{j + 1} "
+                            f"{cell!r} (leave the cell empty or NaN if missing)")
+    return rad
+
+
 def load_dataset(path, sidecar=None) -> SpectralDataset:
     """Load a dataset from CSV, with an optional JSON sidecar.
 
@@ -390,15 +411,7 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
         if fp not in range(1, 9):
             raise DataError(f"line {line_no}: footprint {fp} outside 1..8")
         lf = None if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
-        rad = np.empty(width)
-        for j, cell in enumerate(cells[5:]):
-            if cell == "" or cell.strip().lower() == "nan":
-                rad[j] = np.nan
-            else:
-                rad[j] = _parse_cell(cell, line_no, f"radiance w_{j + 1}")
-                if math.isinf(rad[j]):
-                    raise DataError(f"line {line_no}: non-finite radiance w_{j + 1} "
-                                    f"{cell!r} (leave the cell empty or NaN if missing)")
+        rad = _parse_radiance(cells[5:], line_no)
         key = (fp, lat)
         if key in seen_keys:
             warnings.warn(

@@ -24,7 +24,7 @@ from .fpca import ScoreField
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
-PERM_CHUNK = 128  # Moran permutations evaluated per array pass
+PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (b permutations x n)
 SOLVE_BLOCK = 64  # rows per block of the forward substitution
 GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
 GRID_RTOL = 1e-9  # start-grid points this close to the broadcast minimum are re-scored
@@ -269,6 +269,39 @@ def fit_variogram_wls(ev: EmpiricalVariogram,
     return VariogramFit(sill, rng, weight_scheme, fun, sill <= 0.0, ev)
 
 
+def _permuted_moran(z: np.ndarray, nb: np.ndarray, wts: np.ndarray, n_perm: int,
+                    seed: int) -> np.ndarray:
+    """Moran's I of ``n_perm`` permutations of the centred scores ``z``.
+
+    The permutations are the successive ``default_rng(seed).permutation(n)``
+    draws; ``Generator.permuted`` draws a chunk of b = max(1, PERM_ELEMENTS
+    // n) of them, row by row, from that stream in one call. Each neighbour
+    term is one gather of the b x n chunk into a reused buffer; the lag adds
+    the same products in the same neighbour order, and the sums run over the
+    same contiguous rows, as one permutation at a time, so every statistic is
+    that permutation's to the bit.
+    """
+    n, m = nb.shape
+    s0 = wts.sum()
+    nb_cols, wt_cols = np.ascontiguousarray(nb.T), np.ascontiguousarray(wts.T)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, PERM_ELEMENTS // n)
+    stats = np.empty(n_perm)
+    for start in range(0, n_perm, chunk):
+        b = min(chunk, n_perm - start)
+        zp = z[rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)]
+        lag = np.zeros_like(zp)
+        term = np.empty_like(zp)
+        for j in range(m):
+            # Every index is < n; "clip" writes to out directly, "raise" buffers.
+            np.take(zp, nb_cols[j], axis=1, out=term, mode="clip")
+            term *= wt_cols[j]
+            lag += term
+        lag *= zp
+        stats[start:start + b] = n / s0 * lag.sum(axis=1) / (zp * zp).sum(axis=1)
+    return stats
+
+
 def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
                             alpha: float = 0.05, seed: int = 0,
                             n_neighbors: int = 10) -> SpatialTestResult:
@@ -293,18 +326,8 @@ def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
 
     stat = n / s0 * float(np.sum(z[:, None] * wts * z[nb])) / float(z @ z)
     e_i = -1.0 / (n - 1)
-    ref = abs(stat - e_i)
-    rng = np.random.default_rng(seed)
-    exceed = 0
-    # Permuted statistics in chunks of rows: O(PERM_CHUNK * n) memory.
-    for start in range(0, n_perm, PERM_CHUNK):
-        zp = z[np.stack([rng.permutation(n)
-                         for _ in range(min(PERM_CHUNK, n_perm - start))])]
-        lag = np.zeros_like(zp)
-        for j in range(m):
-            lag += wts[:, j] * zp[:, nb[:, j]]
-        perm_stats = n / s0 * np.sum(zp * lag, axis=1) / np.sum(zp * zp, axis=1)
-        exceed += int(np.count_nonzero(np.abs(perm_stats - e_i) >= ref))
+    perm_stats = _permuted_moran(z, nb, wts, n_perm, seed)
+    exceed = int(np.count_nonzero(np.abs(perm_stats - e_i) >= abs(stat - e_i)))
     p = (1 + exceed) / (1 + n_perm)
     return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
 

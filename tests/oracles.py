@@ -269,6 +269,50 @@ def moran_permutation_loop(u, dist, n_perm, seed, n_neighbors=10):
     return stat, (1 + exceed) / (1 + n_perm)
 
 
+def parse_radiance_cells(cells, line_no):
+    """One CSV row's radiance cells, read one cell at a time.
+
+    An empty cell or the literal NaN (any case, surrounding spaces) is
+    missing; an unparseable or infinite cell is a DataError naming the line
+    and the w_j column.
+    """
+    rad = np.empty(len(cells))
+    for j, cell in enumerate(cells):
+        if cell == "" or cell.strip().lower() == "nan":
+            rad[j] = np.nan
+        else:
+            try:
+                rad[j] = float(cell)
+            except ValueError:
+                raise DataError(f"line {line_no}: unparseable radiance w_{j + 1} "
+                                f"{cell!r}") from None
+            if math.isinf(rad[j]):
+                raise DataError(f"line {line_no}: non-finite radiance w_{j + 1} "
+                                f"{cell!r} (leave the cell empty or NaN if missing)")
+    return rad
+
+
+def moran_chunked_stats(z, nb, wts, n_perm, seed, chunk=128):
+    """Moran's I of ``n_perm`` permutations of ``z``, in chunks of ``chunk`` rows.
+
+    Each chunk stacks ``chunk`` successive ``rng.permutation(n)`` draws as a
+    permutation-major chunk x n array and adds the neighbour lags column by
+    column. Returns the permuted statistics in draw order.
+    """
+    n, m = nb.shape
+    s0 = wts.sum()
+    rng = np.random.default_rng(seed)
+    out = []
+    for start in range(0, n_perm, chunk):
+        zp = z[np.stack([rng.permutation(n)
+                         for _ in range(min(chunk, n_perm - start))])]
+        lag = np.zeros_like(zp)
+        for j in range(m):
+            lag += wts[:, j] * zp[:, nb[:, j]]
+        out.append(n / s0 * np.sum(zp * lag, axis=1) / np.sum(zp * zp, axis=1))
+    return np.concatenate(out)
+
+
 def interpolate_radiance_point(ds, latitude, footprint, ws=None):
     """The interpolation baseline at one target: a scalar search, column by column.
 

@@ -674,6 +674,27 @@ class TestFileErrors:
         self.assert_names(capsys, out[flag])
 
 
+def test_closed_standard_output_exits_3(sim_csv, tmp_path):
+    """A reader that closes standard output at once gets one line naming it, no traceback."""
+    path, _ = sim_csv
+    src = str(Path(geofpca.__file__).resolve().parents[1])
+    path_dirs = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    try:
+        out = subprocess.run([sys.executable, "-m", "geofpca.cli", "fit", "--input", str(path),
+                              "--region", "34.9:35.47", "--n-perm", "99",
+                              "--out", str(tmp_path / "m.json")],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                             timeout=300)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 3
+    assert out.stderr.count("\n") == 1 and "standard output" in out.stderr
+    assert "None" not in out.stderr and "Traceback" not in out.stderr
+
+
 def test_benchmark_tracer_targets_resolve():
     """Every function the benchmark's launcher wraps exists in the library."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"

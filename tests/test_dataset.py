@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geofpca.dataset import (GeoLocation, SpectralDataset, common_wavelengths,
-                             haversine_km, load_dataset, pairwise_distances,
-                             remove_cross_tracks, save_dataset, select_region,
-                             track_numbers)
+from geofpca.dataset import (GeoLocation, SpectralDataset, _parse_radiance,
+                             common_wavelengths, haversine_km, load_dataset,
+                             pairwise_distances, remove_cross_tracks, save_dataset,
+                             select_region, track_numbers)
 from geofpca.errors import DataError
-from oracles import law_of_cosines_km
+from oracles import law_of_cosines_km, parse_radiance_cells
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -117,6 +117,58 @@ class TestLoad:
         save_dataset(ds, p1)
         save_dataset(load_dataset(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+RADIANCE_CELLS = ["", "NaN", " nan ", "-nan", "5e-324", "  ", "abc", "inf", "-Infinity",
+                  "1e400"]
+BASE = "id,latitude,longitude,footprint,land_fraction,w_1,w_2,w_3"
+
+
+def oracle_outcome(cells, line_no):
+    """The per-cell reader's radiance bits, or its error text."""
+    try:
+        return parse_radiance_cells(cells, line_no).view(np.uint64).tolist()
+    except DataError as e:
+        return str(e)
+
+
+def load_outcome(path):
+    try:
+        return [s.radiance.view(np.uint64).tolist() for s in load_dataset(path).soundings]
+    except DataError as e:
+        return str(e)
+
+
+class TestRadianceMatchesCellOracle:
+    """The one-pass row parse loads the per-cell reader's bits or raises its error."""
+
+    @pytest.mark.parametrize("cell", RADIANCE_CELLS)
+    def test_cell(self, tmp_path, cell):
+        good, row = ["5", "6", "7"], ["5", cell, "7"]
+        lines = [BASE, "1,34.0,23.0,1,," + ",".join(good),
+                 "2,34.1,23.0,1,," + ",".join(row)]
+        expected = oracle_outcome(row, 3)
+        loaded = load_outcome(write_csv(tmp_path, "\n".join(lines) + "\n"))
+        if isinstance(expected, str):
+            assert loaded == expected
+        else:
+            assert loaded == [oracle_outcome(good, 2), expected]
+        # A later bad line: the first bad line is the one named.
+        bad = ["abc", "inf", "8"]
+        lines.append("3,34.2,23.0,1,," + ",".join(bad))
+        loaded = load_outcome(write_csv(tmp_path, "\n".join(lines) + "\n", "later.csv"))
+        assert loaded == (expected if isinstance(expected, str) else oracle_outcome(bad, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(RADIANCE_CELLS) | st.floats().map(repr)
+                    | st.text("0123456789.eE+-_ nafiINFty", max_size=6),
+                    min_size=1, max_size=4))
+    def test_any_row(self, cells):
+        try:
+            loaded = _parse_radiance(cells, 7).view(np.uint64).tolist()
+        except DataError as e:
+            loaded = str(e)
+        assert loaded == oracle_outcome(cells, 7)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet
@@ -281,3 +283,51 @@ def test_reconstruction_error_decreases_with_more_components(rng):
         recon = field.scores @ basis.eigenvectors.T
         errs.append(float(((demeaned - recon) ** 2).sum()))
     assert errs == sorted(errs, reverse=True)
+
+
+def fpca_pieces(ds):
+    """The mean coefficients, eigenpairs and per-footprint tau of one dataset."""
+    ws = WavelengthSet(tuple(range(1, ds.grid_length + 1)))
+    mean = fit_mean_model(ds, ws)
+    errs = {p: estimate_error_covariance(ds, ws, p) for p in ds.footprints_present()}
+    basis = eigendecompose(estimate_signal_covariance(ds, mean, errs))
+    taus = {p: compute_score_noise_variance(errs[p], basis) for p in errs}
+    return mean.coefficients, basis, taus
+
+
+def assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * np.abs(a).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       order=st.permutations([1] * 9 + [2] * 8 + [5] * 10))
+def test_interleaving_footprints_keeps_mean_eigenpairs_and_tau(seed, order):
+    """Rows interleaved across footprints, each footprint kept in orbit order."""
+    rng = np.random.default_rng(seed)
+    width = 6
+    loadings = np.linalg.qr(rng.standard_normal((width, 3)))[0] * [10.0, 5.0, 2.0]
+    rows = {}
+    for p in (1, 2, 5):
+        n = order.count(p)
+        lats = 34.0 + 0.01 * np.arange(n) + 0.001 * p
+        rad = (40.0 + p + lats[:, None] * np.arange(1.0, width + 1)
+               + rng.standard_normal((n, 3)) @ loadings.T
+               + 0.1 * rng.standard_normal((n, width)))
+        rows[p] = [(lat, p, r) for lat, r in zip(lats, rad)]
+    grouped = [row for p in (1, 2, 5) for row in rows[p]]
+    taken = {p: iter(rows[p]) for p in rows}
+    interleaved = [next(taken[p]) for p in order]
+
+    def dataset(rs):
+        lats, fps, rad = zip(*rs)
+        return make_dataset(lats, fps, np.array(rad))
+
+    mean_a, basis_a, tau_a = fpca_pieces(dataset(grouped))
+    mean_b, basis_b, tau_b = fpca_pieces(dataset(interleaved))
+    for p in mean_a:
+        assert_close(mean_a[p], mean_b[p])
+        assert_close(tau_a[p], tau_b[p])
+    assert basis_a.K == basis_b.K
+    assert_close(basis_a.eigenvalues, basis_b.eigenvalues)
+    assert_close(basis_a.eigenvectors, basis_b.eigenvectors)

@@ -6,12 +6,14 @@ from geofpca import geostat
 from geofpca.dataset import GeoLocation, haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
-from geofpca.geostat import (GRID_POINTS, EmpiricalVariogram, KrigingSystem,
-                             VariogramBins, _forward_solve, _wls_weights,
+from geofpca.geostat import (GRID_POINTS, PERM_ELEMENTS, EmpiricalVariogram,
+                             KrigingSystem, VariogramBins, _forward_solve,
+                             _permuted_moran, _wls_weights,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, spatial_dependence_test)
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
-                     moran_permutation_loop, scipy_variogram_fit, triangular_solve)
+                     moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
+                     triangular_solve)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -341,6 +343,40 @@ class TestMoranMatchesLoopOracle:
                                          129, 3, n_neighbors=40)
         assert res.p_value == p
         assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+
+
+class TestMoranMatchesChunkedOracle:
+    """The batched permutation kernel against the 128-row chunked loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [20, 21, 264, 1200])
+    def test_statistics_equal(self, n):
+        rng = np.random.default_rng(100 + n)
+        lats = 35.0 + rng.uniform(0.0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        u = 0.5 * np.sin(25.0 * lats) + rng.standard_normal(n)
+        sf = score_field(lats, u, [0.0], lons=lons)
+        z = u - u.mean()
+        chunk = max(1, PERM_ELEMENTS // n)
+        # Around one and two batched chunks, and around the oracle's 128.
+        n_perms = sorted({chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 127, 128, 129} - {0})
+        for m in sorted({10, n - 1} if n < 30 else {10}):
+            nb, d_nb = sf.nearest(m)
+            wts = 1.0 / np.maximum(d_nb, 1e-9)
+            for seed, n_perm in enumerate(n_perms):
+                new = _permuted_moran(z, nb, wts, n_perm, seed)
+                old = moran_chunked_stats(z, nb, wts, n_perm, seed)
+                assert new.shape == (n_perm,)
+                assert np.array_equal(new, old), (m, n_perm)
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 1200])
+    def test_permuted_rows_are_successive_permutations(self, n):
+        """A numpy that changed this stream would move every Moran p-value."""
+        for b in sorted({1, 7, 128, max(1, PERM_ELEMENTS // n)}):
+            batched, serial = np.random.default_rng(n + b), np.random.default_rng(n + b)
+            rows = batched.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
+            for row in rows:
+                assert np.array_equal(row, serial.permutation(n))
+            assert batched.bit_generator.state == serial.bit_generator.state
 
 
 def simple_fit(sill, range_km):
