@@ -10,10 +10,9 @@ validation harness accompany the estimators.
 
 __version__ = "0.1.0"
 
-from .dataset import (GeoLocation, Sounding, SpectralDataset, WavelengthSet,
-                      common_wavelengths, haversine_km, load_dataset,
-                      remove_cross_tracks, save_dataset, select_region,
-                      track_numbers)
+from .dataset import (Sounding, SpectralDataset, WavelengthSet, common_wavelengths,
+                      haversine_km, load_dataset, remove_cross_tracks, save_dataset,
+                      select_region, track_numbers)
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores, eigendecompose,

@@ -1,9 +1,9 @@
 """Spatially indexed spectral soundings: containers, CSV I/O, and geometry.
 
-A dataset is an ordered collection of soundings, each carrying a geolocation,
-a detector footprint in 1..8, an optional reported land fraction, and a
-radiance vector over a shared integer wavelength-index grid. Missing radiance
-entries are NaN internally (empty cell or ``NaN`` in CSV).
+A dataset is a table of soundings held as columns: id, geolocation, detector
+footprint in 1..8, optional reported land fraction, and one row of a radiance
+matrix over a shared integer wavelength-index grid. Missing radiance entries
+are NaN internally (empty cell or ``NaN`` in CSV).
 
 The CSV schema is ``id, latitude, longitude, footprint, land_fraction,
 w_1 .. w_W``. Rows must be orbit-ordered (within each footprint, row order is
@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -30,53 +30,54 @@ DISTANCE_BLOCK = 64  # rows of the distance matrix evaluated per array pass
 _BASE_COLUMNS = ("id", "latitude", "longitude", "footprint", "land_fraction")
 
 
-@dataclass(frozen=True)
-class GeoLocation:
-    """A (latitude, longitude) pair in degrees; longitude in (-180, 180]."""
+class Sounding(NamedTuple):
+    """One row of a dataset, as :meth:`SpectralDataset.get` returns it.
 
-    latitude: float
-    longitude: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.latitude) and math.isfinite(self.longitude)):
-            raise DataError(f"non-finite geolocation ({self.latitude}, {self.longitude})")
-        if not -90.0 <= self.latitude <= 90.0:
-            raise DataError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 < self.longitude <= 180.0:
-            raise DataError(f"longitude {self.longitude} outside (-180, 180]")
-
-
-@dataclass
-class Sounding:
-    """One observation: location, footprint, optional land fraction, radiance.
-
-    ``radiance`` has the dataset's grid length; NaN marks a missing entry.
+    ``land_fraction`` is None when absent; ``radiance`` is a read-only view.
     """
 
     id: int
-    location: GeoLocation
+    latitude: float
+    longitude: float
     footprint: int
     land_fraction: float | None
     radiance: np.ndarray
 
-    def __post_init__(self):
-        if self.footprint not in range(1, 9):
-            raise DataError(f"sounding {self.id}: footprint {self.footprint} outside 1..8")
-        if self.land_fraction is not None and not 0.0 <= self.land_fraction <= 1.0:
-            raise DataError(
-                f"sounding {self.id}: land_fraction {self.land_fraction} outside [0, 1]"
-            )
-        rad = np.asarray(self.radiance, dtype=float)
-        rad.flags.writeable = False
-        object.__setattr__(self, "radiance", rad)
 
-    @property
-    def latitude(self) -> float:
-        return self.location.latitude
+def _first_violation(rules: list[tuple[np.ndarray, Callable[[int], str]]]
+                     ) -> tuple[int, str] | None:
+    """The first row that a (bad-row mask, message for row i) rule flags, with
+    the message of the first rule it breaks, or None."""
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    return i, next(message(i) for mask, message in rules if mask[i])
 
-    @property
-    def longitude(self) -> float:
-        return self.location.longitude
+
+def _coordinate_rules(lat: np.ndarray, lon: np.ndarray) -> list:
+    return [(~(np.isfinite(lat) & np.isfinite(lon)),
+             lambda i: f"non-finite geolocation ({lat[i]}, {lon[i]})"),
+            (np.abs(lat) > 90.0, lambda i: f"latitude {lat[i]} outside [-90, 90]"),
+            ((lon <= -180.0) | (lon > 180.0),
+             lambda i: f"longitude {lon[i]} outside (-180, 180]")]
+
+
+def coordinate_violation(lat: np.ndarray, lon: np.ndarray) -> tuple[int, str] | None:
+    """(position, reason) of the first pair not finite in [-90, 90] x (-180, 180], or None."""
+    return _first_violation(_coordinate_rules(lat, lon))
+
+
+def _row_violation(ids, lat, lon, fp, lf) -> tuple[int, str] | None:
+    """The first row with a footprint outside 1..8, a bad coordinate, a land
+    fraction outside [0, 1] (NaN is absent) or an earlier row's id, or None."""
+    first = np.zeros(ids.size, dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    return _first_violation(
+        [(~np.isin(fp, np.arange(1, 9)), lambda i: f"footprint {fp[i]} outside 1..8")]
+        + _coordinate_rules(lat, lon)
+        + [((lf < 0.0) | (lf > 1.0), lambda i: f"land_fraction {lf[i]} outside [0, 1]"),
+           (~first, lambda i: f"duplicate sounding id {ids[i]}")])
 
 
 @dataclass
@@ -111,78 +112,45 @@ class WavelengthSet:
 
 
 class SpectralDataset:
-    """Immutable ordered collection of soundings over a shared grid.
+    """An immutable, orbit-ordered table of soundings over a shared grid.
 
-    Soundings must be orbit-ordered; all read accessors are cached and the
-    object is safe to share across threads.
+    Six read-only columns: ``ids`` (int64), ``latitudes``, ``longitudes``,
+    ``footprints`` (int64), ``land_fractions`` (NaN where absent) and the
+    N x W ``radiance`` matrix (NaN for a missing entry). The object is safe
+    to share across threads.
     """
 
-    def __init__(self, soundings: Sequence[Sounding], grid_length: int,
-                 metadata: dict | None = None):
-        soundings = tuple(soundings)
-        if grid_length < 1:
-            raise DataError(f"grid_length {grid_length} must be >= 1")
-        seen = set()
-        for s in soundings:
-            if s.id in seen:
-                raise DataError(f"duplicate sounding id {s.id}")
-            seen.add(s.id)
-            if s.radiance.shape != (grid_length,):
-                raise DataError(
-                    f"sounding {s.id}: radiance length {s.radiance.shape[0]} "
-                    f"!= grid length {grid_length}"
-                )
-        self.soundings = soundings
-        self.grid_length = int(grid_length)
+    def __init__(self, ids, latitudes, longitudes, footprints, land_fractions,
+                 radiance, metadata: dict | None = None):
+        ids = np.array(ids, dtype=np.int64)
+        lat, lon, lf = (np.array(c, dtype=float)
+                        for c in (latitudes, longitudes, land_fractions))
+        fp = np.asarray(footprints)
+        rad = np.array(radiance, dtype=float)
+        if (rad.ndim != 2 or rad.shape[1] < 1
+                or any(c.shape != rad.shape[:1] for c in (ids, lat, lon, fp, lf))):
+            raise DataError(f"need 1-D columns of one length N and an N x W radiance "
+                            f"matrix, W >= 1; got {ids.size} ids and radiance of shape "
+                            f"{rad.shape}")
+        bad = _row_violation(ids, lat, lon, fp, lf)
+        if bad is not None:
+            raise DataError(f"sounding {ids[bad[0]]}: {bad[1]}")
+        self.ids, self.latitudes, self.longitudes = ids, lat, lon
+        self.footprints, self.land_fractions, self.radiance = fp.astype(np.int64), lf, rad
+        for column in (self.ids, lat, lon, self.footprints, lf, rad):
+            column.flags.writeable = False
         self.metadata = dict(metadata or {})
-        self._by_id = {s.id: i for i, s in enumerate(soundings)}
-        self._cache: dict[str, np.ndarray] = {}
+        self._by_id = {sid: i for i, sid in enumerate(ids.tolist())}
 
     def __len__(self) -> int:
-        return len(self.soundings)
-
-    def __iter__(self):
-        return iter(self.soundings)
-
-    def _array(self, key, build):
-        if key not in self._cache:
-            arr = build()
-            arr.flags.writeable = False
-            self._cache[key] = arr
-        return self._cache[key]
+        return self.ids.size
 
     @property
-    def ids(self) -> np.ndarray:
-        return self._array("ids", lambda: np.array([s.id for s in self.soundings]))
-
-    @property
-    def latitudes(self) -> np.ndarray:
-        return self._array("lat", lambda: np.array([s.latitude for s in self.soundings]))
-
-    @property
-    def longitudes(self) -> np.ndarray:
-        return self._array("lon", lambda: np.array([s.longitude for s in self.soundings]))
-
-    @property
-    def footprints(self) -> np.ndarray:
-        return self._array("fp", lambda: np.array([s.footprint for s in self.soundings]))
-
-    @property
-    def land_fractions(self) -> np.ndarray:
-        """Reported land fractions; NaN where absent."""
-        return self._array("lf", lambda: np.array(
-            [math.nan if s.land_fraction is None else s.land_fraction
-             for s in self.soundings]))
-
-    @property
-    def radiance(self) -> np.ndarray:
-        """N x W radiance matrix with NaN for missing entries."""
-        return self._array("rad", lambda: np.vstack(
-            [s.radiance for s in self.soundings])
-            if self.soundings else np.empty((0, self.grid_length)))
+    def grid_length(self) -> int:
+        return self.radiance.shape[1]
 
     def footprints_present(self) -> list[int]:
-        return sorted(set(int(s.footprint) for s in self.soundings))
+        return np.unique(self.footprints).tolist()
 
     def index_of(self, sounding_id: int) -> int:
         try:
@@ -191,16 +159,18 @@ class SpectralDataset:
             raise DataError(f"sounding id {sounding_id} not in dataset") from None
 
     def get(self, sounding_id: int) -> Sounding:
-        return self.soundings[self.index_of(sounding_id)]
+        i = self.index_of(sounding_id)
+        lf = float(self.land_fractions[i])
+        return Sounding(int(self.ids[i]), float(self.latitudes[i]),
+                        float(self.longitudes[i]), int(self.footprints[i]),
+                        None if math.isnan(lf) else lf, self.radiance[i])
 
-    def subset(self, indices: Iterable[int], metadata_update: dict | None = None
-               ) -> "SpectralDataset":
-        """Order-preserving subset by positional indices."""
-        idx = sorted(set(int(i) for i in indices))
-        meta = dict(self.metadata)
-        if metadata_update:
-            meta.update(metadata_update)
-        return SpectralDataset([self.soundings[i] for i in idx], self.grid_length, meta)
+    def subset(self, indices: Iterable[int]) -> "SpectralDataset":
+        """The rows at the given positions, in the given order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return SpectralDataset(self.ids[idx], self.latitudes[idx], self.longitudes[idx],
+                               self.footprints[idx], self.land_fractions[idx],
+                               self.radiance[idx], self.metadata)
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -238,7 +208,7 @@ def select_region(ds: SpectralDataset, lat_range: tuple[float, float]) -> Spectr
     keep = np.flatnonzero((ds.latitudes >= lo) & (ds.latitudes <= hi))
     if keep.size == 0:
         raise DataError(f"no soundings in latitude window [{lo}, {hi}]")
-    return ds.subset(keep, {"region": [lo, hi]})
+    return ds.subset(keep)
 
 
 def common_wavelengths(ds: SpectralDataset, min_coverage: float = 1.0) -> WavelengthSet:
@@ -341,8 +311,9 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
     JSON object that may declare an integer ``grid_length``, ``unit``, and
     ``orbit_id``; extra keys are kept as metadata. Empty cells and the literal
     ``NaN`` mark missing radiance; an infinite radiance is a data error. An
-    empty ``land_fraction`` cell marks an absent land fraction. Duplicate
-    (footprint, latitude) pairs keep the first row and emit a warning.
+    empty ``land_fraction`` cell marks an absent land fraction (``NaN`` there is
+    an error). Ids are signed 64-bit integers. Duplicate (footprint, latitude)
+    pairs keep the first row and emit a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -387,7 +358,7 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
                 f"{path}: sidecar grid_length {declared} != {width} radiance columns"
             )
 
-    soundings = []
+    ids, lats, lons, fps, lfs, rads, line_nos = [], [], [], [], [], [], []
     seen_keys = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -402,15 +373,17 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
             sid = int(cells[0])
         except ValueError:
             raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
+        if not -2**63 <= sid < 2**63:
+            raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit integer range")
         lat = _parse_cell(cells[1], line_no, "latitude")
         lon = _parse_cell(cells[2], line_no, "longitude")
         try:
             fp = int(cells[3])
         except ValueError:
             raise DataError(f"line {line_no}: unparseable footprint {cells[3]!r}") from None
-        if fp not in range(1, 9):
-            raise DataError(f"line {line_no}: footprint {fp} outside 1..8")
-        lf = None if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
+        lf = math.nan if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
+        if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
+            raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
         rad = _parse_radiance(cells[5:], line_no)
         key = (fp, lat)
         if key in seen_keys:
@@ -420,11 +393,14 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
             )
             continue
         seen_keys.add(key)
-        try:
-            soundings.append(Sounding(sid, GeoLocation(lat, lon), fp, lf, rad))
-        except DataError as e:
-            raise DataError(f"line {line_no}: {e}") from None
-    return SpectralDataset(soundings, width, metadata)
+        for column, value in zip((ids, lats, lons, fps, lfs, rads, line_nos),
+                                 (sid, lat, lon, fp, lf, rad, line_no)):
+            column.append(value)
+    ids, lats, lons, fps, lfs = (np.array(c) for c in (ids, lats, lons, fps, lfs))
+    bad = _row_violation(ids, lats, lons, fps, lfs)
+    if bad is not None:
+        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+    return SpectralDataset(ids, lats, lons, fps, lfs, rads or np.empty((0, width)), metadata)
 
 
 def _fmt(x: float) -> str:
@@ -438,9 +414,10 @@ def save_dataset(ds: SpectralDataset, path) -> None:
     path = Path(path)
     header = ",".join(_BASE_COLUMNS + tuple(f"w_{j}" for j in range(1, ds.grid_length + 1)))
     out = [header]
-    for s in ds.soundings:
-        cells = [str(s.id), _fmt(s.latitude), _fmt(s.longitude), str(s.footprint),
-                 "" if s.land_fraction is None else _fmt(s.land_fraction)]
-        cells.extend("" if math.isnan(v) else _fmt(v) for v in s.radiance)
+    columns = (ds.ids, ds.latitudes, ds.longitudes, ds.footprints, ds.land_fractions,
+               ds.radiance)
+    for sid, lat, lon, fp, lf, rad in zip(*(c.tolist() for c in columns)):
+        cells = [str(sid), _fmt(lat), _fmt(lon), str(fp), "" if math.isnan(lf) else _fmt(lf)]
+        cells.extend("" if math.isnan(v) else _fmt(v) for v in rad)
         out.append(",".join(cells))
     path.write_text("\n".join(out) + "\n")

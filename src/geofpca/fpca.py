@@ -155,16 +155,6 @@ class ScoreField:
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))
 
-    @classmethod
-    def for_dataset(cls, ds: SpectralDataset, sounding_ids, scores, taus=None,
-                    excluded_ids=()) -> "ScoreField":
-        """Build a field whose geometry is looked up from ``ds`` by id."""
-        ids = np.asarray(sounding_ids, dtype=int)
-        rows = np.array([ds.index_of(int(i)) for i in ids], dtype=int)
-        return cls(ids, np.asarray(scores, dtype=float), ds.latitudes[rows].copy(),
-                   ds.longitudes[rows].copy(), ds.footprints[rows].copy(),
-                   dict(taus or {}), tuple(excluded_ids))
-
 
 def _complete_rows(ds: SpectralDataset, ws: WavelengthSet) -> np.ndarray:
     """Row indices of soundings observed at every selected wavelength."""
@@ -268,7 +258,8 @@ def compute_scores(ds: SpectralDataset, mean: MeanModel, basis: FpcaBasis) -> Sc
     excluded = tuple(int(i) for i in np.delete(ds.ids, rows))
     resid = ds.radiance[np.ix_(rows, ws.positions)] - evaluate_mean_rows(mean, ds, rows)
     scores = resid @ basis.eigenvectors
-    return ScoreField.for_dataset(ds, ds.ids[rows], scores, excluded_ids=excluded)
+    return ScoreField(ds.ids[rows], scores, ds.latitudes[rows], ds.longitudes[rows],
+                      ds.footprints[rows], excluded_ids=excluded)
 
 
 def compute_score_noise_variance(err_p: CovarianceMatrix, basis: FpcaBasis) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GeoLocation, haversine_km
+from .dataset import haversine_km
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
@@ -417,14 +417,14 @@ class KrigingSystem:
         return pred, np.maximum(var, 0.0)
 
 
-def krige_score(target: GeoLocation, scores: ScoreField, k: int,
+def krige_score(target: tuple[float, float], scores: ScoreField, k: int,
                 fit: VariogramFit | None, dependent: bool = True,
                 marginal_variance: float | None = None) -> tuple[float, float]:
-    """Predict one component's score at one location: (prediction, variance).
+    """Predict one component's score at one (latitude, longitude): (prediction, variance).
 
     A one-target call into :class:`KrigingSystem`; to predict many targets,
     build the system once and call its ``predict``.
     """
     system = KrigingSystem(scores, k, fit, dependent, marginal_variance)
-    pred, var = system.predict([target.latitude], [target.longitude])
+    pred, var = system.predict([target[0]], [target[1]])
     return float(pred[0]), float(var[0])

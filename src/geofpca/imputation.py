@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import SpectralDataset, WavelengthSet, common_wavelengths
+from .dataset import (SpectralDataset, WavelengthSet, common_wavelengths,
+                      coordinate_violation)
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
@@ -187,8 +188,9 @@ def _target_coordinates(latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
     if lat.ndim != 1 or lat.shape != lon.shape:
         raise DataError("target latitudes and longitudes must be 1-D arrays of "
                         "equal length")
-    if not (np.isfinite(lat).all() and np.isfinite(lon).all()):
-        raise DataError("target coordinates must be finite")
+    bad = coordinate_violation(lat, lon)
+    if bad is not None:
+        raise DataError(f"target at position {bad[0]}: {bad[1]}")
     return lat, lon
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GeoLocation, SpectralDataset, Sounding, pairwise_distances
+from .dataset import SpectralDataset, pairwise_distances
 from .errors import DataError, GeofpcaError
 from .imputation import FitConfig
 from .parallel import map_tasks
@@ -202,19 +202,19 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
     sigma_mix = alpha * sigma_l + (1.0 - alpha) * sigma_w
 
     indices = np.arange(1, m + 1, dtype=float)
-    soundings = []
+    rad = np.empty((cfg.n_sites, m))
     for i in range(cfg.n_sites):
         if i < mid:
-            clean, sigma, lf = f_w[i], sigma_w, 0.0
+            clean, sigma = f_w[i], sigma_w
         elif i == mid:
-            clean = alpha * f_l[0] + (1.0 - alpha) * f_w[-1]
-            sigma, lf = sigma_mix, alpha
+            clean, sigma = alpha * f_l[0] + (1.0 - alpha) * f_w[-1], sigma_mix
         else:
-            clean, sigma, lf = f_l[i - mid], sigma_l, 1.0
-        rad = clean + simulate_error_process(sigma, rng=rng, indices=indices)
-        soundings.append(Sounding(i + 1, GeoLocation(float(lats[i]), float(lons[i])),
-                                  cfg.footprint, lf, rad))
-    ds = SpectralDataset(soundings, m, {"generator": "mixed-transect"})
+            clean, sigma = f_l[i - mid], sigma_l
+        rad[i] = clean + simulate_error_process(sigma, rng=rng, indices=indices)
+    fractions = np.r_[np.zeros(mid), alpha, np.ones(cfg.n_sites - mid - 1)]
+    ds = SpectralDataset(np.arange(1, cfg.n_sites + 1), lats, lons,
+                         np.full(cfg.n_sites, cfg.footprint), fractions, rad,
+                         {"generator": "mixed-transect"})
     truth = TransectTruth(
         alpha=alpha,
         mixed_id=mid + 1,
@@ -338,13 +338,12 @@ def simulate_orbit(cfg: OrbitConfig | None = None) -> tuple[SpectralDataset, Orb
 
     noise_free = mu + scores @ evecs.T
     indices = np.arange(1, cfg.grid_length + 1, dtype=float)
-    soundings = []
+    rad = np.empty((n, cfg.grid_length))
     for i in range(n):
-        rad = noise_free[i] + simulate_error_process(sigmas[int(fps[i])], rng=rng,
-                                                     indices=indices)
-        soundings.append(Sounding(i + 1, GeoLocation(float(lat[i]), float(lon[i])),
-                                  int(fps[i]), None, rad))
-    ds = SpectralDataset(soundings, cfg.grid_length, {"generator": "orbit"})
+        rad[i] = noise_free[i] + simulate_error_process(sigmas[int(fps[i])], rng=rng,
+                                                        indices=indices)
+    ds = SpectralDataset(np.arange(1, n + 1), lat, lon, fps, np.full(n, np.nan), rad,
+                         {"generator": "orbit"})
     return ds, OrbitTruth(betas, evecs, cfg.components, scores, sigmas, noise_free)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geofpca.dataset import GeoLocation, Sounding, SpectralDataset
+from geofpca.dataset import SpectralDataset
 from geofpca.parallel import pin_blas
 
 
@@ -12,32 +12,27 @@ def pytest_sessionstart(session):
 
 def make_dataset(lats, footprints, radiance, lons=None, land_fractions=None,
                  ids=None, metadata=None):
-    """Assemble a dataset from parallel arrays (NaN = missing radiance)."""
-    radiance = np.asarray(radiance, dtype=float)
-    n, width = radiance.shape
-    lats = np.asarray(lats, dtype=float)
-    lons = np.full(n, 23.8) if lons is None else np.asarray(lons, dtype=float)
-    footprints = np.asarray(footprints, dtype=int)
-    ids = np.arange(1, n + 1) if ids is None else np.asarray(ids, dtype=int)
-    soundings = []
-    for i in range(n):
-        lf = None if land_fractions is None else land_fractions[i]
-        soundings.append(Sounding(int(ids[i]), GeoLocation(float(lats[i]), float(lons[i])),
-                                  int(footprints[i]), lf, radiance[i]))
-    return SpectralDataset(soundings, width, metadata)
+    """Assemble a dataset from parallel arrays (NaN = missing radiance, None =
+    absent land fraction)."""
+    n = len(lats)
+    lons = np.full(n, 23.8) if lons is None else lons
+    ids = np.arange(1, n + 1) if ids is None else ids
+    fractions = np.full(n, np.nan) if land_fractions is None else [
+        np.nan if lf is None else lf for lf in land_fractions]
+    return SpectralDataset(ids, lats, lons, footprints, fractions, radiance, metadata)
 
 
 def replace_sounding(ds, sounding_id, radiance=None, land_fraction="keep"):
     """Clone a dataset with one sounding's radiance or land fraction swapped."""
-    soundings = []
-    for s in ds.soundings:
-        if s.id == sounding_id:
-            rad = s.radiance if radiance is None else np.asarray(radiance, dtype=float)
-            lf = s.land_fraction if land_fraction == "keep" else land_fraction
-            soundings.append(Sounding(s.id, s.location, s.footprint, lf, rad))
-        else:
-            soundings.append(s)
-    return SpectralDataset(soundings, ds.grid_length, dict(ds.metadata))
+    i = ds.index_of(sounding_id)
+    rad = ds.radiance.copy()
+    if radiance is not None:
+        rad[i] = radiance
+    fractions = ds.land_fractions.copy()
+    if land_fraction != "keep":
+        fractions[i] = np.nan if land_fraction is None else land_fraction
+    return SpectralDataset(ds.ids, ds.latitudes, ds.longitudes, ds.footprints, fractions,
+                           rad, ds.metadata)
 
 
 @pytest.fixture

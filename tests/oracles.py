@@ -313,6 +313,26 @@ def moran_chunked_stats(z, nb, wts, n_perm, seed, chunk=128):
     return np.concatenate(out)
 
 
+def dataset_columns_by_row(rows, grid_length):
+    """A dataset's six columns gathered one row at a time.
+
+    ``rows`` holds (id, latitude, longitude, footprint, land fraction or None,
+    radiance) records. An absent land fraction becomes NaN and the radiance
+    rows are stacked with ``np.vstack``.
+    """
+    rows = list(rows)
+    return {
+        "ids": np.array([int(r[0]) for r in rows]),
+        "latitudes": np.array([float(r[1]) for r in rows]),
+        "longitudes": np.array([float(r[2]) for r in rows]),
+        "footprints": np.array([int(r[3]) for r in rows]),
+        "land_fractions": np.array([math.nan if r[4] is None else float(r[4])
+                                    for r in rows]),
+        "radiance": (np.vstack([np.asarray(r[5], dtype=float) for r in rows]) if rows
+                     else np.empty((0, grid_length))),
+    }
+
+
 def interpolate_radiance_point(ds, latitude, footprint, ws=None):
     """The interpolation baseline at one target: a scalar search, column by column.
 

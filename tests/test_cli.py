@@ -165,6 +165,10 @@ class TestImpute:
                     "--footprint", 4, "--out", out]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "target 0 at latitude 10.0" in err
+        assert run(["impute", "--model", model_path, "--lat", 35.05, "--lon", 500,
+                    "--footprint", 4, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "longitude 500.0 outside (-180, 180]" in err
         targets = tmp_path / "targets.csv"
         for lat in (lo - IMPUTE_MARGIN_DEG - 1e-6, hi + IMPUTE_MARGIN_DEG + 1e-6):
             targets.write_text("id,latitude,longitude,footprint\n"
@@ -707,3 +711,15 @@ def test_benchmark_tracer_targets_resolve():
         assert how in ("span", "count")
     krige_score = importlib.import_module("geofpca.geostat").krige_score
     assert importlib.import_module("geofpca.imputation").krige_score is krige_score
+
+
+@pytest.mark.parametrize("workload, files", [("region-impute", ["region.csv"]),
+                                             ("crosstrack-validate",
+                                              ["orbit.csv", "centers.json"])])
+def test_benchmark_inputs_build(workload, files, tmp_path):
+    """The benchmark's input writer runs against the library (a nonzero exit raises)."""
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    run_python("import runpy, sys; sys.argv = sys.argv[1:]; "
+               "runpy.run_path(sys.argv[0], run_name='__main__')",
+               script, workload, tmp_path)
+    assert all((tmp_path / name).stat().st_size > 0 for name in files)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geofpca.dataset import (GeoLocation, SpectralDataset, _parse_radiance,
-                             common_wavelengths, haversine_km, load_dataset,
-                             pairwise_distances, remove_cross_tracks, save_dataset,
-                             select_region, track_numbers)
+from geofpca.dataset import (SpectralDataset, _parse_radiance, common_wavelengths,
+                             haversine_km, load_dataset, pairwise_distances,
+                             remove_cross_tracks, save_dataset, select_region,
+                             track_numbers)
 from geofpca.errors import DataError
-from oracles import law_of_cosines_km, parse_radiance_cells
+from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
+                                simulate_orbit)
+from oracles import dataset_columns_by_row, law_of_cosines_km, parse_radiance_cells
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -57,13 +59,33 @@ class TestLoad:
         with pytest.raises(DataError, match="line 3: non-finite radiance w_2"):
             load_dataset(path)
 
-    def test_bad_footprint_names_row(self, tmp_path):
+    @pytest.mark.parametrize("row, message", [
+        ("2,34.1,23.0,9,,5", "line 3: footprint 9 outside 1..8"),
+        ("2,34.1,23.0,1,NaN,5", "line 3: land_fraction nan outside [0, 1]"),
+        ("2,34.1,23.0,1,1.5,5", "line 3: land_fraction 1.5 outside [0, 1]"),
+        ("2,91,23.0,1,,5", "line 3: latitude 91.0 outside [-90, 90]"),
+        ("2,34.1,-180,1,,5", "line 3: longitude -180.0 outside (-180, 180]"),
+        ("2,34.1,nan,1,,5", "line 3: non-finite geolocation (34.1, nan)"),
+        (f"{2**63},34.1,23.0,1,,5", f"line 3: id {2**63} outside the 64-bit integer range"),
+        ("1,34.1,23.0,1,,5", "line 3: duplicate sounding id 1"),
+    ], ids=["footprint-9", "land-fraction-nan", "land-fraction-1.5", "latitude-91",
+            "longitude-minus-180", "longitude-nan", "id-2**63", "duplicate-id"])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = write_csv(tmp_path, "\n".join([
             "id,latitude,longitude,footprint,land_fraction,w_1",
-            "1,34.0,23.0,9,,5",
+            "1,34.0,23.0,1,0.5,5", row, "3,34.2,23.0,0,,5",
         ]) + "\n")
-        with pytest.raises(DataError, match="line 2.*footprint 9"):
+        with pytest.raises(DataError) as err:
             load_dataset(path)
+        assert str(err.value) == message
+
+    def test_ids_are_int64_at_the_range_ends(self, tmp_path):
+        path = write_csv(tmp_path, "\n".join([
+            "id,latitude,longitude,footprint,land_fraction,w_1",
+            f"{-2**63},34.0,23.0,1,,5", f"{2**63 - 1},34.1,23.0,1,,6",
+        ]) + "\n")
+        ds = load_dataset(path)
+        assert ds.ids.dtype == np.int64 and ds.ids.tolist() == [-2**63, 2**63 - 1]
 
     def test_non_rectangular_row(self, tmp_path):
         path = write_csv(tmp_path, "\n".join([
@@ -134,7 +156,7 @@ def oracle_outcome(cells, line_no):
 
 def load_outcome(path):
     try:
-        return [s.radiance.view(np.uint64).tolist() for s in load_dataset(path).soundings]
+        return load_dataset(path).radiance.view(np.uint64).tolist()
     except DataError as e:
         return str(e)
 
@@ -173,7 +195,8 @@ class TestRadianceMatchesCellOracle:
 
 @st.composite
 def datasets(draw):
-    """Small datasets: any finite values, missing cells and absent land fractions."""
+    """Small datasets, with the rows they hold: any finite values, missing cells
+    and absent land fractions."""
     n = draw(st.integers(1, 8))
     width = draw(st.integers(1, 4))
     lats = draw(st.lists(st.floats(-90.0, 90.0), min_size=n, max_size=n, unique=True))
@@ -183,12 +206,14 @@ def datasets(draw):
     cell = st.floats(allow_infinity=False)  # NaN is a missing cell
     radiance = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
                              min_size=n, max_size=n))
-    return make_dataset(lats, footprints, radiance, lons=lons, land_fractions=fractions)
+    ds = make_dataset(lats, footprints, radiance, lons=lons, land_fractions=fractions)
+    return ds, list(zip(range(1, n + 1), lats, lons, footprints, fractions, radiance))
 
 
 @settings(max_examples=60, deadline=None)
 @given(datasets())
-def test_csv_save_load_save_is_byte_identical(ds):
+def test_csv_save_load_save_is_byte_identical(drawn):
+    ds, _ = drawn
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
         save_dataset(ds, first)
@@ -196,10 +221,43 @@ def test_csv_save_load_save_is_byte_identical(ds):
         assert first.read_bytes() == second.read_bytes()
 
 
+def assert_columns_match_rows(ds, rows):
+    for name, expected in dataset_columns_by_row(rows, ds.grid_length).items():
+        got = getattr(ds, name)
+        assert got.dtype == expected.dtype and not got.flags.writeable
+        assert got.shape == expected.shape
+        assert ((got == expected) | (np.isnan(got) & np.isnan(expected))
+                if got.dtype.kind == "f" else got == expected).all()
+
+
+class TestColumnsMatchRowOracle:
+    """Each column equals the one gathered row by row the way the per-row
+    containers did, NaN (missing or absent) in the same places."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets())
+    def test_drawn(self, drawn):
+        assert_columns_match_rows(*drawn)
+
+    def test_orbit(self):
+        ds, truth = simulate_orbit(OrbitConfig(n_tracks=6, seed=3, grid_length=10))
+        assert_columns_match_rows(ds, [
+            (sid, s.latitude, s.longitude, s.footprint, None, s.radiance)
+            for sid, s in zip(range(1, len(ds) + 1), map(ds.get, ds.ids))])
+        assert np.isnan(ds.land_fractions).all()
+
+    def test_mixed_transect(self):
+        ds, truth = simulate_mixed_transect(SimulationConfig(n_sites=9, seed=4))
+        fractions = {**dict.fromkeys(truth.water_ids, 0.0),
+                     **dict.fromkeys(truth.land_ids, 1.0), truth.mixed_id: truth.alpha}
+        assert_columns_match_rows(ds, [
+            (sid, s.latitude, s.longitude, s.footprint, fractions[sid], s.radiance)
+            for sid, s in zip(range(1, len(ds) + 1), map(ds.get, ds.ids))])
+
+
 class TestDistance:
     def test_identity(self):
-        p = GeoLocation(12.3, -45.6)
-        assert haversine_km(p.latitude, p.longitude, p.latitude, p.longitude) == 0.0
+        assert haversine_km(12.3, -45.6, 12.3, -45.6) == 0.0
 
     def test_one_degree_meridian(self):
         d = haversine_km(0.0, 0.0, 1.0, 0.0)
@@ -214,12 +272,11 @@ class TestDistance:
             assert ours == pytest.approx(ref, rel=1e-6, abs=1e-6)
 
     def test_triangle_inequality(self, rng):
-        pts = [GeoLocation(lat, lon) for lat, lon in
-               zip(rng.uniform(-60, 60, 30), rng.uniform(-170, 170, 30))]
+        pts = list(zip(rng.uniform(-60, 60, 30), rng.uniform(-170, 170, 30)))
         for a, b, c in zip(pts, pts[1:], pts[2:]):
-            dab = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
-            dbc = haversine_km(b.latitude, b.longitude, c.latitude, c.longitude)
-            dac = haversine_km(a.latitude, a.longitude, c.latitude, c.longitude)
+            dab = haversine_km(*a, *b)
+            dbc = haversine_km(*b, *c)
+            dac = haversine_km(*a, *c)
             assert dac <= dab + dbc + 1e-9
 
     def test_vectorized_matches_scalar(self):
@@ -245,7 +302,7 @@ class TestSelectRegion:
     def test_window_covering_all(self):
         ds = make_dataset([33.0, 34.0, 35.0], [1, 1, 1], np.ones((3, 2)))
         sub = select_region(ds, (30.0, 40.0))
-        assert [s.id for s in sub.soundings] == [1, 2, 3]
+        assert sub.ids.tolist() == [1, 2, 3]
 
     def test_window_covering_none(self):
         ds = make_dataset([33.0, 34.0], [1, 1], np.ones((2, 2)))
@@ -257,14 +314,14 @@ class TestSelectRegion:
         ds = make_dataset(lats, np.ones(60, dtype=int), rng.normal(size=(60, 3)))
         sub = select_region(ds, (34.0, 34.5))
         expected = [int(i) + 1 for i in np.flatnonzero((lats >= 34.0) & (lats <= 34.5))]
-        assert [s.id for s in sub.soundings] == expected
+        assert sub.ids.tolist() == expected
 
     def test_nested_windows_compose(self):
         ds = make_dataset(np.linspace(33, 36, 40), np.ones(40, dtype=int),
                           np.ones((40, 2)))
         once = select_region(ds, (34.2, 34.9))
         twice = select_region(select_region(ds, (34.0, 35.0)), (34.2, 34.9))
-        assert [s.id for s in once.soundings] == [s.id for s in twice.soundings]
+        assert once.ids.tolist() == twice.ids.tolist()
 
 
 class TestCommonWavelengths:
@@ -314,7 +371,7 @@ class TestCrossTracks:
         # track: each row's track number is its id's track digit either way.
         major = orbit_dataset()
         order = np.argsort(major.ids % 100, kind="stable")
-        interleaved = SpectralDataset([major.soundings[i] for i in order], 2)
+        interleaved = major.subset(order)
         for ds in (major, interleaved):
             tracks = track_numbers(ds)
             assert tracks.dtype.kind == "i"
@@ -332,35 +389,34 @@ class TestCrossTracks:
     def test_remove_r1(self):
         ds = orbit_dataset()
         train, held = remove_cross_tracks(ds, center=403, r=1)
-        assert sorted(s.id for s in held.soundings) == [100 * p + 3 for p in range(1, 9)]
+        assert sorted(held.ids.tolist()) == [100 * p + 3 for p in range(1, 9)]
         assert len(train) == len(ds) - 8
 
     def test_remove_r3_symmetric(self):
         ds = orbit_dataset()
         _, held = remove_cross_tracks(ds, center=403, r=3)
-        held_tracks = sorted(set(s.id % 100 for s in held.soundings))
+        held_tracks = sorted(set((held.ids % 100).tolist()))
         assert held_tracks == [2, 3, 4]
 
     def test_remove_r2_takes_one_before(self):
         ds = orbit_dataset()
         _, held = remove_cross_tracks(ds, center=403, r=2)
-        held_tracks = sorted(set(s.id % 100 for s in held.soundings))
+        held_tracks = sorted(set((held.ids % 100).tolist()))
         assert held_tracks == [2, 3]
 
     def test_remove_r8_even_rule(self):
         ds = orbit_dataset(12)
         _, held = remove_cross_tracks(ds, center=405, r=8)
-        held_tracks = sorted(set(s.id % 100 for s in held.soundings))
+        held_tracks = sorted(set((held.ids % 100).tolist()))
         assert held_tracks == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_partition_property(self, rng):
         ds = orbit_dataset(10)
         for r in range(1, 9):
             train, held = remove_cross_tracks(ds, center=404, r=r)
-            train_ids = {s.id for s in train.soundings}
-            held_ids = {s.id for s in held.soundings}
+            train_ids, held_ids = set(train.ids.tolist()), set(held.ids.tolist())
             assert not train_ids & held_ids
-            assert train_ids | held_ids == {s.id for s in ds.soundings}
+            assert train_ids | held_ids == set(ds.ids.tolist())
             assert len(held_ids) <= 8 * r
 
     def test_insufficient_tracks(self):
@@ -370,11 +426,36 @@ class TestCrossTracks:
 
 
 class TestValidation:
-    def test_latitude_bounds(self):
-        with pytest.raises(DataError):
-            GeoLocation(91.0, 0.0)
-        with pytest.raises(DataError):
-            GeoLocation(0.0, -180.0)
+    @pytest.mark.parametrize("column, value, message", [
+        ("footprints", 0, "sounding 12: footprint 0 outside 1..8"),
+        ("footprints", 4.5, "sounding 12: footprint 4.5 outside 1..8"),
+        ("latitudes", 91.0, "sounding 12: latitude 91.0 outside [-90, 90]"),
+        ("latitudes", -90.5, "sounding 12: latitude -90.5 outside [-90, 90]"),
+        ("longitudes", -180.0, "sounding 12: longitude -180.0 outside (-180, 180]"),
+        ("longitudes", math.inf, "sounding 12: non-finite geolocation (34.1, inf)"),
+        ("land_fractions", -0.25, "sounding 12: land_fraction -0.25 outside [0, 1]"),
+        ("ids", 11, "sounding 11: duplicate sounding id 11"),
+    ], ids=["footprint-0", "footprint-4.5", "latitude-91", "latitude-minus-90.5",
+            "longitude-minus-180", "longitude-inf", "land-fraction-minus-0.25",
+            "duplicate-id"])
+    def test_constructor_names_first_bad_sounding(self, column, value, message):
+        columns = {"ids": [11, 12, 13], "latitudes": [34.0, 34.1, 34.2],
+                   "longitudes": [23.8, 23.8, 180.0], "footprints": [1, 2, 8],
+                   "land_fractions": [0.0, np.nan, 1.0], "radiance": np.ones((3, 2))}
+        SpectralDataset(**columns)
+        columns[column] = [columns[column][0], value, columns["ids"][2]
+                           if column == "ids" else -1000]
+        with pytest.raises(DataError) as err:
+            SpectralDataset(**columns)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("latitudes, radiance", [
+        ([34.0] * 3, np.ones(3)), ([34.0] * 3, np.ones((2, 2))),
+        ([34.0] * 3, np.ones((3, 0))), ([34.0] * 2, np.ones((3, 2)))])
+    def test_columns_and_radiance_rows_share_one_length(self, latitudes, radiance):
+        with pytest.raises(DataError, match="radiance of shape"):
+            SpectralDataset([1, 2, 3], latitudes, [23.8] * 3, [1] * 3, [np.nan] * 3,
+                            radiance)
 
     def test_unique_ids(self):
         with pytest.raises(DataError, match="duplicate sounding id"):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_dataset
 from geofpca import geostat
-from geofpca.dataset import GeoLocation, haversine_km, pairwise_distances
+from geofpca.dataset import haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import (GRID_POINTS, PERM_ELEMENTS, EmpiricalVariogram,
@@ -389,14 +389,14 @@ def simple_fit(sill, range_km):
 class TestKrigeScore:
     def test_single_observation_returns_it(self):
         sf = score_field([35.0], np.array([3.25]), [0.0])
-        pred, var = krige_score(GeoLocation(35.5, 23.8), sf, 0, simple_fit(2.0, 10.0))
+        pred, var = krige_score((35.5, 23.8), sf, 0, simple_fit(2.0, 10.0))
         assert pred == 3.25
 
     def test_exact_interpolation_at_observed_location(self, rng):
         lats = transect_latitudes(6, 8.0)
         u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
         sf = score_field(lats, u, [0.0])
-        target = GeoLocation(float(lats[2]), 23.8)
+        target = (lats[2], 23.8)
         pred, var = krige_score(target, sf, 0, simple_fit(1.0, 10.0))
         assert pred == pytest.approx(u[2], abs=1e-8)
         assert var == pytest.approx(0.0, abs=1e-6)
@@ -410,13 +410,12 @@ class TestKrigeScore:
         taus = {p: np.array([0.05 + 0.01 * p]) for p in range(1, 9)}
         sf = score_field(lats, u, taus, lons=lons, footprints=fps)
         fit = simple_fit(2.3, 12.0)
-        target = GeoLocation(35.15, 23.02)
+        target = (35.15, 23.02)
         pred, var = krige_score(target, sf, 0, fit)
         cov = 2.3 * np.exp(-pairwise_distances(lats, lons) / 12.0)
         tau_i = np.array([0.05 + 0.01 * p for p in fps])
         np.fill_diagonal(cov, 2.3 + tau_i + 1e-8 * 2.3)
-        nu = 2.3 * np.exp(-haversine_km(target.latitude, target.longitude,
-                                        lats, lons) / 12.0)
+        nu = 2.3 * np.exp(-haversine_km(*target, lats, lons) / 12.0)
         pred_ref, var_ref = bordered_kriging(cov, nu, u, 2.3)
         assert pred == pytest.approx(pred_ref, abs=1e-8)
         assert var == pytest.approx(var_ref, abs=1e-8)
@@ -427,7 +426,7 @@ class TestKrigeScore:
         fps = rng.integers(1, 9, n)
         taus = {p: np.array([0.3 * p]) for p in range(1, 9)}  # any nugget
         sf = score_field(lats, np.full(n, c), taus, footprints=fps)
-        pred, _ = krige_score(GeoLocation(35.4, 23.8), sf, 0, simple_fit(1.7, 9.0))
+        pred, _ = krige_score((35.4, 23.8), sf, 0, simple_fit(1.7, 9.0))
         assert pred == pytest.approx(c, abs=1e-10)
 
     def test_translation_equivariance(self, rng):
@@ -436,7 +435,7 @@ class TestKrigeScore:
         u = rng.normal(0, 1.2, n)
         sf1 = score_field(lats, u, [0.2])
         sf2 = score_field(lats, u + shift, [0.2])
-        target = GeoLocation(35.07, 23.8)
+        target = (35.07, 23.8)
         p1, _ = krige_score(target, sf1, 0, simple_fit(1.5, 11.0))
         p2, _ = krige_score(target, sf2, 0, simple_fit(1.5, 11.0))
         assert p2 - p1 == pytest.approx(shift, abs=1e-10)
@@ -447,14 +446,13 @@ class TestKrigeScore:
         u = rng.normal(0, 1.0, n)
         sf = score_field(lats, u, [0.4])
         for lat in np.linspace(34.9, 35.7, 9):
-            _, var = krige_score(GeoLocation(float(lat), 23.8), sf, 0,
-                                 simple_fit(2.0, 8.0))
+            _, var = krige_score((lat, 23.8), sf, 0, simple_fit(2.0, 8.0))
             assert var >= 0.0
 
     def test_reduced_predictor(self, rng):
         u = rng.normal(0, 1.0, 12)
         sf = score_field(transect_latitudes(12), u, [0.1])
-        pred, var = krige_score(GeoLocation(35.0, 23.8), sf, 0, None,
+        pred, var = krige_score((35.0, 23.8), sf, 0, None,
                                 dependent=False, marginal_variance=3.3)
         assert pred == pytest.approx(float(u.mean()), abs=1e-12)
         assert var == 3.3
@@ -462,7 +460,7 @@ class TestKrigeScore:
     def test_reduced_needs_marginal_variance(self, rng):
         sf = score_field(transect_latitudes(5), rng.normal(size=5), [0.1])
         with pytest.raises(DataError, match="marginal variance"):
-            krige_score(GeoLocation(35.0, 23.8), sf, 0, None, dependent=False)
+            krige_score((35.0, 23.8), sf, 0, None, dependent=False)
 
 
 class TestKrigingSystem:

@@ -107,7 +107,7 @@ class TestImputeRadiance:
         model = fit_geofpca(ds, FitConfig(n_perm=99))
         assert model.basis.K == 2
         for i in (3, 17, 30, 40):
-            s = ds.soundings[i]
+            s = ds.get(ds.ids[i])
             imputed = impute_radiance(model, [s.latitude], [s.longitude],
                                       [s.footprint])[0]
             assert rrmse(imputed, s.radiance) < 1e-6
@@ -138,7 +138,7 @@ class TestImputeRadiance:
         from geofpca.dataset import remove_cross_tracks
         train, held = remove_cross_tracks(region, center=10, r=1)
         model = fit_geofpca(train, FitConfig(n_perm=99))
-        s = held.soundings[0]
+        s = held.get(held.ids[0])
         imputed = impute_radiance(model, [s.latitude], [s.longitude], [s.footprint])[0]
         # Rebuild the prediction from scratch: mean, per-component bordered
         # kriging (or the score mean), then the basis reconstruction.

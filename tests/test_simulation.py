@@ -86,8 +86,8 @@ class TestMixedTransect:
             simulate_mixed_transect(SimulationConfig(rho=0.0, seed=(2000, i)))[1]
             .water_scores[:2, 0] for i in range(1000)])
         ds, _ = simulate_mixed_transect(SimulationConfig(rho=0.0, seed=(2000, 0)))
-        a, b = ds.soundings[0].location, ds.soundings[1].location
-        d = haversine_km(a.latitude, a.longitude, b.latitude, b.longitude)
+        lat, lon = ds.latitudes, ds.longitudes
+        d = haversine_km(lat[0], lon[0], lat[1], lon[1])
         expected = 5.0 * np.exp(-d / 10.0)
         emp = np.cov(pairs.T)[0, 1]
         assert emp == pytest.approx(expected, rel=0.10)

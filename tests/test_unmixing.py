@@ -252,8 +252,8 @@ class TestInterpolationLandFraction:
         pos = np.asarray(common) - 1
         nearest = {}
         for label, (lo, hi) in spec.endmember_windows().items():
-            pool = [s for s in ds.soundings
-                    if lo <= s.latitude <= hi and s.footprint == target.footprint]
+            pool = [ds.get(sid) for sid in ds.ids[(ds.latitudes >= lo) & (ds.latitudes <= hi)
+                                                  & (ds.footprints == target.footprint)]]
             nearest[label] = min(pool, key=lambda s: haversine_km(
                 target.latitude, target.longitude, s.latitude, s.longitude)).radiance[pos]
         obs = target.radiance[pos]

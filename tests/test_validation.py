@@ -115,7 +115,7 @@ class TestSelectCenters:
         obs_mask = np.array([observed[int(i)] for i in ds.ids])
         expected = []
         n_tracks = 14
-        for i, s in enumerate(ds.soundings):
+        for i, s in enumerate(map(ds.get, ds.ids)):
             if s.footprint != 4 or not observed[s.id]:
                 continue
             t = i % n_tracks
