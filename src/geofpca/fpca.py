@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import SpectralDataset, WavelengthSet, haversine_km, pairwise_distances
+from .dataset import (DISTANCE_BLOCK, SpectralDataset, WavelengthSet, haversine_km,
+                      pairwise_distances)
 from .errors import DataError, NumericalError
 from .mean_model import MeanModel, evaluate_mean_rows
 
@@ -108,14 +109,22 @@ class ScoreField:
     def nearest(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Each sounding's m nearest other soundings and their distances (two n x m arrays).
 
-        Ties keep sounding order. Computed once per m and read-only; every
-        component's spatial screen shares it.
+        Ties keep sounding order: per block of DISTANCE_BLOCK rows, the entries
+        up to each row's m-th smallest are sorted by (distance, column). Computed
+        once per m and read-only; every component's spatial screen shares it.
         """
         if self._nearest is None or self._nearest[0].shape[1] != m:
-            d = self.distances().copy()
-            np.fill_diagonal(d, np.inf)
-            nb = np.argsort(d, axis=1, kind="stable")[:, :m]
-            d_nb = d[np.arange(d.shape[0])[:, None], nb]
+            d = self.distances()
+            nb, d_nb = np.empty((len(d), m), dtype=np.intp), np.empty((len(d), m))
+            for start in range(0, len(d), DISTANCE_BLOCK):
+                block = d[start:start + DISTANCE_BLOCK].copy()
+                rows = np.arange(block.shape[0])
+                block[rows, start + rows] = np.inf
+                kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
+                r, c = np.nonzero(block <= kth)  # row-major: r ascending
+                dist = block[r, c]
+                take = np.lexsort((c, dist, r))[np.searchsorted(r, rows)[:, None] + np.arange(m)]
+                nb[start + rows], d_nb[start + rows] = c[take], dist[take]
             nb.flags.writeable = d_nb.flags.writeable = False
             self._nearest = (nb, d_nb)
         return self._nearest
@@ -126,10 +135,11 @@ class ScoreField:
         The bins split [0, max_fraction * largest pair distance] into
         ``n_bins`` equal widths, closed on the left and the last also on the
         right; farther pairs are left out. Bin b holds pairs
-        ``starts[b]:starts[b] + counts[b]`` of ``i, j``, in row-major order,
-        so a mean over a bin's slice sums exactly as over those pairs in
-        ``triu`` order. Computed once per binning and read-only; every
-        component's semivariogram shares it.
+        ``starts[b]:starts[b] + counts[b]`` of the int32 arrays ``i, j``, in
+        row-major order, so a mean over a bin's slice sums exactly as over
+        those pairs in ``triu`` order. Two passes over blocks of rows count,
+        then place, each block's pairs. Computed once per binning and
+        read-only; every component's semivariogram shares it.
         """
         key = (n_bins, max_fraction)
         if self._pair_bins is None or self._pair_bins[0] != key:
@@ -137,18 +147,35 @@ class ScoreField:
             h_max = d.max() * max_fraction
             if h_max <= 0:
                 raise DataError("all pairwise distances are zero")
-            i, j = np.nonzero(np.triu(d <= h_max, 1))
-            d_ij = d[i, j]
-            which = np.digitize(d_ij, np.linspace(0.0, h_max, n_bins + 1)[1:-1])
-            order = np.argsort(which, kind="stable")
-            i, j, d_ij = i[order], j[order], d_ij[order]
-            counts = np.bincount(which, minlength=n_bins)
+            edges = np.linspace(0.0, h_max, n_bins + 1)[1:-1]
+            block_starts = range(0, d.shape[0], DISTANCE_BLOCK)
+
+            def block_pairs(start):
+                """Row-major pairs in range of rows start.. (j > i), and their bins."""
+                i, j = np.nonzero(np.triu(d[start:start + DISTANCE_BLOCK, start:] <= h_max, 1))
+                i, j = i + start, j + start
+                # A small bin dtype lets the stable argsort below be a radix sort.
+                return i, j, np.digitize(d[i, j], edges).astype(np.min_scalar_type(n_bins))
+
+            block_counts = np.array([np.bincount(block_pairs(a)[2], minlength=n_bins)
+                                     for a in block_starts])
+            counts = block_counts.sum(axis=0)
             starts = np.cumsum(counts) - counts
-            mean_d = np.array([d_ij[a:a + c].mean() if c else np.nan
+            i_all, j_all = (np.empty(counts.sum(), dtype=np.int32) for _ in range(2))
+            # A block's k-th pair in bin order goes to k + shift[its bin]: after the
+            # earlier bins' pairs and this bin's pairs from earlier blocks.
+            shift = (starts + np.cumsum(block_counts, axis=0) - block_counts
+                     - (np.cumsum(block_counts, axis=1) - block_counts))
+            for a, s in zip(block_starts, shift):
+                i, j, which = block_pairs(a)
+                order = np.argsort(which, kind="stable")
+                dest = s[which[order]] + np.arange(which.size)
+                i_all[dest], j_all[dest] = i[order], j[order]
+            mean_d = np.array([d[i_all[a:a + c], j_all[a:a + c]].mean() if c else np.nan
                                for a, c in zip(starts, counts)])
-            tables = (i, j, starts, counts, mean_d)
-            for a in tables:
-                a.flags.writeable = False
+            tables = (i_all, j_all, starts, counts, mean_d)
+            for t in tables:
+                t.flags.writeable = False
             self._pair_bins = (key, tables)
         return self._pair_bins[1]
 

@@ -25,7 +25,7 @@ from .fpca import ScoreField
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
 PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (b permutations x n)
-SOLVE_BLOCK = 64  # rows per block of the forward substitution
+SOLVE_BLOCK = 64  # rows per forward-solve block, columns per Cholesky step
 GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
 GRID_RTOL = 1e-9  # start-grid points this close to the broadcast minimum are re-scored
 XATOL, FATOL, MAXITER = 1e-10, 1e-12, 2000  # Nelder-Mead stopping rule
@@ -138,15 +138,16 @@ def empirical_semivariogram(scores: ScoreField, k: int,
     i, j, starts, counts, mean_d = scores.binned_pairs(bins.n_bins, bins.max_fraction)
     u = scores.component(k)
     tau = scores.tau_for(scores.footprints, k)
-    sq = 0.5 * (u[i] - u[j]) ** 2
-    nug = 0.5 * (tau[i] + tau[j])
     keep = np.flatnonzero(counts >= bins.min_pairs)
     if not keep.size:
         raise DataError(
             f"no variogram bin retained >= {bins.min_pairs} pairs (n={n})"
         )
-    values = [sq[a:a + c].mean() - nug[a:a + c].mean()
-              for a, c in zip(starts[keep], counts[keep])]
+    values = []
+    # One bin's pairs at a time, by intp index: numpy casts int32 ones at every gather.
+    for a, c in zip(starts[keep], counts[keep]):
+        ib, jb = i[a:a + c].astype(np.intp), j[a:a + c].astype(np.intp)
+        values.append((0.5 * (u[ib] - u[jb]) ** 2).mean() - (0.5 * (tau[ib] + tau[jb])).mean())
     return EmpiricalVariogram(mean_d[keep], counts[keep], np.array(values))
 
 
@@ -332,6 +333,23 @@ def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
     return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
 
 
+def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor L (a = L L').
+
+    Left-looking by SOLVE_BLOCK columns: update the block column from the
+    factored ones, factor its diagonal block, solve the panel below, and zero
+    the strict upper triangle. Raises ``LinAlgError`` where ``a`` is not SPD.
+    """
+    for start in range(0, a.shape[0], SOLVE_BLOCK):
+        stop = start + SOLVE_BLOCK
+        a[start:, start:stop] -= a[start:, :start] @ a[start:stop, :start].T
+        diag = np.linalg.cholesky(a[start:stop, start:stop])
+        a[start:stop, start:stop] = diag
+        a[stop:, start:stop] = np.linalg.solve(diag, a[stop:, start:stop].T).T
+        a[start:stop, stop:] = 0.0
+    return a
+
+
 def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L X = B for lower-triangular L (n x n) by blocks of SOLVE_BLOCK rows.
 
@@ -385,7 +403,7 @@ class KrigingSystem:
         cov *= sill
         np.fill_diagonal(cov, sill + tau + JITTER * sill)
         try:
-            chol = np.linalg.cholesky(cov)
+            chol = _cholesky_in_place(cov)
         except np.linalg.LinAlgError as e:
             raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
         h = _forward_solve(chol, np.column_stack([u, np.ones_like(u)]))

@@ -232,12 +232,16 @@ def interpolate_radiance(ds: SpectralDataset, latitudes, footprints,
 
     The baseline method: each target's wavelength is interpolated between the
     nearest soundings of its footprint below and above its latitude, with
-    nearest-value extrapolation outside the observed range.
+    nearest-value extrapolation outside the observed range; a latitude outside
+    [-90, 90] is refused.
     """
     x = np.asarray(latitudes, dtype=float)
     fps = np.asarray(footprints)
     if x.ndim != 1 or fps.shape != x.shape or not np.isfinite(x).all():
         raise DataError("need one finite target latitude per footprint")
+    bad = coordinate_violation(x, np.zeros_like(x))
+    if bad is not None:
+        raise DataError(f"target at position {bad[0]}: {bad[1]}")
     pos = ws.positions if ws is not None else np.arange(ds.grid_length)
     out = np.empty((x.size, pos.size))
     for p in np.unique(fps):

@@ -14,7 +14,6 @@ import ctypes
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 # Extension modules linking an OpenBLAS, with the symbol suffix of that copy:
 # numpy's 64-bit-integer build and scipy's own.
@@ -74,6 +73,7 @@ def map_tasks(fn, shared, tasks: list, threads: int = 1, chunksize: int = 1) -> 
     """
     if threads <= 1:
         return [fn(shared, t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
                              initargs=(fn, shared)) as pool:
         return list(pool.map(_run_task, tasks, chunksize=chunksize))

@@ -111,6 +111,42 @@ def triangular_solve(chol, rhs):
     return solve_triangular(chol, rhs, lower=True)
 
 
+def argsort_nearest(dist, m):
+    """Each point's m nearest other points by a stable argsort of every full row.
+
+    The neighbour table as the library built it from a copy of the whole
+    distance matrix. Returns (n x m indices, n x m distances).
+    """
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    nb = np.argsort(d, axis=1, kind="stable")[:, :m]
+    d_nb = d[np.arange(d.shape[0])[:, None], nb]
+    return nb, d_nb
+
+
+def triu_binned_pairs(dist, n_bins, max_fraction):
+    """Pairs i < j grouped by distance bin, from full upper-triangle arrays.
+
+    The pair table as the library built it over all pairs at once: the
+    ``triu`` mask, ``digitize`` and a stable argsort by bin. Returns
+    (i, j, bin starts, bin counts, bin mean distances).
+    """
+    d = dist
+    h_max = d.max() * max_fraction
+    if h_max <= 0:
+        raise DataError("all pairwise distances are zero")
+    i, j = np.nonzero(np.triu(d <= h_max, 1))
+    d_ij = d[i, j]
+    which = np.digitize(d_ij, np.linspace(0.0, h_max, n_bins + 1)[1:-1])
+    order = np.argsort(which, kind="stable")
+    i, j, d_ij = i[order], j[order], d_ij[order]
+    counts = np.bincount(which, minlength=n_bins)
+    starts = np.cumsum(counts) - counts
+    mean_d = np.array([d_ij[a:a + c].mean() if c else np.nan
+                       for a, c in zip(starts, counts)])
+    return i, j, starts, counts, mean_d
+
+
 def allpairs_variogram(lat, lon, u, tau, edges, min_pairs, dist_fn):
     """Binned nugget-corrected semivariogram by an explicit double loop."""
     n = len(u)

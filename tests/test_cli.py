@@ -361,6 +361,12 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    loaded = run_python("import geofpca.cli, sys; print(sorted(m for m in sys.modules "
+                        "if m == 'multiprocessing' or m == 'concurrent.futures.process'))")
+    assert loaded == "[]"
+
+
 def scipy_loaded_by(*args):
     """(exit code, scipy modules loaded) of one CLI command in a fresh process."""
     out = run_python("import sys; from geofpca.cli import main; code = main(sys.argv[1:]); "

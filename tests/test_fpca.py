@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet
 from geofpca.errors import DataError, NumericalError
-from geofpca.fpca import (CovarianceMatrix, FpcaBasis, compute_score_noise_variance,
-                          compute_scores, eigendecompose, estimate_error_covariance,
-                          estimate_signal_covariance)
+from geofpca.fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
+                          compute_score_noise_variance, compute_scores, eigendecompose,
+                          estimate_error_covariance, estimate_signal_covariance)
 from geofpca.mean_model import fit_mean_model
-from oracles import jacobi_eigh, quadratic_form_loop, two_pass_signal_covariance
+from oracles import (argsort_nearest, jacobi_eigh, quadratic_form_loop, triu_binned_pairs,
+                     two_pass_signal_covariance)
 
 WS3 = WavelengthSet((1, 2, 3))
 
@@ -331,3 +332,66 @@ def test_interleaving_footprints_keeps_mean_eigenpairs_and_tau(seed, order):
     assert basis_a.K == basis_b.K
     assert_close(basis_a.eigenvalues, basis_b.eigenvalues)
     assert_close(basis_a.eigenvectors, basis_b.eigenvectors)
+
+
+def location_field(lats, lons):
+    n = len(lats)
+    return ScoreField(np.arange(n), np.zeros((n, 1)), np.asarray(lats, dtype=float),
+                      np.asarray(lons, dtype=float), np.full(n, 4), {4: np.zeros(1)})
+
+
+def random_field(n):
+    rng = np.random.default_rng(n)
+    return location_field(35.0 + rng.uniform(0.0, 0.6, n), 23.8 + rng.uniform(-0.05, 0.05, n))
+
+
+def lattice_field(side=16, step=0.01):
+    """A regular lattice: many of its distances tie exactly."""
+    k, l = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    return location_field(35.0 + step * k.ravel(), 23.75 + step * l.ravel())
+
+
+def assert_tables_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestSpatialTablesMatchFullMatrixOracles:
+    """The row-block neighbour and pair tables equal the whole-matrix builds."""
+
+    @pytest.mark.parametrize("n", [2, 20, 63, 64, 65, 264, 1200])
+    def test_nearest(self, n):
+        sf = random_field(n)
+        for m in sorted({1, min(10, n - 1), n - 1}):
+            got = sf.nearest(m)
+            assert_tables_equal(got, argsort_nearest(sf.distances(), m))
+            assert all(a.base is None and not a.flags.writeable for a in got)
+
+    @pytest.mark.parametrize("n", [2, 20, 63, 64, 65, 264, 1200])
+    def test_binned_pairs(self, n):
+        sf = random_field(n)
+        for n_bins, max_fraction in ((15, 0.5), (8, 1.0)):
+            got = sf.binned_pairs(n_bins, max_fraction)
+            assert got[0].dtype == got[1].dtype == np.int32
+            assert_tables_equal(got, triu_binned_pairs(sf.distances(), n_bins, max_fraction))
+
+    def test_lattice_ties(self):
+        sf = lattice_field()
+        d = sf.distances().copy()
+        np.fill_diagonal(d, np.inf)
+        ordered = np.sort(d, axis=1)
+        n = d.shape[0]
+        boundary_ties = 0
+        for m in (1, 2, 3, 4, 10, n - 1):
+            boundary_ties += int((ordered[:, m - 1] == ordered[:, min(m, n - 1)]).sum())
+            assert_tables_equal(sf.nearest(m), argsort_nearest(sf.distances(), m))
+        assert boundary_ties > 0  # some row's m-th neighbour ties with the next
+        for n_bins, max_fraction in ((15, 0.5), (8, 1.0), (4, 0.25)):
+            assert_tables_equal(sf.binned_pairs(n_bins, max_fraction),
+                                triu_binned_pairs(sf.distances(), n_bins, max_fraction))
+
+    def test_all_distances_zero_raises(self):
+        with pytest.raises(DataError, match="all pairwise distances are zero"):
+            location_field([35.0, 35.0], [23.8, 23.8]).binned_pairs(15, 0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from geofpca.dataset import haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import (GRID_POINTS, PERM_ELEMENTS, EmpiricalVariogram,
-                             KrigingSystem, VariogramBins, _forward_solve,
-                             _permuted_moran, _wls_weights,
+                             KrigingSystem, VariogramBins, _cholesky_in_place,
+                             _forward_solve, _permuted_moran, _wls_weights,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, spatial_dependence_test)
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
                      moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
-                     triangular_solve)
+                     triangular_solve, triu_binned_pairs)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -76,6 +78,28 @@ class TestEmpiricalSemivariogram:
             assert ev.distances[i] == pytest.approx(h, abs=1e-12)
             assert ev.counts[i] == count
             assert ev.values[i] == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 264, 1200])
+    def test_values_equal_all_pair_arrays(self, n):
+        """Gathering one bin at a time gives the all-pairs means to the bit."""
+        rng = np.random.default_rng(n)
+        lats = 35.0 + rng.uniform(0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        fps = rng.integers(1, 9, n)
+        u = np.sin(20.0 * lats) + rng.normal(0, 1.0, n)
+        sf = score_field(lats, u, {p: np.array([0.1 * p]) for p in range(1, 9)},
+                         lons=lons, footprints=fps)
+        bins = VariogramBins()
+        ev = empirical_semivariogram(sf, 0, bins)
+        i, j, starts, counts, mean_d = triu_binned_pairs(sf.distances(), bins.n_bins,
+                                                         bins.max_fraction)
+        tau = 0.1 * fps
+        sq, nug = 0.5 * (u[i] - u[j]) ** 2, 0.5 * (tau[i] + tau[j])
+        keep = counts >= bins.min_pairs
+        expected = [sq[a:a + c].mean() - nug[a:a + c].mean()
+                    for a, c in zip(starts[keep], counts[keep])]
+        assert np.array_equal(ev.values, expected)
+        assert np.array_equal(ev.distances, mean_d[keep])
 
     def test_sparse_bins_dropped(self, rng):
         sf = score_field(transect_latitudes(12), rng.normal(size=12), [0.0])
@@ -511,6 +535,17 @@ class TestKrigingSystem:
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, triangular_solve(chol, rhs), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    def test_in_place_cholesky_matches_lapack(self, rng, n):
+        lats = 35.0 + rng.uniform(0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
+        expected = np.linalg.cholesky(cov)
+        got = _cholesky_in_place(cov)
+        assert got is cov
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not np.triu(got, 1).any()
+
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
         pred, var = KrigingSystem(sf, 0, simple_fit(1.0, 10.0)).predict([], [])
@@ -523,3 +558,48 @@ class TestKrigingSystem:
         assert not d.flags.writeable
         np.testing.assert_array_equal(np.diag(d), 0.0)
         np.testing.assert_array_equal(d, pairwise_distances(sf.latitudes, sf.longitudes))
+
+
+class TestMemoryPeaks:
+    """Traced peaks of the n^2 steps, in units of one n x n float64 array.
+
+    numpy reports its buffers to tracemalloc, so these bounds hold on any
+    machine. The distance matrix is built before each step is traced.
+    """
+
+    n = 600
+
+    @pytest.fixture
+    def field(self):
+        rng = np.random.default_rng(600)
+        lats = 35.0 + rng.uniform(0, 0.6, self.n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, self.n)
+        sf = score_field(lats, rng.standard_normal(self.n), [0.1], lons=lons)
+        sf.distances()
+        return sf
+
+    def traced_peak(self, step):
+        """(result, peak bytes above the start, in n^2 float64 units)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, (peak - base) / (self.n * self.n * 8)
+
+    def test_nearest(self, field):
+        m = 10
+        (nb, d_nb), peak = self.traced_peak(lambda: field.nearest(m))
+        assert peak <= 0.5
+        assert nb.base is None and d_nb.base is None
+        assert nb.nbytes + d_nb.nbytes <= 2 * self.n * m * 8
+
+    def test_binned_pairs(self, field):
+        _, peak = self.traced_peak(lambda: field.binned_pairs(15, 0.5))
+        assert peak <= 1.25
+
+    def test_kriging_system(self, field):
+        _, peak = self.traced_peak(lambda: KrigingSystem(field, 0, simple_fit(2.0, 10.0)))
+        assert peak <= 1.25

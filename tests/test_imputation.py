@@ -352,6 +352,14 @@ class TestInterpolateRadiance:
         got = interpolate_radiance(ds, [34.1], [4], WavelengthSet((1, 3)))
         np.testing.assert_allclose(got, [[3.0, 2.0]])
 
+    def test_rejects_latitude_outside_range(self):
+        ds = make_dataset([34.0, 34.2], [4, 4], np.ones((2, 2)))
+        for lats in ([500.0], [34.1, -90.5]):
+            with pytest.raises(DataError, match=f"target at position {len(lats) - 1}: "
+                                                r"latitude .* outside \[-90, 90\]"):
+                interpolate_radiance(ds, lats, [4] * len(lats))
+        assert interpolate_radiance(ds, [90.0, -90.0], [4, 4]).shape == (2, 2)
+
 
 class TestInterpolateRadianceMatchesPointOracle:
     """The batched baseline equals the per-target search value for value."""
