@@ -28,7 +28,7 @@ from .mean_model import MeanModel, evaluate_mean_at, fit_mean_model
 from .simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
                          run_unmixing_study, simulate_error_process,
                          simulate_mixed_transect, simulate_orbit, synthetic_profile)
-from .unmixing import (LandFractionEstimate, MixedRegionSpec, detect_mixed_region,
-                       estimate_land_fraction, smooth_scores, unmix_region)
+from .unmixing import (MixedRegionSpec, detect_mixed_region, estimate_land_fraction,
+                       smooth_scores, unmix_region)
 from .validation import (ExperimentReport, rmspe, rrmse,
                          run_imputation_experiment, select_centers)

@@ -236,29 +236,25 @@ def cmd_unmix(cfg: dict) -> int:
     print(f"mixed window [{spec.m_window[0]!r}, {spec.m_window[1]!r}] "
           f"delta0={spec.delta0!r} references {spec.s1_label}/{spec.s2_label} "
           f"qualified={spec.qualified}")
-    estimates, _ = unmix_region(ds, spec, fit_cfg)
-    by_id: dict[int, dict[str, float]] = {}
-    for e in estimates:
-        by_id.setdefault(e.sounding_id, {})[e.method] = e.alpha
+    alphas, _ = unmix_region(ds, spec, fit_cfg)
+    alphas = {method: a.tolist() for method, a in alphas.items()}
     lines = ["id,latitude,longitude,footprint,alpha_unmix,alpha_interp,alpha_reported"]
-    for sid in spec.mixed_ids:
+    for sid, a_u, a_i in zip(spec.mixed_ids, alphas["unmixing"], alphas["interpolation"]):
         s = ds.get(sid)
         reported = "" if s.land_fraction is None else repr(s.land_fraction)
         lines.append(f"{sid},{s.latitude!r},{s.longitude!r},{s.footprint},"
-                     f"{by_id[sid]['unmixing']!r},{by_id[sid]['interpolation']!r},"
-                     f"{reported}")
+                     f"{a_u!r},{a_i!r},{reported}")
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
     print(f"land fractions for {len(spec.mixed_ids)} soundings written to {cfg['out']}")
 
     if cfg.get("summary"):
         summary: dict = {"n_mixed": len(spec.mixed_ids), "qualified": spec.qualified,
                          "delta0": spec.delta0}
-        for method in ("unmixing", "interpolation"):
-            vals = {sid: by_id[sid][method] for sid in spec.mixed_ids}
-            if truth:
-                errs = [(vals[sid] - truth[sid]) ** 2 for sid in vals if sid in truth]
-                summary[f"mse_{method}"] = sum(errs) / len(errs) if errs else None
         if truth:
+            for method, values in alphas.items():
+                errs = [(v - truth[sid]) ** 2 for sid, v in zip(spec.mixed_ids, values)
+                        if sid in truth]
+                summary[f"mse_{method}"] = sum(errs) / len(errs) if errs else None
             errs = [(ds.get(sid).land_fraction - truth[sid]) ** 2
                     for sid in spec.mixed_ids
                     if sid in truth and ds.get(sid).land_fraction is not None]

@@ -32,7 +32,7 @@ from .geostat import (WEIGHT_SCHEMES, KrigingSystem, SpatialTestResult, Variogra
 from .geostat import krige_score  # noqa: F401
 from .mean_model import COVARIATE_MODES, MeanModel, evaluate_mean_at, fit_mean_model
 
-ScoreTransform = Callable[[ScoreField, SpectralDataset], ScoreField]
+ScoreTransform = Callable[[ScoreField], ScoreField]
 
 
 @dataclass
@@ -69,6 +69,7 @@ class FitConfig:
             (self.n_perm >= 99, f"n_perm {self.n_perm} < 99: too few permutations "
                                 "for the spatial dependence screen"),
             (0.0 < self.alpha < 1.0, f"alpha {self.alpha} outside (0, 1)"),
+            (self.seed >= 0, f"seed {self.seed} must be >= 0"),
         ):
             if not ok:
                 raise DataError(problem)
@@ -156,7 +157,7 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     scores = _stage("scores", compute_scores, ds, mean, basis)
     scores.taus = {p: compute_score_noise_variance(errs[p], basis) for p in errs}
     if score_transform is not None:
-        scores = _stage("score-smoothing", score_transform, scores, ds)
+        scores = _stage("score-smoothing", score_transform, scores)
 
     tests: list[SpatialTestResult | None] = []
     fits: list[VariogramFit | None] = []

@@ -59,6 +59,8 @@ def synthetic_profile(m: int, kind: str) -> EndmemberProfile:
     difference is affine in the wavelength index, and both component sets are
     orthogonal to that affine family.
     """
+    if m < 1:
+        raise DataError(f"grid_length {m} must be >= 1")
     x = np.linspace(0.0, 1.0, m)
     shared = (-10.0 * np.exp(-((x - 0.35) / 0.06) ** 2)
               - 6.0 * np.exp(-((x - 0.7) / 0.05) ** 2)
@@ -81,26 +83,28 @@ def synthetic_profile(m: int, kind: str) -> EndmemberProfile:
 def simulate_error_process(sigma: np.ndarray, seed: Seed | None = None,
                            rng: np.random.Generator | None = None,
                            indices: np.ndarray | None = None) -> np.ndarray:
-    """One draw of the correlated error process, scaled by ``sigma``.
+    """Draws of the correlated error process, scaled by ``sigma``.
 
     The process is a random combination of one sine and one cosine over the
     wavelength-index domain, normalized so its pointwise variance is one.
+    ``sigma`` of shape (..., m) gives one independent draw per row, the same
+    draws as one call per row in row order.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if (sigma < 0).any() or not np.all(np.isfinite(sigma)):
         raise DataError("sigma must be finite and nonnegative")
     if rng is None:
         rng = np.random.default_rng(seed)
     if indices is None:
-        indices = np.arange(1, sigma.size + 1, dtype=float)
+        indices = np.arange(1, sigma.shape[-1] + 1, dtype=float)
     c_w = float(len(indices))
     amp = 1.0 / math.sqrt(c_w / 2.0)
     phase = np.pi * (np.asarray(indices, dtype=float) - indices[0]) / c_w
-    nu = rng.normal(0.0, math.sqrt(c_w / 2.0), size=2)
-    return sigma * (nu[0] * amp * np.sin(phase) + nu[1] * amp * np.cos(phase))
+    nu = rng.normal(0.0, math.sqrt(c_w / 2.0), size=sigma.shape[:-1] + (2,))
+    return sigma * (nu[..., :1] * amp * np.sin(phase) + nu[..., 1:] * amp * np.cos(phase))
 
 
-def _gp_covariance(lat, lon, sill, range_km, kernel):
+def _draw_gp(rng, lat, lon, sill, range_km, kernel):
     d = pairwise_distances(np.asarray(lat), np.asarray(lon))
     if kernel == "exponential":
         cov = sill * np.exp(-d / range_km)
@@ -108,12 +112,46 @@ def _gp_covariance(lat, lon, sill, range_km, kernel):
         cov = sill * np.exp(-((d / range_km) ** 2))
     else:
         raise DataError(f"unknown covariance kernel {kernel!r}")
-    return cov + 1e-10 * sill * np.eye(d.shape[0])
-
-
-def _draw_gp(rng, lat, lon, sill, range_km, kernel):
-    chol = np.linalg.cholesky(_gp_covariance(lat, lon, sill, range_km, kernel))
+    chol = np.linalg.cholesky(cov + 1e-10 * sill * np.eye(d.shape[0]))
     return chol @ rng.standard_normal(len(lat))
+
+
+@dataclass
+class ComponentSpec:
+    """One component field: 'gp' (sill, range, kernel) or 'iid' (variance)."""
+
+    kind: str
+    variance: float
+    range_km: float | None = None
+    kernel: str = "exponential"
+
+
+def _component_fields(rng: np.random.Generator, lat: np.ndarray, lon: np.ndarray,
+                      components: tuple[ComponentSpec, ...],
+                      profile: EndmemberProfile) -> np.ndarray:
+    """One score column per component, drawn in order at the sites (lat, lon)."""
+    m, supported = profile.eigenvectors.shape
+    if len(components) > supported:
+        raise DataError(f"grid_length {m} supports at most {supported} components, "
+                        f"got {len(components)}")
+    scores = np.empty((len(lat), len(components)))
+    for j, comp in enumerate(components):
+        if comp.kind == "gp":
+            scores[:, j] = _draw_gp(rng, lat, lon, comp.variance, comp.range_km,
+                                    comp.kernel)
+        elif comp.kind == "iid":
+            scores[:, j] = rng.normal(0.0, math.sqrt(comp.variance), len(lat))
+        else:
+            raise DataError(f"unknown component kind {comp.kind!r}")
+    return scores
+
+
+def _check_seed(seed: Seed) -> tuple[int, ...]:
+    """The entries of ``seed``; a negative one is a data error."""
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    if any(s < 0 for s in entries):
+        raise DataError(f"seed {seed!r}: every entry must be >= 0")
+    return entries
 
 
 @dataclass
@@ -170,6 +208,7 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
         raise DataError("n_sites must be odd and >= 5")
     if cfg.rho < 0:
         raise DataError("rho must be >= 0")
+    _check_seed(cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     m = cfg.grid_length
     water_p, land_p = synthetic_profile(m, "water"), synthetic_profile(m, "land")
@@ -179,38 +218,27 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
 
     w_rows = np.arange(0, mid + 1)          # water sites plus the mixed site
     l_rows = np.arange(mid, cfg.n_sites)    # mixed site plus land sites
-    k_w = 1 + len(cfg.water_iid_vars)
-    k_l = 1 + len(cfg.land_iid_vars)
-    w_scores = np.empty((len(w_rows), k_w))
-    w_scores[:, 0] = _draw_gp(rng, lats[w_rows], lons[w_rows], cfg.water_sill,
-                              cfg.water_range_km, "exponential")
-    for j, v in enumerate(cfg.water_iid_vars, start=1):
-        w_scores[:, j] = rng.normal(0.0, math.sqrt(v), len(w_rows))
-    l_scores = np.empty((len(l_rows), k_l))
-    l_scores[:, 0] = _draw_gp(rng, lats[l_rows], lons[l_rows], cfg.land_sill,
-                              cfg.land_range_km, "exponential")
-    for j, v in enumerate(cfg.land_iid_vars, start=1):
-        l_scores[:, j] = rng.normal(0.0, math.sqrt(v), len(l_rows))
+    water = (ComponentSpec("gp", cfg.water_sill, cfg.water_range_km),
+             *(ComponentSpec("iid", v) for v in cfg.water_iid_vars))
+    land = (ComponentSpec("gp", cfg.land_sill, cfg.land_range_km),
+            *(ComponentSpec("iid", v) for v in cfg.land_iid_vars))
+    w_scores = _component_fields(rng, lats[w_rows], lons[w_rows], water, water_p)
+    l_scores = _component_fields(rng, lats[l_rows], lons[l_rows], land, land_p)
     alpha = float(rng.uniform()) if cfg.alpha is None else float(cfg.alpha)
 
     mu_w = water_p.intercept[None, :] + lats[w_rows, None] * water_p.slope[None, :]
     mu_l = land_p.intercept[None, :] + lats[l_rows, None] * land_p.slope[None, :]
-    f_w = mu_w + w_scores @ water_p.eigenvectors[:, :k_w].T
-    f_l = mu_l + l_scores @ land_p.eigenvectors[:, :k_l].T
+    f_w = mu_w + w_scores @ water_p.eigenvectors[:, :len(water)].T
+    f_l = mu_l + l_scores @ land_p.eigenvectors[:, :len(land)].T
     sigma_w = cfg.rho * mu_w[:-1].mean(axis=0)   # pure water sites only
     sigma_l = cfg.rho * mu_l[1:].mean(axis=0)    # pure land sites only
     sigma_mix = alpha * sigma_l + (1.0 - alpha) * sigma_w
+    noise_free_mixed = alpha * f_l[0] + (1.0 - alpha) * f_w[-1]
 
-    indices = np.arange(1, m + 1, dtype=float)
-    rad = np.empty((cfg.n_sites, m))
-    for i in range(cfg.n_sites):
-        if i < mid:
-            clean, sigma = f_w[i], sigma_w
-        elif i == mid:
-            clean, sigma = alpha * f_l[0] + (1.0 - alpha) * f_w[-1], sigma_mix
-        else:
-            clean, sigma = f_l[i - mid], sigma_l
-        rad[i] = clean + simulate_error_process(sigma, rng=rng, indices=indices)
+    sigma = np.repeat(np.vstack([sigma_w, sigma_mix, sigma_l]),
+                      [mid, 1, cfg.n_sites - mid - 1], axis=0)
+    rad = np.vstack([f_w[:-1], noise_free_mixed, f_l[1:]]) \
+        + simulate_error_process(sigma, rng=rng)
     fractions = np.r_[np.zeros(mid), alpha, np.ones(cfg.n_sites - mid - 1)]
     ds = SpectralDataset(np.arange(1, cfg.n_sites + 1), lats, lons,
                          np.full(cfg.n_sites, cfg.footprint), fractions, rad,
@@ -224,23 +252,13 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
         land_scores=l_scores,
         f_water_mixed=f_w[-1].copy(),
         f_land_mixed=f_l[0].copy(),
-        noise_free_mixed=alpha * f_l[0] + (1.0 - alpha) * f_w[-1],
+        noise_free_mixed=noise_free_mixed,
         sigma_water=sigma_w,
         sigma_land=sigma_l,
         water_profile=water_p,
         land_profile=land_p,
     )
     return ds, truth
-
-
-@dataclass
-class ComponentSpec:
-    """One component field: 'gp' (sill, range, kernel) or 'iid' (variance)."""
-
-    kind: str
-    variance: float
-    range_km: float | None = None
-    kernel: str = "exponential"
 
 
 @dataclass
@@ -290,58 +308,32 @@ def simulate_orbit(cfg: OrbitConfig | None = None) -> tuple[SpectralDataset, Orb
     cfg = cfg or OrbitConfig()
     if cfg.n_tracks < 3:
         raise DataError("need at least 3 tracks")
+    _check_seed(cfg.seed)
     profile = synthetic_profile(cfg.grid_length, cfg.profile_kind)
-    k = len(cfg.components)
-    if k > profile.eigenvectors.shape[1]:
-        raise DataError(f"at most {profile.eigenvectors.shape[1]} components supported")
     rng = np.random.default_rng(cfg.seed)
     n_fp = len(cfg.footprints)
-    track_lats = cfg.base_lat + cfg.track_spacing * np.arange(cfg.n_tracks)
+    offsets = np.arange(n_fp) - (n_fp - 1) / 2.0
+    lat = np.tile(cfg.base_lat + cfg.track_spacing * np.arange(cfg.n_tracks), n_fp)
+    lon = (cfg.base_lon + np.repeat(cfg.fp_lon_step * offsets, cfg.n_tracks)
+           + cfg.lon_drift * (lat - cfg.base_lat))
+    fps = np.repeat(np.asarray(cfg.footprints, dtype=int), cfg.n_tracks)
+    scores = _component_fields(rng, lat, lon, cfg.components, profile)
 
-    lat, lon, fps = [], [], []
-    for j, p in enumerate(cfg.footprints):
-        lat.append(track_lats)
-        lon.append(cfg.base_lon + cfg.fp_lon_step * (j - (n_fp - 1) / 2.0)
-                   + cfg.lon_drift * (track_lats - cfg.base_lat))
-        fps.append(np.full(cfg.n_tracks, p))
-    lat = np.concatenate(lat)
-    lon = np.concatenate(lon)
-    fps = np.concatenate(fps)
-    n = lat.size
-
-    scores = np.empty((n, k))
-    for j, comp in enumerate(cfg.components):
-        if comp.kind == "gp":
-            scores[:, j] = _draw_gp(rng, lat, lon, comp.variance, comp.range_km,
-                                    comp.kernel)
-        elif comp.kind == "iid":
-            scores[:, j] = rng.normal(0.0, math.sqrt(comp.variance), n)
-        else:
-            raise DataError(f"unknown component kind {comp.kind!r}")
-
-    half = (n_fp - 1) / 2.0 if n_fp > 1 else 1.0
-    betas, sigmas = {}, {}
-    for j, p in enumerate(cfg.footprints):
-        off = (j - (n_fp - 1) / 2.0) / half
-        betas[p] = np.vstack([
-            profile.intercept * (1.0 + cfg.fp_mean_scale * off),
-            profile.slope * (1.0 + cfg.fp_slope_scale * off),
-        ])
-    evecs = profile.eigenvectors[:, :k]
-    mu = np.empty((n, cfg.grid_length))
-    for p in cfg.footprints:
-        sel = fps == p
-        mu[sel] = betas[p][0][None, :] + lat[sel, None] * betas[p][1][None, :]
-    for j, p in enumerate(cfg.footprints):
-        off = (j - (n_fp - 1) / 2.0) / half
-        sigmas[p] = cfg.rho * (1.0 + cfg.fp_noise_scale * off) * mu[fps == p].mean(axis=0)
-
+    rel = offsets / ((n_fp - 1) / 2.0 if n_fp > 1 else 1.0)
+    betas = {p: np.vstack([profile.intercept * (1.0 + cfg.fp_mean_scale * off),
+                           profile.slope * (1.0 + cfg.fp_slope_scale * off)])
+             for p, off in zip(cfg.footprints, rel)}
+    row_betas = np.repeat(np.array([betas[p] for p in cfg.footprints]),
+                          cfg.n_tracks, axis=0)
+    mu = row_betas[:, 0] + lat[:, None] * row_betas[:, 1]
+    sigmas = {p: cfg.rho * (1.0 + cfg.fp_noise_scale * off) * mu[fps == p].mean(axis=0)
+              for p, off in zip(cfg.footprints, rel)}
+    evecs = profile.eigenvectors[:, :len(cfg.components)]
     noise_free = mu + scores @ evecs.T
-    indices = np.arange(1, cfg.grid_length + 1, dtype=float)
-    rad = np.empty((n, cfg.grid_length))
-    for i in range(n):
-        rad[i] = noise_free[i] + simulate_error_process(sigmas[int(fps[i])], rng=rng,
-                                                        indices=indices)
+    rad = noise_free + simulate_error_process(
+        np.repeat(np.array([sigmas[p] for p in cfg.footprints]), cfg.n_tracks, axis=0),
+        rng=rng)
+    n = lat.size
     ds = SpectralDataset(np.arange(1, n + 1), lat, lon, fps, np.full(n, np.nan), rad,
                          {"generator": "orbit"})
     return ds, OrbitTruth(betas, evecs, cfg.components, scores, sigmas, noise_free)
@@ -386,18 +378,16 @@ def _study_cell(cfg: SimulationConfig, replicate) -> StudyRecord:
     ds, truth = simulate_mixed_transect(rep_cfg)
     try:
         spec = detect_mixed_region(ds)
-        estimates, _ = unmix_region(ds, spec, STUDY_FIT)
+        alphas, _ = unmix_region(ds, spec, STUDY_FIT)
     except GeofpcaError as e:
         return StudyRecord(rho, rep, truth.alpha, math.nan, math.nan, str(e))
-    by_method = {e.method: e.alpha for e in estimates
-                 if e.sounding_id == truth.mixed_id}
-    return StudyRecord(rho, rep, truth.alpha,
-                       by_method["unmixing"], by_method["interpolation"])
+    j = spec.mixed_ids.index(truth.mixed_id)
+    return StudyRecord(rho, rep, truth.alpha, float(alphas["unmixing"][j]),
+                       float(alphas["interpolation"][j]))
 
 
 def _spawn_seed(seed: Seed, i_rho: int, rep: int) -> tuple[int, ...]:
-    base = seed if isinstance(seed, tuple) else (seed,)
-    return base + (i_rho, rep)
+    return _check_seed(seed) + (i_rho, rep)
 
 
 def _trim_mean(a: np.ndarray, proportion: float) -> float:
@@ -420,12 +410,12 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
     if not 0.0 <= trim < 0.5:
         raise DataError(f"trim {trim} outside [0, 0.5)")
     cfg = cfg or SimulationConfig()
+    base_seed = _check_seed(cfg.seed)[0]
     replicates = [(float(rho), i, rep)
                   for i, rho in enumerate(rho_grid) for rep in range(n_reps)]
     records = map_tasks(_study_cell, cfg, replicates, threads,
                         chunksize=max(1, len(replicates) // (max(threads, 1) * 8)))
 
-    base_seed = cfg.seed[0] if isinstance(cfg.seed, tuple) else cfg.seed
     rows = []
     n_failures = 0
     for i, rho in enumerate(rho_grid):

@@ -54,14 +54,6 @@ class MixedRegionSpec:
         return {self.s1_label: self.s1_window, self.s2_label: self.s2_window}
 
 
-@dataclass
-class LandFractionEstimate:
-    sounding_id: int
-    alpha: float
-    method: str  # "unmixing" or "interpolation"
-    residual_norm: float
-
-
 def _label(mean_fraction: float, land_hi: float, water_lo: float) -> str:
     if mean_fraction > land_hi:
         return "land"
@@ -258,7 +250,7 @@ def _fit_endmember_model(ds: SpectralDataset, window: tuple[float, float],
     try:
         region = select_region(ds, window)
 
-        def transform(scores: ScoreField, _ds: SpectralDataset) -> ScoreField:
+        def transform(scores: ScoreField) -> ScoreField:
             bw = FIXED_BANDWIDTH if _has_extreme_scores(scores, spec) else "cv"
             return smooth_scores(scores, bandwidth=bw)
 
@@ -288,14 +280,15 @@ def _nearest_spectra(ds: SpectralDataset, window: tuple[float, float], latitudes
 
 def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
                  config: FitConfig | None = None
-                 ) -> tuple[list[LandFractionEstimate], dict[str, GeoFpcaModel]]:
+                 ) -> tuple[dict[str, np.ndarray], dict[str, GeoFpcaModel]]:
     """Estimate land fractions for every sounding in the mixed window.
 
-    Fits one endmember model per reference region (with smoothed scores),
-    imputes land and water spectra at each mixed sounding, and returns both
-    the unmixing and the raw-neighbor interpolation estimate per sounding,
-    plus the two fitted models keyed 'land'/'water'. ``config`` applies to
-    both endmember fits.
+    Fits one endmember model per reference region (with smoothed scores) and
+    imputes land and water spectra at each mixed sounding. Returns the land
+    fractions keyed 'unmixing' and 'interpolation' (the raw-neighbor
+    baseline), each a float array aligned with ``spec.mixed_ids``, plus the
+    two fitted models keyed 'land'/'water'. ``config`` applies to both
+    endmember fits.
     """
     if not spec.qualified:
         raise DataError(
@@ -321,24 +314,20 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
                for label, win in windows.items()}
     observed = ds.radiance[rows][:, grid_pos]
 
-    estimates: list[LandFractionEstimate] = []
+    alphas = {"unmixing": np.empty(rows.size), "interpolation": np.empty(rows.size)}
     for j, sid in enumerate(spec.mixed_ids):
         obs = observed[j]
         good = ~np.isnan(obs)
         if not good.any():
             raise DataError(f"sounding {sid}: no observed radiance on the shared grid")
-        f_l, f_w = endmembers["land"][j, good], endmembers["water"][j, good]
-        alpha_u = estimate_land_fraction(obs[good], f_l, f_w)
-        resid_u = float(np.linalg.norm(obs[good] - alpha_u * f_l - (1 - alpha_u) * f_w))
-        estimates.append(LandFractionEstimate(sid, alpha_u, "unmixing", resid_u))
+        alphas["unmixing"][j] = estimate_land_fraction(
+            obs[good], endmembers["land"][j, good], endmembers["water"][j, good])
 
         r_l, r_w = nearest["land"][j], nearest["water"][j]
         good_i = good & ~np.isnan(r_l) & ~np.isnan(r_w)
         if not good_i.any():
             raise DataError(f"sounding {sid}: no shared observed wavelengths for "
                             "the interpolation baseline")
-        alpha_i = estimate_land_fraction(obs[good_i], r_l[good_i], r_w[good_i])
-        resid_i = float(np.linalg.norm(
-            obs[good_i] - alpha_i * r_l[good_i] - (1 - alpha_i) * r_w[good_i]))
-        estimates.append(LandFractionEstimate(sid, alpha_i, "interpolation", resid_i))
-    return estimates, models
+        alphas["interpolation"][j] = estimate_land_fraction(
+            obs[good_i], r_l[good_i], r_w[good_i])
+    return alphas, models

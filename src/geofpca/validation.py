@@ -4,8 +4,8 @@ For each qualifying center sounding and each block size r, the r nearest
 cross-tracks are held out, the model is refitted on the remainder of the
 surrounding latitude window, and the held-out spectra are imputed with both
 the functional model and the per-wavelength linear interpolation baseline.
-Errors are summarized per r (and per footprint) with large-sample confidence
-intervals for the mean.
+Errors are summarized per r with large-sample confidence intervals for the
+mean.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ class Aggregate:
 class ExperimentReport:
     rows: list[ExperimentRow]
     by_r: dict[int, dict[str, Aggregate]]
-    by_footprint_r: dict[tuple[int, int], dict[str, Aggregate]]
     failures: list[tuple[int, int, str]]  # (center, r, message)
 
 
@@ -190,14 +189,7 @@ def run_imputation_experiment(ds: SpectralDataset, centers, r_values=range(1, 9)
         sub = [row for row in rows if row.r == r]
         by_r[r] = {m: Aggregate.of(np.array([getattr(x, m) for x in sub]))
                    for m in _METRICS}
-    by_fp_r = {}
-    for r in sorted(set(int(x) for x in r_values)):
-        for p in sorted(set(row.footprint for row in rows)):
-            sub = [row for row in rows if row.r == r and row.footprint == p]
-            if sub:
-                by_fp_r[(p, r)] = {m: Aggregate.of(np.array([getattr(x, m) for x in sub]))
-                                   for m in _METRICS}
-    return ExperimentReport(rows, by_r, by_fp_r, failures)
+    return ExperimentReport(rows, by_r, failures)
 
 
 def report_to_csv(report: ExperimentReport, path) -> None:

@@ -11,10 +11,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
-from geofpca.dataset import haversine_km
+from geofpca.dataset import SpectralDataset, haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.geostat import (EmpiricalVariogram, VariogramFit, _wls_weights,
                              exponential_variogram)
+from geofpca.simulation import (OrbitConfig, OrbitTruth, SimulationConfig, TransectTruth,
+                                synthetic_profile)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -462,3 +464,170 @@ def scipy_variogram_fit(ev: EmpiricalVariogram, weight_scheme: str = "nh2",
     rng = float(min(max(res.x[1], r_lo), r_hi))
     return VariogramFit(sill, rng, weight_scheme, float(res.fun),
                         sill <= 0.0, ev)
+
+
+def error_process_row(sigma, seed=None, rng=None, indices=None):
+    """One draw of the sine/cosine error process for one spectrum."""
+    sigma = np.asarray(sigma, dtype=float)
+    if (sigma < 0).any() or not np.all(np.isfinite(sigma)):
+        raise DataError("sigma must be finite and nonnegative")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    if indices is None:
+        indices = np.arange(1, sigma.size + 1, dtype=float)
+    c_w = float(len(indices))
+    amp = 1.0 / math.sqrt(c_w / 2.0)
+    phase = np.pi * (np.asarray(indices, dtype=float) - indices[0]) / c_w
+    nu = rng.normal(0.0, math.sqrt(c_w / 2.0), size=2)
+    return sigma * (nu[0] * amp * np.sin(phase) + nu[1] * amp * np.cos(phase))
+
+
+def _gp_covariance(lat, lon, sill, range_km, kernel):
+    d = pairwise_distances(np.asarray(lat), np.asarray(lon))
+    if kernel == "exponential":
+        cov = sill * np.exp(-d / range_km)
+    elif kernel == "gaussian":
+        cov = sill * np.exp(-((d / range_km) ** 2))
+    else:
+        raise DataError(f"unknown covariance kernel {kernel!r}")
+    return cov + 1e-10 * sill * np.eye(d.shape[0])
+
+
+def _draw_gp(rng, lat, lon, sill, range_km, kernel):
+    chol = np.linalg.cholesky(_gp_covariance(lat, lon, sill, range_km, kernel))
+    return chol @ rng.standard_normal(len(lat))
+
+
+def transect_by_row(cfg: SimulationConfig):
+    """The mixed transect drawn sounding by sounding: (dataset, truth, generator).
+
+    Each field is drawn in its own loop and each spectrum's error in its own
+    call, so the generator afterwards shows what the draws consumed.
+    """
+    if cfg.n_sites < 5 or cfg.n_sites % 2 == 0:
+        raise DataError("n_sites must be odd and >= 5")
+    if cfg.rho < 0:
+        raise DataError("rho must be >= 0")
+    rng = np.random.default_rng(cfg.seed)
+    m = cfg.grid_length
+    water_p, land_p = synthetic_profile(m, "water"), synthetic_profile(m, "land")
+    mid = cfg.n_sites // 2
+    lats = cfg.center_lat + np.linspace(-cfg.lat_span / 2, cfg.lat_span / 2, cfg.n_sites)
+    lons = cfg.center_lon + cfg.lon_drift * (lats - cfg.center_lat)
+
+    w_rows = np.arange(0, mid + 1)          # water sites plus the mixed site
+    l_rows = np.arange(mid, cfg.n_sites)    # mixed site plus land sites
+    k_w = 1 + len(cfg.water_iid_vars)
+    k_l = 1 + len(cfg.land_iid_vars)
+    w_scores = np.empty((len(w_rows), k_w))
+    w_scores[:, 0] = _draw_gp(rng, lats[w_rows], lons[w_rows], cfg.water_sill,
+                              cfg.water_range_km, "exponential")
+    for j, v in enumerate(cfg.water_iid_vars, start=1):
+        w_scores[:, j] = rng.normal(0.0, math.sqrt(v), len(w_rows))
+    l_scores = np.empty((len(l_rows), k_l))
+    l_scores[:, 0] = _draw_gp(rng, lats[l_rows], lons[l_rows], cfg.land_sill,
+                              cfg.land_range_km, "exponential")
+    for j, v in enumerate(cfg.land_iid_vars, start=1):
+        l_scores[:, j] = rng.normal(0.0, math.sqrt(v), len(l_rows))
+    alpha = float(rng.uniform()) if cfg.alpha is None else float(cfg.alpha)
+
+    mu_w = water_p.intercept[None, :] + lats[w_rows, None] * water_p.slope[None, :]
+    mu_l = land_p.intercept[None, :] + lats[l_rows, None] * land_p.slope[None, :]
+    f_w = mu_w + w_scores @ water_p.eigenvectors[:, :k_w].T
+    f_l = mu_l + l_scores @ land_p.eigenvectors[:, :k_l].T
+    sigma_w = cfg.rho * mu_w[:-1].mean(axis=0)   # pure water sites only
+    sigma_l = cfg.rho * mu_l[1:].mean(axis=0)    # pure land sites only
+    sigma_mix = alpha * sigma_l + (1.0 - alpha) * sigma_w
+
+    indices = np.arange(1, m + 1, dtype=float)
+    rad = np.empty((cfg.n_sites, m))
+    for i in range(cfg.n_sites):
+        if i < mid:
+            clean, sigma = f_w[i], sigma_w
+        elif i == mid:
+            clean, sigma = alpha * f_l[0] + (1.0 - alpha) * f_w[-1], sigma_mix
+        else:
+            clean, sigma = f_l[i - mid], sigma_l
+        rad[i] = clean + error_process_row(sigma, rng=rng, indices=indices)
+    fractions = np.r_[np.zeros(mid), alpha, np.ones(cfg.n_sites - mid - 1)]
+    ds = SpectralDataset(np.arange(1, cfg.n_sites + 1), lats, lons,
+                         np.full(cfg.n_sites, cfg.footprint), fractions, rad,
+                         {"generator": "mixed-transect"})
+    truth = TransectTruth(
+        alpha=alpha,
+        mixed_id=mid + 1,
+        water_ids=tuple(range(1, mid + 1)),
+        land_ids=tuple(range(mid + 2, cfg.n_sites + 1)),
+        water_scores=w_scores,
+        land_scores=l_scores,
+        f_water_mixed=f_w[-1].copy(),
+        f_land_mixed=f_l[0].copy(),
+        noise_free_mixed=alpha * f_l[0] + (1.0 - alpha) * f_w[-1],
+        sigma_water=sigma_w,
+        sigma_land=sigma_l,
+        water_profile=water_p,
+        land_profile=land_p,
+    )
+    return ds, truth, rng
+
+
+def orbit_by_row(cfg: OrbitConfig):
+    """The orbit laid out per footprint and drawn sounding by sounding:
+    (dataset, truth, generator)."""
+    if cfg.n_tracks < 3:
+        raise DataError("need at least 3 tracks")
+    profile = synthetic_profile(cfg.grid_length, cfg.profile_kind)
+    k = len(cfg.components)
+    if k > profile.eigenvectors.shape[1]:
+        raise DataError(f"at most {profile.eigenvectors.shape[1]} components supported")
+    rng = np.random.default_rng(cfg.seed)
+    n_fp = len(cfg.footprints)
+    track_lats = cfg.base_lat + cfg.track_spacing * np.arange(cfg.n_tracks)
+
+    lat, lon, fps = [], [], []
+    for j, p in enumerate(cfg.footprints):
+        lat.append(track_lats)
+        lon.append(cfg.base_lon + cfg.fp_lon_step * (j - (n_fp - 1) / 2.0)
+                   + cfg.lon_drift * (track_lats - cfg.base_lat))
+        fps.append(np.full(cfg.n_tracks, p))
+    lat = np.concatenate(lat)
+    lon = np.concatenate(lon)
+    fps = np.concatenate(fps)
+    n = lat.size
+
+    scores = np.empty((n, k))
+    for j, comp in enumerate(cfg.components):
+        if comp.kind == "gp":
+            scores[:, j] = _draw_gp(rng, lat, lon, comp.variance, comp.range_km,
+                                    comp.kernel)
+        elif comp.kind == "iid":
+            scores[:, j] = rng.normal(0.0, math.sqrt(comp.variance), n)
+        else:
+            raise DataError(f"unknown component kind {comp.kind!r}")
+
+    half = (n_fp - 1) / 2.0 if n_fp > 1 else 1.0
+    betas, sigmas = {}, {}
+    for j, p in enumerate(cfg.footprints):
+        off = (j - (n_fp - 1) / 2.0) / half
+        betas[p] = np.vstack([
+            profile.intercept * (1.0 + cfg.fp_mean_scale * off),
+            profile.slope * (1.0 + cfg.fp_slope_scale * off),
+        ])
+    evecs = profile.eigenvectors[:, :k]
+    mu = np.empty((n, cfg.grid_length))
+    for p in cfg.footprints:
+        sel = fps == p
+        mu[sel] = betas[p][0][None, :] + lat[sel, None] * betas[p][1][None, :]
+    for j, p in enumerate(cfg.footprints):
+        off = (j - (n_fp - 1) / 2.0) / half
+        sigmas[p] = cfg.rho * (1.0 + cfg.fp_noise_scale * off) * mu[fps == p].mean(axis=0)
+
+    noise_free = mu + scores @ evecs.T
+    indices = np.arange(1, cfg.grid_length + 1, dtype=float)
+    rad = np.empty((n, cfg.grid_length))
+    for i in range(n):
+        rad[i] = noise_free[i] + error_process_row(sigmas[int(fps[i])], rng=rng,
+                                                   indices=indices)
+    ds = SpectralDataset(np.arange(1, n + 1), lat, lon, fps, np.full(n, np.nan), rad,
+                         {"generator": "orbit"})
+    return ds, OrbitTruth(betas, evecs, cfg.components, scores, sigmas, noise_free), rng

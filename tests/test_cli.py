@@ -53,6 +53,14 @@ class TestSimulate:
         assert len(lines) == 5
 
 
+    @pytest.mark.parametrize("grid_length", [4, -1])
+    def test_short_grid_exits_3(self, tmp_path, capsys, grid_length):
+        assert run(["simulate", "--grid-length", grid_length,
+                    "--out", tmp_path / "s.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"grid_length {grid_length}" in err
+
+
 @pytest.fixture(scope="module")
 def sim_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "transect.csv"
@@ -464,6 +472,31 @@ class TestThreadsBound:
         for threads in (1, os.cpu_count() or 1):
             args = build_parser().parse_args([command, "--threads", str(threads)])
             assert args.threads == threads
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-config", "unmix", "validate",
+                                     "simulate", "study"])
+def test_negative_seed_exits_3(sim_csv, orbit_csv, tmp_path, capsys, command):
+    transect, orbit, out = sim_csv[0], orbit_csv[0], tmp_path / "out"
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": -5}')
+    fit = ["fit", "--input", transect, "--region", "34.9:35.47", "--n-perm", 99,
+           "--out", out]
+    args = {
+        "fit": fit + ["--seed", -1],
+        "fit-config": fit + ["--config", config],
+        "unmix": ["unmix", "--input", transect, "--n-perm", 99, "--seed", -1,
+                  "--out", out],
+        "validate": ["validate", "--input", orbit, "--r", "1:1", "--min-region-count", 8,
+                     "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1,
+                     "--seed", -1, "--out", out],
+        "simulate": ["simulate", "--seed", -1, "--out", out],
+        "study": ["simulate", "--study", "--rho-grid", "0.01", "--n-reps", 2,
+                  "--threads", 1, "--seed", -1, "--out", out],
+    }[command]
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed -" in err and "Traceback" not in err
 
 
 class TestUnmixTruthFile:

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from geofpca.dataset import load_dataset, save_dataset
+from geofpca.dataset import SpectralDataset, load_dataset, save_dataset
 from geofpca.errors import DataError
 from geofpca.simulation import (ComponentSpec, OrbitConfig, SimulationConfig,
                                 _trim_mean, run_unmixing_study, simulate_error_process,
                                 simulate_mixed_transect, simulate_orbit,
                                 study_to_csv, synthetic_profile)
+from oracles import orbit_by_row, transect_by_row
 
 
 class TestErrorProcess:
@@ -40,6 +43,15 @@ class TestErrorProcess:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DataError):
             simulate_error_process(np.array([1.0, -0.5]), seed=0)
+
+    @pytest.mark.parametrize("shape", [(1, 30), (7, 30), (2, 3, 30)])
+    def test_rows_equal_successive_one_row_calls(self, shape):
+        sigma = np.random.default_rng(5).uniform(0.0, 2.0, shape)
+        batch_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+        batch = simulate_error_process(sigma, rng=batch_rng)
+        rows = [simulate_error_process(row, rng=row_rng) for row in sigma.reshape(-1, 30)]
+        assert np.array_equal(batch, np.reshape(rows, shape))
+        assert batch_rng.random() == row_rng.random()
 
 
 class TestProfiles:
@@ -179,3 +191,88 @@ class TestTrimMean:
                 if n % 3 == 0:
                     a = np.round(a, 1)  # ties
                 assert _trim_mean(a, trim) == float(trim_mean(a, trim))
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator ``np.random.default_rng`` makes while the test runs."""
+    made, real = [], np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", record)
+    return made
+
+
+def assert_same(a, b):
+    """``==`` through datasets, dataclasses, dicts and arrays (NaN equals NaN)."""
+    if isinstance(a, SpectralDataset):
+        for name in ("ids", "latitudes", "longitudes", "footprints", "land_fractions",
+                     "radiance", "metadata"):
+            assert_same(getattr(a, name), getattr(b, name))
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    else:
+        assert a == b
+
+
+def assert_matches_oracle(generators, simulate, oracle, cfg):
+    """Dataset, truth and the generator's next draw all equal the row-by-row oracle."""
+    ds, truth = simulate(cfg)
+    rng = generators[-1]
+    ds_o, truth_o, rng_o = oracle(cfg)
+    assert_same(ds, ds_o)
+    assert_same(truth, truth_o)
+    assert np.array_equal(rng.random(4), rng_o.random(4))
+
+
+class TestGeneratorsMatchRowOracle:
+    """The whole-array generators draw what the per-sounding loops drew."""
+
+    @pytest.mark.parametrize("seed", [0, 17, (900, 3), (4, 1, 7)])
+    @pytest.mark.parametrize("alpha", [None, 0.37])
+    def test_transect(self, generators, seed, alpha):
+        for rho in (0.0, 0.01, 0.2):
+            for n_sites in (5, 9, 41):
+                cfg = SimulationConfig(seed=seed, rho=rho, n_sites=n_sites, alpha=alpha)
+                assert_matches_oracle(generators, simulate_mixed_transect,
+                                      transect_by_row, cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        OrbitConfig(n_tracks=6, seed=1),
+        OrbitConfig(n_tracks=9, seed=(3, 4), footprints=(2, 5, 7), grid_length=40,
+                    components=(ComponentSpec("gp", 3.0, 5.0, "gaussian"),
+                                ComponentSpec("iid", 1.5))),
+        OrbitConfig(n_tracks=12, footprints=(4,), seed=4, components=()),
+    ], ids=["default", "subset-gaussian", "one-footprint"])
+    def test_orbit(self, generators, cfg):
+        assert_matches_oracle(generators, simulate_orbit, orbit_by_row, cfg)
+
+
+class TestGeneratorInputChecks:
+    @pytest.mark.parametrize("grid_length", [4, 1, 0, -1])
+    def test_short_grid_rejected(self, grid_length):
+        with pytest.raises(DataError, match=f"grid_length {grid_length}"):
+            simulate_mixed_transect(SimulationConfig(grid_length=grid_length))
+
+    def test_orbit_components_bounded_by_grid(self):
+        with pytest.raises(DataError, match="grid_length 4 supports at most 2 components"):
+            simulate_orbit(OrbitConfig(n_tracks=3, grid_length=4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: simulate_mixed_transect(SimulationConfig(seed=(3, -1))),
+        lambda: simulate_orbit(OrbitConfig(n_tracks=3, seed=-2)),
+        lambda: run_unmixing_study([0.01], 2, SimulationConfig(seed=-1)),
+    ], ids=["transect", "orbit", "study"])
+    def test_negative_seed_entry_rejected(self, call):
+        with pytest.raises(DataError, match="seed"):
+            call()
