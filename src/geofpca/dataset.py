@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,28 +175,77 @@ class SpectralDataset:
 
 def haversine_km(lat1, lon1, lat2, lon2):
     """Vectorized haversine distance in km (inputs in degrees)."""
-    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(x, dtype=float))
-                              for x in (lat1, lon1, lat2, lon2))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    (lat1, lon1, cos1), (lat2, lon2, cos2) = to_radians(lat1, lon1), to_radians(lat2, lon2)
+    d = haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2)
+    return d if d.ndim else d[()]
+
+
+def to_radians(lat, lon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latitudes and longitudes in radians, and the latitudes' cosines."""
+    lat, lon = (np.radians(np.asarray(x, dtype=float)) for x in (lat, lon))
+    return lat, lon, np.cos(lat)
+
+
+def haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2, out=None, work=None) -> np.ndarray:
+    """Haversine distance in km from radians and the latitudes' cosines.
+
+    The two sides broadcast into ``out``, with ``work`` (an array of the same
+    shape) as scratch; either is new if None. The formula's operations run in
+    place, in its order, so the distances equal the textbook expression's.
+    """
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (lat1, lon1, cos1, lat2, lon2, cos2)))
+    out, work = (np.empty(shape) if x is None else x for x in (out, work))
+    d = np.subtract(lon2, lon1, out=out)
+    d *= 0.5  # exactly / 2
+    np.sin(d, out=d)
+    d *= d
+    d *= np.multiply(cos1, cos2, out=work)
+    a = np.subtract(lat2, lat1, out=work)
+    a *= 0.5
+    np.sin(a, out=a)
+    a *= a
+    d += a
+    np.sqrt(d, out=d)
+    np.minimum(d, 1.0, out=d)
+    np.arcsin(d, out=d)
+    d *= 2.0 * EARTH_RADIUS_KM
+    return d
+
+
+def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False,
+                    out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, block) for each DISTANCE_BLOCK rows of the haversine distance matrix.
+
+    A block holds its rows' distances to every point, or with ``upper`` to
+    points start.. only, equal to those entries of the whole-matrix
+    evaluation. The blocks are views of ``out`` (an n x n array) if given;
+    otherwise they share one buffer, each overwritten by the next, and the
+    caller may write into them.
+    """
+    points, n = to_radians(lat, lon), len(lat)
+    work = np.empty(min(n, DISTANCE_BLOCK) * n)
+    buf = np.empty(work.size) if out is None else None
+    for start in range(0, n, DISTANCE_BLOCK):
+        rows, col = slice(start, start + DISTANCE_BLOCK), start if upper else 0
+        shape = (min(DISTANCE_BLOCK, n - start), n - col)
+        size = shape[0] * shape[1]
+        yield start, haversine_radians(
+            *(x[rows, None] for x in points), *(x[None, col:] for x in points),
+            out=out[rows, col:] if buf is None else buf[:size].reshape(shape),
+            work=work[:size].reshape(shape))
 
 
 def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Symmetric matrix of haversine distances in km.
 
-    Evaluates the upper triangle, DISTANCE_BLOCK rows at a time, and mirrors
-    it: the haversine is exactly symmetric in its two points, so the matrix
-    equals the full n x n evaluation bit for bit.
+    Evaluates the upper triangle by row blocks and mirrors it: the haversine
+    is exactly symmetric in its two points, so the matrix equals the full
+    n x n evaluation bit for bit.
     """
     n = lat.size
     d = np.empty((n, n))
-    for start in range(0, n, DISTANCE_BLOCK):
-        rows = slice(start, start + DISTANCE_BLOCK)
-        d[rows, start:] = haversine_km(lat[rows, None], lon[rows, None],
-                                       lat[None, start:], lon[None, start:])
-        d[start:, rows] = d[rows, start:].T
+    for start, block in distance_blocks(lat, lon, upper=True, out=d):
+        d[start:, start:start + DISTANCE_BLOCK] = block.T
     return d
 
 

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import (DISTANCE_BLOCK, SpectralDataset, WavelengthSet, haversine_km,
-                      pairwise_distances)
+from .dataset import (SpectralDataset, WavelengthSet, distance_blocks, haversine_km,
+                      haversine_radians, to_radians)
 from .errors import DataError, NumericalError
 from .mean_model import MeanModel, evaluate_mean_rows
+
+PAIR_CHUNK = 1 << 12  # pairs per distance evaluation of small variogram bins' means
 
 
 @dataclass
@@ -73,8 +75,8 @@ class ScoreField:
     footprints: np.ndarray
     taus: dict[int, np.ndarray] = field(default_factory=dict)
     excluded_ids: tuple[int, ...] = ()
-    _distances: np.ndarray | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    _largest_distance: float | None = field(default=None, init=False, repr=False,
+                                            compare=False)
     _nearest: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
     _pair_bins: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -96,37 +98,47 @@ class ScoreField:
         table = np.array([self.taus[int(p)][k] for p in known], dtype=float)
         return table[np.searchsorted(known, fps)]
 
-    def distances(self) -> np.ndarray:
-        """Read-only haversine distance matrix of the soundings, computed once.
+    def largest_distance(self) -> float:
+        """The largest haversine distance between two soundings (0 for fewer than two).
 
-        The spatial screen, the variograms and kriging all share it.
+        ``nearest`` records it; otherwise one pass over the upper triangle's
+        row blocks finds it.
         """
-        if self._distances is None:
-            self._distances = pairwise_distances(self.latitudes, self.longitudes)
-            self._distances.flags.writeable = False
-        return self._distances
+        if self._largest_distance is None:
+            self._largest_distance = np.max(
+                [block.max() for _, block in
+                 distance_blocks(self.latitudes, self.longitudes, upper=True)], initial=0.0)
+        return self._largest_distance
 
     def nearest(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Each sounding's m nearest other soundings and their distances (two n x m arrays).
 
-        Ties keep sounding order: per block of DISTANCE_BLOCK rows, the entries
-        up to each row's m-th smallest are sorted by (distance, column). Computed
-        once per m and read-only; every component's spatial screen shares it.
+        Ties keep sounding order: per block of rows of the distance matrix,
+        the entries up to each row's m-th smallest are sorted by (distance,
+        column). The same pass records the largest distance. Computed once
+        per m and read-only; every component's spatial screen shares it.
         """
         if self._nearest is None or self._nearest[0].shape[1] != m:
-            d = self.distances()
-            nb, d_nb = np.empty((len(d), m), dtype=np.intp), np.empty((len(d), m))
-            for start in range(0, len(d), DISTANCE_BLOCK):
-                block = d[start:start + DISTANCE_BLOCK].copy()
+            n = self.latitudes.size
+            nb, d_nb = np.empty((n, m), dtype=np.intp), np.empty((n, m))
+
+            def fill_rows(start, block):
+                """Fill the block's rows of nb and d_nb; return its largest distance."""
+                largest = block.max()
                 rows = np.arange(block.shape[0])
                 block[rows, start + rows] = np.inf
                 kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
-                r, c = np.nonzero(block <= kth)  # row-major: r ascending
+                r, c = np.divmod(np.flatnonzero(block <= kth), block.shape[1])  # r ascending
                 dist = block[r, c]
                 take = np.lexsort((c, dist, r))[np.searchsorted(r, rows)[:, None] + np.arange(m)]
                 nb[start + rows], d_nb[start + rows] = c[take], dist[take]
+                return largest
+
+            largest = np.max([fill_rows(*b) for b in distance_blocks(self.latitudes,
+                                                                    self.longitudes)],
+                             initial=0.0)
             nb.flags.writeable = d_nb.flags.writeable = False
-            self._nearest = (nb, d_nb)
+            self._nearest, self._largest_distance = (nb, d_nb), largest
         return self._nearest
 
     def binned_pairs(self, n_bins: int, max_fraction: float) -> tuple[np.ndarray, ...]:
@@ -137,42 +149,57 @@ class ScoreField:
         right; farther pairs are left out. Bin b holds pairs
         ``starts[b]:starts[b] + counts[b]`` of the int32 arrays ``i, j``, in
         row-major order, so a mean over a bin's slice sums exactly as over
-        those pairs in ``triu`` order. Two passes over blocks of rows count,
-        then place, each block's pairs. Computed once per binning and
-        read-only; every component's semivariogram shares it.
+        those pairs in ``triu`` order. One pass over blocks of rows keeps each
+        block's pairs and their bins, which are then placed bin by bin; each
+        bin's mean distance re-evaluates its pairs' distances. Computed once
+        per binning and read-only; every component's semivariogram shares it.
         """
         key = (n_bins, max_fraction)
         if self._pair_bins is None or self._pair_bins[0] != key:
-            d = self.distances()
-            h_max = d.max() * max_fraction
+            h_max = self.largest_distance() * max_fraction
             if h_max <= 0:
                 raise DataError("all pairwise distances are zero")
             edges = np.linspace(0.0, h_max, n_bins + 1)[1:-1]
-            block_starts = range(0, d.shape[0], DISTANCE_BLOCK)
 
-            def block_pairs(start):
-                """Row-major pairs in range of rows start.. (j > i), and their bins."""
-                i, j = np.nonzero(np.triu(d[start:start + DISTANCE_BLOCK, start:] <= h_max, 1))
-                i, j = i + start, j + start
+            def block_pairs(start, d):
+                """Row-major pairs in range of rows start.. (j > i), as int32, and their bins."""
+                near = d <= h_max
+                near[:, :d.shape[0]] &= ~np.tri(d.shape[0], dtype=bool)  # j > i
+                k = np.flatnonzero(near)
                 # A small bin dtype lets the stable argsort below be a radix sort.
-                return i, j, np.digitize(d[i, j], edges).astype(np.min_scalar_type(n_bins))
+                which = np.digitize(d.ravel()[k], edges).astype(np.min_scalar_type(n_bins))
+                i, j = np.divmod(k, d.shape[1])
+                return (i + start).astype(np.int32), (j + start).astype(np.int32), which
 
-            block_counts = np.array([np.bincount(block_pairs(a)[2], minlength=n_bins)
-                                     for a in block_starts])
+            blocks = [block_pairs(*b) for b in distance_blocks(self.latitudes, self.longitudes,
+                                                               upper=True)]
+            block_counts = np.array([np.bincount(b[2], minlength=n_bins) for b in blocks])
             counts = block_counts.sum(axis=0)
             starts = np.cumsum(counts) - counts
             i_all, j_all = (np.empty(counts.sum(), dtype=np.int32) for _ in range(2))
-            # A block's k-th pair in bin order goes to k + shift[its bin]: after the
-            # earlier bins' pairs and this bin's pairs from earlier blocks.
-            shift = (starts + np.cumsum(block_counts, axis=0) - block_counts
-                     - (np.cumsum(block_counts, axis=1) - block_counts))
-            for a, s in zip(block_starts, shift):
-                i, j, which = block_pairs(a)
+            # A block's run of pairs in bin b goes after the earlier bins' pairs
+            # and bin b's pairs from earlier blocks.
+            firsts = starts + np.cumsum(block_counts, axis=0) - block_counts
+            for dest, runs in zip(firsts.tolist(), block_counts.tolist()):
+                i, j, which = blocks.pop(0)
                 order = np.argsort(which, kind="stable")
-                dest = s[which[order]] + np.arange(which.size)
-                i_all[dest], j_all[dest] = i[order], j[order]
-            mean_d = np.array([d[i_all[a:a + c], j_all[a:a + c]].mean() if c else np.nan
-                               for a, c in zip(starts, counts)])
+                i, j, lo = i[order], j[order], 0
+                for a, c in zip(dest, runs):
+                    i_all[a:a + c], j_all[a:a + c] = i[lo:lo + c], j[lo:lo + c]
+                    lo += c
+            # Consecutive bins share one evaluation while their pairs number at most
+            # PAIR_CHUNK or the largest bin's count; a bin's mean is over its own slice.
+            points = to_radians(self.latitudes, self.longitudes)
+            mean_d, ends, b = np.full(n_bins, np.nan), starts + counts, 0
+            chunk = max(PAIR_CHUNK, int(counts.max()))
+            while b < n_bins:
+                e = int(np.searchsorted(ends, starts[b] + chunk, "right"))
+                d = _pair_distances(points, i_all[starts[b]:ends[e - 1]],
+                                    j_all[starts[b]:ends[e - 1]])
+                for k in range(b, e):
+                    if counts[k]:
+                        mean_d[k] = d[starts[k] - starts[b]:ends[k] - starts[b]].mean()
+                b = e
             tables = (i_all, j_all, starts, counts, mean_d)
             for t in tables:
                 t.flags.writeable = False
@@ -181,6 +208,13 @@ class ScoreField:
 
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))
+
+
+def _pair_distances(points: tuple[np.ndarray, ...], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances of the pairs (i[k], j[k]) of ``to_radians`` points, as the blocks
+    of the distance matrix hold them (i is the row)."""
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    return haversine_radians(*(x[i] for x in points), *(x[j] for x in points))
 
 
 def _complete_rows(ds: SpectralDataset, ws: WavelengthSet) -> np.ndarray:

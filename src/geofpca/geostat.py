@@ -10,11 +10,12 @@ covariance plus the heterogeneous nugget on the diagonal.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import haversine_km
+from .dataset import haversine_km, pairwise_distances
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
@@ -165,6 +166,12 @@ def _sorted_vertices(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
+def _state_bits(sim: list, fsim: list) -> bytes:
+    """The simplex state as bytes: equal only if every vertex and value is
+    the same to the bit (so 0.0 and -0.0 differ, and a NaN equals itself)."""
+    return struct.pack("9d", *sim[0], *sim[1], *sim[2], *fsim)
+
+
 def _nelder_mead(objective, x0: tuple[float, float]) -> tuple[list[float], float]:
     """Minimize ``objective`` over two parameters from ``x0``: (best vertex, value).
 
@@ -175,7 +182,10 @@ def _nelder_mead(objective, x0: tuple[float, float]) -> tuple[list[float], float
     the same order, so the result is the same to the bit. The start simplex
     scales each coordinate by 1.05 (0.00025 if it is 0); the search stops
     when every vertex lies within XATOL and every value within FATOL of the
-    best (never on NaN), or after MAXITER - 1 iterations.
+    best (never on NaN), or after MAXITER - 1 iterations. An iteration that
+    leaves the sorted vertices and values the same to the bit reached a
+    fixed point, which every later iteration repeats, so the search stops
+    there with the same result.
     """
     x0 = [float(v) for v in x0]
     sim = [x0]
@@ -185,6 +195,7 @@ def _nelder_mead(objective, x0: tuple[float, float]) -> tuple[list[float], float
         sim.append(y)
     fsim = [objective(x) for x in sim]
     sim, fsim = _sorted_vertices(*_sorted_vertices(sim, fsim))  # scipy sorts twice
+    state = _state_bits(sim, fsim)
     for _ in range(MAXITER - 1):
         (best, mid, worst), (f_best, f_mid, f_worst) = sim, fsim
         if (all(abs(v[i] - best[i]) <= XATOL for v in (mid, worst) for i in (0, 1))
@@ -219,6 +230,9 @@ def _nelder_mead(objective, x0: tuple[float, float]) -> tuple[list[float], float
                 sim[j] = [best[i] + 0.5 * (sim[j][i] - best[i]) for i in (0, 1)]
                 fsim[j] = objective(sim[j])
         sim, fsim = _sorted_vertices(sim, fsim)
+        state, previous = _state_bits(sim, fsim), state
+        if state == previous:
+            break
     return sim[0], float(np.min(fsim))  # as scipy: NaN if any value is NaN
 
 
@@ -376,10 +390,15 @@ class KrigingSystem:
     A component screened as spatially independent predicts the plain score
     mean with ``marginal_variance``; a single observation pins the mean
     exactly. Both then predict a constant.
+
+    ``distances``, if given, is the soundings' ``pairwise_distances`` matrix,
+    which the system takes over and overwrites with its covariance and then
+    the factor; otherwise it evaluates one.
     """
 
     def __init__(self, scores: ScoreField, k: int, fit: VariogramFit | None,
-                 dependent: bool = True, marginal_variance: float | None = None):
+                 dependent: bool = True, marginal_variance: float | None = None,
+                 distances: np.ndarray | None = None):
         u = scores.component(k)
         if u.size < 1:
             raise DataError("no scores to krige from")
@@ -398,7 +417,9 @@ class KrigingSystem:
             return
 
         sill, rng = fit.sill, fit.range_km
-        cov = np.divide(scores.distances(), -rng)
+        cov = (pairwise_distances(scores.latitudes, scores.longitudes)
+               if distances is None else distances)
+        cov /= -rng
         np.exp(cov, out=cov)
         cov *= sill
         np.fill_diagonal(cov, sill + tau + JITTER * sill)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (SpectralDataset, WavelengthSet, common_wavelengths,
-                      coordinate_violation)
+                      coordinate_violation, pairwise_distances)
 from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
@@ -110,11 +110,20 @@ class GeoFpcaModel:
         return True if t is None else t.dependent
 
     def kriging_systems(self) -> list[KrigingSystem]:
-        """One factored predictor per component, built on first use and never saved."""
+        """One factored predictor per component, built on first use and never saved.
+
+        The soundings' distances are evaluated once: each kriged component but
+        the last takes a copy for its covariance, and the last takes them over.
+        """
         if self._systems is None:
+            kriged = [k for k in range(self.basis.K) if self.dependent(k)]
+            dist = (pairwise_distances(self.scores.latitudes, self.scores.longitudes)
+                    if kriged else None)
             self._systems = [
                 KrigingSystem(self.scores, k, self.fits[k], self.dependent(k),
-                              float(self.basis.eigenvalues[k]))
+                              float(self.basis.eigenvalues[k]),
+                              None if k not in kriged else dist if k == kriged[-1]
+                              else dist.copy())
                 for k in range(self.basis.K)
             ]
         return self._systems

@@ -206,8 +206,10 @@ def simulate_mixed_transect(cfg: SimulationConfig | None = None
     cfg = cfg or SimulationConfig()
     if cfg.n_sites < 5 or cfg.n_sites % 2 == 0:
         raise DataError("n_sites must be odd and >= 5")
-    if cfg.rho < 0:
-        raise DataError("rho must be >= 0")
+    if not (math.isfinite(cfg.rho) and cfg.rho >= 0.0):
+        raise DataError(f"rho {cfg.rho} must be finite and >= 0")
+    if cfg.alpha is not None and not 0.0 <= cfg.alpha <= 1.0:
+        raise DataError(f"alpha {cfg.alpha} must be finite and in [0, 1]")
     _check_seed(cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     m = cfg.grid_length

@@ -60,6 +60,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"grid_length {grid_length}" in err
 
+    @pytest.mark.parametrize("flag, value", [("rho", "nan"), ("rho", "inf"), ("alpha", "nan"),
+                                             ("alpha", 1.5), ("alpha", -0.2)])
+    def test_bad_rho_or_alpha_exits_3(self, tmp_path, capsys, flag, value):
+        assert run(["simulate", f"--{flag}", value, "--out", tmp_path / "s.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"data error: {flag} ")
+        assert not (tmp_path / "s.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def sim_csv(tmp_path_factory):

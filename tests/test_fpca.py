@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geofpca.dataset import WavelengthSet
+from geofpca.dataset import WavelengthSet, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                           compute_score_noise_variance, compute_scores, eigendecompose,
@@ -351,6 +351,10 @@ def lattice_field(side=16, step=0.01):
     return location_field(35.0 + step * k.ravel(), 23.75 + step * l.ravel())
 
 
+def field_distances(sf):
+    return pairwise_distances(sf.latitudes, sf.longitudes)
+
+
 def assert_tables_equal(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -366,8 +370,10 @@ class TestSpatialTablesMatchFullMatrixOracles:
         sf = random_field(n)
         for m in sorted({1, min(10, n - 1), n - 1}):
             got = sf.nearest(m)
-            assert_tables_equal(got, argsort_nearest(sf.distances(), m))
+            assert_tables_equal(got, argsort_nearest(field_distances(sf), m))
             assert all(a.base is None and not a.flags.writeable for a in got)
+        # The neighbour pass records the largest distance for the pair table.
+        assert sf._largest_distance == field_distances(sf).max()
 
     @pytest.mark.parametrize("n", [2, 20, 63, 64, 65, 264, 1200])
     def test_binned_pairs(self, n):
@@ -375,22 +381,28 @@ class TestSpatialTablesMatchFullMatrixOracles:
         for n_bins, max_fraction in ((15, 0.5), (8, 1.0)):
             got = sf.binned_pairs(n_bins, max_fraction)
             assert got[0].dtype == got[1].dtype == np.int32
-            assert_tables_equal(got, triu_binned_pairs(sf.distances(), n_bins, max_fraction))
+            assert_tables_equal(got, triu_binned_pairs(field_distances(sf), n_bins, max_fraction))
+        assert sf.largest_distance() == field_distances(sf).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 264])
+    def test_largest_distance(self, n):
+        sf = random_field(n)
+        assert sf.largest_distance() == field_distances(sf).max()
 
     def test_lattice_ties(self):
         sf = lattice_field()
-        d = sf.distances().copy()
+        d = field_distances(sf)
         np.fill_diagonal(d, np.inf)
         ordered = np.sort(d, axis=1)
         n = d.shape[0]
         boundary_ties = 0
         for m in (1, 2, 3, 4, 10, n - 1):
             boundary_ties += int((ordered[:, m - 1] == ordered[:, min(m, n - 1)]).sum())
-            assert_tables_equal(sf.nearest(m), argsort_nearest(sf.distances(), m))
+            assert_tables_equal(sf.nearest(m), argsort_nearest(field_distances(sf), m))
         assert boundary_ties > 0  # some row's m-th neighbour ties with the next
         for n_bins, max_fraction in ((15, 0.5), (8, 1.0), (4, 0.25)):
             assert_tables_equal(sf.binned_pairs(n_bins, max_fraction),
-                                triu_binned_pairs(sf.distances(), n_bins, max_fraction))
+                                triu_binned_pairs(field_distances(sf), n_bins, max_fraction))
 
     def test_all_distances_zero_raises(self):
         with pytest.raises(DataError, match="all pairwise distances are zero"):

@@ -1,6 +1,8 @@
 import json
 import math
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
-from geofpca.geostat import WEIGHT_SCHEMES, VariogramBins
+from geofpca.geostat import WEIGHT_SCHEMES, KrigingSystem, VariogramBins
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -98,6 +100,45 @@ class TestFitGeofpca:
         save_model(fit_geofpca(region, cfg), p1)
         save_model(fit_geofpca(region, cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from obj through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from reachable_arrays(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from reachable_arrays(v, seen)
+    elif hasattr(obj, "__dict__"):
+        for v in vars(obj).values():
+            yield from reachable_arrays(v, seen)
+
+
+class TestFitMemory:
+    """The fit keeps no n x n array and peaks well below the distance matrix's share."""
+
+    def test_no_distance_matrix(self):
+        ds, _ = simulate_orbit(OrbitConfig(n_tracks=75, track_spacing=0.008))
+        n = len(ds)
+        assert n == 600
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = fit_geofpca(ds, FitConfig(n_perm=99))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (n * n * 8) < 2.2  # in units of one n x n float64 array
+        arrays = list(reachable_arrays(model))
+        assert any(a is model.scores._pair_bins[1][0] for a in arrays)  # caches are walked
+        assert all(a.size < n * n for a in arrays)
 
 
 class TestImputeRadiance:
@@ -213,6 +254,26 @@ class TestBatchedPrediction:
                     ref = (float(u.mean()), float(model.basis.eigenvalues[k]))
                 assert abs(preds[j, k] - ref[0]) <= 1e-12
                 assert abs(variances[j, k] - ref[1]) <= 1e-12
+
+    def test_systems_equal_standalone_systems(self, fitted):
+        """One distance evaluation serves every component; the field is left intact."""
+        model = fitted[0]
+        for m in (model, replace(model, tests=[None] * model.basis.K)):  # all kriged
+            sf = m.scores
+            before = [a.copy() for a in (sf.scores, sf.latitudes, sf.longitudes,
+                                         sf.footprints)]
+            systems = m.kriging_systems()
+            for a, b in zip(before, (sf.scores, sf.latitudes, sf.longitudes, sf.footprints)):
+                assert np.array_equal(a, b)
+            for k, got in enumerate(systems):
+                want = KrigingSystem(sf, k, m.fits[k], m.dependent(k),
+                                     float(m.basis.eigenvalues[k]))
+                assert got.constant == want.constant
+                if want.constant is None:
+                    assert np.array_equal(got.chol, want.chol)
+                    assert np.array_equal(got.weights, want.weights)
+                    assert got.kappa == want.kappa
+        assert sum(m.dependent(k) for k in range(m.basis.K)) >= 2
 
     def test_one_at_a_time_matches_batch(self, fitted):
         model, lats, lons, fps = fitted
