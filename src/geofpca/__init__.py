@@ -17,9 +17,9 @@ from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalErr
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores, eigendecompose,
                    estimate_error_covariance, estimate_signal_covariance)
-from .geostat import (EmpiricalVariogram, KrigingSystem, SpatialTestResult,
-                      VariogramBins, VariogramFit, empirical_semivariogram,
-                      exponential_variogram, fit_variogram_wls, krige_score,
+from .geostat import (EmpiricalVariogram, SpatialTestResult, VariogramBins,
+                      VariogramFit, empirical_semivariogram, exponential_variogram,
+                      fit_variogram_wls, krige_score, kriged_scores, kriging_weights,
                       spatial_dependence_test)
 from .imputation import (FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance,
                          interpolate_radiance, load_model, predict_scores,

@@ -311,6 +311,8 @@ def cmd_validate(cfg: dict) -> int:
         if not centers:
             print("no qualifying centers found", file=sys.stderr)
             return EXIT_DATA
+    for c in centers:
+        ds.index_of(c)  # a DataError names the first id not in the dataset
     report = run_imputation_experiment(ds, centers, **experiment)
     report_to_csv(report, cfg["out"])
     if cfg.get("summary"):
@@ -318,6 +320,8 @@ def cmd_validate(cfg: dict) -> int:
     print(f"{len(centers)} centers, r={min(report.by_r)}..{max(report.by_r)}: "
           f"{len(report.rows)} rows, "
           f"{len(report.failures)} failed cells; report at {cfg['out']}")
+    for center, r, message in report.failures:
+        print(f"failed cell: center {center}, r {r}: {message}")
     return EXIT_OK
 
 

@@ -150,7 +150,7 @@ class SpectralDataset:
         return self.radiance.shape[1]
 
     def footprints_present(self) -> list[int]:
-        return np.unique(self.footprints).tolist()
+        return sorted(set(self.footprints.tolist()))
 
     def index_of(self, sounding_id: int) -> int:
         try:
@@ -289,7 +289,7 @@ def track_numbers(ds: SpectralDataset) -> np.ndarray:
     """
     fps = ds.footprints
     tracks = np.empty(len(ds), dtype=int)
-    for p in np.unique(fps):
+    for p in set(fps.tolist()):
         sel = fps == p
         tracks[sel] = np.arange(np.count_nonzero(sel))
     return tracks

@@ -270,8 +270,7 @@ def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
     raw = resid.T @ resid / (n - 1)
     fps = ds.footprints[rows]
     correction = np.zeros_like(raw)
-    for p in np.unique(fps):
-        p = int(p)
+    for p in sorted(set(fps.tolist())):
         if p not in errs:
             raise DataError(f"missing error covariance for footprint {p}")
         n_p = int((fps == p).sum())

@@ -5,7 +5,8 @@ variance, which removes the footprint-dependent nugget before model fitting.
 The exponential model sill*(1 - exp(-h/range)) is fitted by weighted least
 squares; spatial dependence is screened with a Moran's I permutation test;
 prediction uses the plug-in ordinary kriging BLUP built from the fitted
-covariance plus the heterogeneous nugget on the diagonal.
+covariance plus the heterogeneous nugget on the diagonal, in dual form: a GLS
+mean and one weight per sounding.
 """
 
 from __future__ import annotations
@@ -378,92 +379,66 @@ def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-class KrigingSystem:
-    """Plug-in ordinary kriging of one component's scores, factored once.
+def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L' x = b: a forward solve on the lower-triangular view L'[::-1, ::-1]."""
+    return _forward_solve(chol.T[::-1, ::-1], rhs[::-1])[::-1]
 
-    The covariance is sill*exp(-d/range) off the diagonal and sill plus the
-    footprint score-noise variance (with a relative jitter) on it. Building
-    the system factors it once as L L' and keeps h_u = L^-1 u, h_1 = L^-1 1,
-    1' Sigma^-1 1 = h_1'h_1 and the GLS mean kappa, so T targets cost one
-    n x T cross-covariance nu and one forward solve H = L^-1 nu with T
-    right-hand sides, which gives both the predictions and the variances.
-    A component screened as spatially independent predicts the plain score
-    mean with ``marginal_variance``; a single observation pins the mean
-    exactly. Both then predict a constant.
 
-    ``distances``, if given, is the soundings' ``pairwise_distances`` matrix,
-    which the system takes over and overwrites with its covariance and then
-    the factor; otherwise it evaluates one.
+def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
+                    dependent: bool = True, distances: np.ndarray | None = None
+                    ) -> tuple[float, np.ndarray | None]:
+    """Ordinary kriging of one component's scores in dual form: (kappa, alpha).
+
+    Sigma is sill*exp(-d/range) plus, on the diagonal, the footprint
+    score-noise variance and a relative jitter. kappa is the GLS mean and
+    alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. A
+    spatially independent component predicts its score mean, and a single
+    observation its own score: alpha is None. ``distances`` (the soundings'
+    ``pairwise_distances``, else evaluated here) is overwritten in place.
     """
+    u = scores.component(k)
+    if u.size < 1:
+        raise DataError("no scores to krige from")
+    if not dependent:
+        return float(u.mean()), None
+    if fit is None:
+        raise DataError(f"component {k}: no variogram fit available for kriging")
+    if u.size < 2:
+        return float(u[0]), None
+    cov = (pairwise_distances(scores.latitudes, scores.longitudes)
+           if distances is None else distances)
+    cov /= -fit.range_km
+    np.exp(cov, out=cov)
+    cov *= fit.sill
+    np.fill_diagonal(cov, fit.sill + scores.tau_for(scores.footprints, k) + JITTER * fit.sill)
+    try:
+        chol = _cholesky_in_place(cov)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
+    h_u, h_1 = _forward_solve(chol, np.column_stack([u, np.ones_like(u)])).T
+    denom = float(h_1 @ h_1)
+    if denom <= 0.0:
+        raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
+    kappa = float(h_1 @ h_u) / denom
+    return kappa, _back_solve(chol, h_u - kappa * h_1)
 
-    def __init__(self, scores: ScoreField, k: int, fit: VariogramFit | None,
-                 dependent: bool = True, marginal_variance: float | None = None,
-                 distances: np.ndarray | None = None):
-        u = scores.component(k)
-        if u.size < 1:
-            raise DataError("no scores to krige from")
-        self.constant: tuple[float, float] | None = None
-        if not dependent:
-            if marginal_variance is None:
-                raise DataError("reduced predictor needs a marginal variance")
-            self.constant = (float(u.mean()), float(marginal_variance))
-            return
-        if fit is None:
-            raise DataError(f"component {k}: no variogram fit available for kriging")
-        tau = scores.tau_for(scores.footprints, k)
-        if u.size < 2:
-            # A single observation pins the constant mean exactly.
-            self.constant = (float(u[0]), float(fit.sill + tau[0]))
-            return
 
-        sill, rng = fit.sill, fit.range_km
-        cov = (pairwise_distances(scores.latitudes, scores.longitudes)
-               if distances is None else distances)
-        cov /= -rng
-        np.exp(cov, out=cov)
-        cov *= sill
-        np.fill_diagonal(cov, sill + tau + JITTER * sill)
-        try:
-            chol = _cholesky_in_place(cov)
-        except np.linalg.LinAlgError as e:
-            raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
-        h = _forward_solve(chol, np.column_stack([u, np.ones_like(u)]))
-        h_u, h_1 = h[:, 0], h[:, 1]
-        denom = float(h_1 @ h_1)
-        if denom <= 0.0:
-            raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
-        self.kappa = float(h_1 @ h_u) / denom
-        self.weights = h_u - self.kappa * h_1
-        self.h_1, self.denom = h_1, denom
-        self.chol, self.sill, self.range_km = chol, sill, rng
-        self.latitudes, self.longitudes = scores.latitudes, scores.longitudes
-
-    def predict(self, latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
-        """Predictions and prediction variances at T locations (two length-T arrays)."""
-        lat = np.asarray(latitudes, dtype=float)
-        lon = np.asarray(longitudes, dtype=float)
-        if self.constant is not None:
-            return np.full(lat.shape, self.constant[0]), np.full(lat.shape, self.constant[1])
-        nu = haversine_km(self.latitudes[:, None], self.longitudes[:, None],
-                          lat[None, :], lon[None, :])
-        np.divide(nu, -self.range_km, out=nu)
-        np.exp(nu, out=nu)
-        nu *= self.sill
-        half = _forward_solve(self.chol, nu)
-        pred = self.kappa + self.weights @ half
-        slack = 1.0 - self.h_1 @ half
-        var = self.sill - np.einsum("ij,ij->j", half, half) + slack * slack / self.denom
-        return pred, np.maximum(var, 0.0)
+def kriged_scores(kappa: float, alpha: np.ndarray | None, fit: VariogramFit | None,
+                  scores: ScoreField, latitudes, longitudes) -> np.ndarray:
+    """kappa + c(x)'alpha at T locations, from :func:`kriging_weights` (length T)."""
+    lat = np.asarray(latitudes, dtype=float)
+    if alpha is None:
+        return np.full(lat.shape, kappa)
+    nu = haversine_km(scores.latitudes[:, None], scores.longitudes[:, None],
+                      lat[None, :], np.asarray(longitudes, dtype=float)[None, :])
+    np.divide(nu, -fit.range_km, out=nu)
+    np.exp(nu, out=nu)
+    nu *= fit.sill
+    return kappa + alpha @ nu
 
 
 def krige_score(target: tuple[float, float], scores: ScoreField, k: int,
-                fit: VariogramFit | None, dependent: bool = True,
-                marginal_variance: float | None = None) -> tuple[float, float]:
-    """Predict one component's score at one (latitude, longitude): (prediction, variance).
-
-    A one-target call into :class:`KrigingSystem`; to predict many targets,
-    build the system once and call its ``predict``.
-    """
-    system = KrigingSystem(scores, k, fit, dependent, marginal_variance)
-    pred, var = system.predict([target[0]], [target[1]])
-    return float(pred[0]), float(var[0])
+                fit: VariogramFit | None, dependent: bool = True) -> float:
+    """One component's predicted score at one (latitude, longitude)."""
+    kappa, alpha = kriging_weights(scores, k, fit, dependent)
+    return float(kriged_scores(kappa, alpha, fit, scores, [target[0]], [target[1]])[0])

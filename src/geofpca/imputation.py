@@ -5,7 +5,7 @@ fit, per-footprint error covariances, signal covariance, eigendecomposition,
 scores, score-noise variances, spatial-dependence screening, then empirical
 variograms and WLS fits per retained component. The resulting model imputes
 spectra at any batch of locations as the mean plus the kriged-score
-reconstruction, factoring each component's kriging system once.
+reconstruction, computing each component's kriging weights once.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
                    eigendecompose, estimate_error_covariance,
                    estimate_signal_covariance)
-from .geostat import (WEIGHT_SCHEMES, KrigingSystem, SpatialTestResult, VariogramBins,
-                      VariogramFit, empirical_semivariogram, fit_variogram_wls,
-                      spatial_dependence_test)
+from .geostat import (WEIGHT_SCHEMES, SpatialTestResult, VariogramBins, VariogramFit,
+                      empirical_semivariogram, fit_variogram_wls, kriged_scores,
+                      kriging_weights, spatial_dependence_test)
 # Unused here; perfbench's tracer self-test checks it is rebound in this module.
 from .geostat import krige_score  # noqa: F401
 from .mean_model import COVARIATE_MODES, MeanModel, evaluate_mean_at, fit_mean_model
@@ -101,32 +101,31 @@ class GeoFpcaModel:
     fits: list[VariogramFit | None]
     tests: list[SpatialTestResult | None]
     config: FitConfig
-    _systems: list[KrigingSystem] | None = field(default=None, init=False, repr=False,
-                                                 compare=False)
+    _weights: list[tuple[float, np.ndarray | None]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def dependent(self, k: int) -> bool:
         """Spatial dependence decision for component k (default True if untested)."""
         t = self.tests[k]
         return True if t is None else t.dependent
 
-    def kriging_systems(self) -> list[KrigingSystem]:
-        """One factored predictor per component, built on first use and never saved.
+    def kriging_weights(self) -> list[tuple[float, np.ndarray | None]]:
+        """Each component's (kappa, alpha), built on first use and never saved.
 
         The soundings' distances are evaluated once: each kriged component but
         the last takes a copy for its covariance, and the last takes them over.
         """
-        if self._systems is None:
+        if self._weights is None:
             kriged = [k for k in range(self.basis.K) if self.dependent(k)]
             dist = (pairwise_distances(self.scores.latitudes, self.scores.longitudes)
                     if kriged else None)
-            self._systems = [
-                KrigingSystem(self.scores, k, self.fits[k], self.dependent(k),
-                              float(self.basis.eigenvalues[k]),
-                              None if k not in kriged else dist if k == kriged[-1]
-                              else dist.copy())
+            self._weights = [
+                kriging_weights(self.scores, k, self.fits[k], self.dependent(k),
+                                None if k not in kriged else dist if k == kriged[-1]
+                                else dist.copy())
                 for k in range(self.basis.K)
             ]
-        return self._systems
+        return self._weights
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -204,33 +203,24 @@ def _target_coordinates(latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
     return lat, lon
 
 
-def predict_scores(model: GeoFpcaModel, latitudes, longitudes
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Kriged (or reduced) score predictions and variances at T locations.
+def predict_scores(model: GeoFpcaModel, latitudes, longitudes) -> np.ndarray:
+    """Kriged (or reduced) score predictions at T locations (T x K).
 
-    Returns two T x K arrays. The per-component kriging systems are factored
-    on the first call and reused by every later one.
+    The per-component kriging weights are computed on the first call and
+    reused by every later one.
     """
     lat, lon = _target_coordinates(latitudes, longitudes)
     preds = np.empty((lat.size, model.basis.K))
-    variances = np.empty((lat.size, model.basis.K))
-    for k, system in enumerate(model.kriging_systems()):
-        preds[:, k], variances[:, k] = system.predict(lat, lon)
-    return preds, variances
+    for k, (kappa, alpha) in enumerate(model.kriging_weights()):
+        preds[:, k] = kriged_scores(kappa, alpha, model.fits[k], model.scores, lat, lon)
+    return preds
 
 
-def impute_radiance(model: GeoFpcaModel, latitudes, longitudes, footprints,
-                    scores: np.ndarray | None = None) -> np.ndarray:
-    """Impute spectra at T locations: mean plus score reconstruction (T x m).
-
-    ``scores`` takes the T x K predictions of :func:`predict_scores` when the
-    caller already holds them, so the targets are not kriged twice.
-    """
+def impute_radiance(model: GeoFpcaModel, latitudes, longitudes, footprints) -> np.ndarray:
+    """Impute spectra at T locations: mean plus score reconstruction (T x m)."""
     lat, lon = _target_coordinates(latitudes, longitudes)
     spectra = evaluate_mean_at(model.mean, lat, lon, footprints)
-    if scores is None:
-        scores, _ = predict_scores(model, lat, lon)
-    spectra += scores @ model.basis.eigenvectors.T
+    spectra += predict_scores(model, lat, lon) @ model.basis.eigenvectors.T
     if not np.all(np.isfinite(spectra)):
         raise NumericalError("imputed spectrum is not finite")
     return spectra
@@ -254,7 +244,7 @@ def interpolate_radiance(ds: SpectralDataset, latitudes, footprints,
         raise DataError(f"target at position {bad[0]}: {bad[1]}")
     pos = ws.positions if ws is not None else np.arange(ds.grid_length)
     out = np.empty((x.size, pos.size))
-    for p in np.unique(fps):
+    for p in sorted(set(fps.tolist())):
         rows = np.flatnonzero(ds.footprints == p)
         if rows.size < 2:
             raise DataError(
@@ -359,5 +349,28 @@ def _model_from_doc(doc: dict) -> GeoFpcaModel:
     )
     fits = [None if f is None else VariogramFit.from_dict(f) for f in doc["fits"]]
     tests = [None if t is None else SpatialTestResult.from_dict(t) for t in doc["tests"]]
-    return GeoFpcaModel((doc["region"][0], doc["region"][1]), ws, mean, basis,
-                        scores, fits, tests, FitConfig.from_dict(doc["config"]))
+    model = GeoFpcaModel((doc["region"][0], doc["region"][1]), ws, mean, basis,
+                         scores, fits, tests, FitConfig.from_dict(doc["config"]))
+    _check_kriging_inputs(model)
+    return model
+
+
+def _check_kriging_inputs(model: GeoFpcaModel) -> None:
+    """Raise ValueError where a loaded model cannot krige what it claims to."""
+    k, sf = model.basis.K, model.scores
+    for name, entries in (("fits", model.fits), ("tests", model.tests),
+                          ("basis.eigenvalues", model.basis.eigenvalues)):
+        if len(entries) != k:
+            raise ValueError(f"{name} has {len(entries)} entries for K = {k}")
+    if any(a.shape != sf.sounding_ids.shape for a in (sf.latitudes, sf.longitudes,
+                                                      sf.footprints)):
+        raise ValueError("score coordinates and footprints need one entry per sounding id")
+    for c, fit in enumerate(model.fits):
+        if fit is None:
+            if model.dependent(c):
+                raise ValueError(f"component {c} is kriged but has no variogram fit")
+        elif (not all(type(x) in (int, float) and math.isfinite(x)
+                      for x in (fit.sill, fit.range_km))
+              or fit.sill < 0.0 or fit.range_km <= 0.0):
+            raise ValueError(f"fits[{c}] needs a finite sill >= 0 and range_km > 0, "
+                             f"got {fit.sill!r} and {fit.range_km!r}")

@@ -133,10 +133,10 @@ def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
     else:
         covs = np.column_stack([lat, np.asarray(longitudes, dtype=float)])
     out = np.empty((fps.size, model.wavelengths.size))
-    for p in np.unique(fps):
-        if int(p) not in model.coefficients:
-            raise DataError(f"footprint {int(p)} was not fitted")
-        beta = model.coefficients[int(p)]
+    for p in sorted(set(fps.tolist())):
+        if p not in model.coefficients:
+            raise DataError(f"footprint {p} was not fitted")
+        beta = model.coefficients[p]
         sel = fps == p
         out[sel] = beta[0] + covs[sel] @ beta[1:]
     return out

@@ -158,17 +158,17 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv") -> ScoreFie
     lats = scores.latitudes
     fps = scores.footprints
     smoothed = scores.scores.copy()
-    for p in np.unique(fps):
+    for p in sorted(set(fps.tolist())):
         sel = np.flatnonzero(fps == p)
         if sel.size < 5:
-            raise DataError(f"footprint {int(p)}: {sel.size} soundings, need >= 5 to smooth")
+            raise DataError(f"footprint {p}: {sel.size} soundings, need >= 5 to smooth")
         x = lats[sel]
         for k in range(scores.n_components):
             y = scores.scores[sel, k]
             inliers = _mad_inliers(y, OUTLIER_MAD)
             if inliers.sum() < 2:
                 raise DataError(
-                    f"footprint {int(p)}, component {k}: fewer than 2 inlier scores"
+                    f"footprint {p}, component {k}: fewer than 2 inlier scores"
                 )
             xf, yf = x[inliers], y[inliers]
             if isinstance(bandwidth, str):
@@ -234,7 +234,7 @@ def _has_extreme_scores(scores: ScoreField, spec: MixedRegionSpec) -> bool:
            (scores.latitudes <= hi + EXTREME_REACH * spec.delta0)
     if not near.any():
         return False
-    for p in np.unique(scores.footprints):
+    for p in sorted(set(scores.footprints.tolist())):
         sel = scores.footprints == p
         for k in range(scores.n_components):
             u = scores.scores[sel, k]

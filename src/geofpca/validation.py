@@ -144,9 +144,9 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
         good = ~np.isnan(observed)
         keep = np.flatnonzero(good.any(axis=1))
         lats, lons = held.latitudes[keep], held.longitudes[keep]
-        preds, _ = predict_scores(model, lats, lons)
+        preds = predict_scores(model, lats, lons)
         fps = held.footprints[keep]
-        imputed = impute_radiance(model, lats, lons, fps, preds)
+        imputed = impute_radiance(model, lats, lons, fps)
         interp = interpolate_radiance(train, lats, fps, model.wavelengths)
         rows = []
         for j, i in enumerate(keep):

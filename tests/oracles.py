@@ -113,6 +113,11 @@ def triangular_solve(chol, rhs):
     return solve_triangular(chol, rhs, lower=True)
 
 
+def transposed_triangular_solve(chol, rhs):
+    """L' X = B by LAPACK's triangular solve, for lower-triangular L."""
+    return solve_triangular(chol, rhs, lower=True, trans="T")
+
+
 def argsort_nearest(dist, m):
     """Each point's m nearest other points by a stable argsort of every full row.
 

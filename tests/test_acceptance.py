@@ -182,7 +182,7 @@ def test_criterion_5_oracle_equivalence(report):
     fit = VariogramFit(2.3, 12.0, "nh2", 0.0, False,
                        EmpiricalVariogram(np.array([1.0, 2.0]), np.array([10, 10]),
                                           np.array([0.5, 0.8])))
-    pred, _ = krige_score((35.15, 23.02), field, 0, fit)
+    pred = krige_score((35.15, 23.02), field, 0, fit)
     cov = 2.3 * np.exp(-pairwise_distances(lat, lon) / 12.0)
     tau_i = np.array([0.05 + 0.01 * p for p in fps])
     np.fill_diagonal(cov, 2.3 + tau_i + 1e-8 * 2.3)
@@ -262,7 +262,7 @@ def test_criterion_6_exactness_suite(report):
     fit = VariogramFit(1.7, 9.0, "nh2", 0.0, False,
                        EmpiricalVariogram(np.array([1.0, 2.0]), np.array([10, 10]),
                                           np.array([0.5, 0.8])))
-    pred, _ = krige_score((35.4, 23.8), field, 0, fit)
+    pred = krige_score((35.4, 23.8), field, 0, fit)
     const_err = abs(pred - c)
     details.append(f"constant-field kriging error {const_err:.2e}")
 

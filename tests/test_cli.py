@@ -1,6 +1,7 @@
 import builtins
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import geofpca
 from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
 from geofpca.dataset import load_dataset, save_dataset
+from geofpca.fpca import ScoreField
+from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
 from geofpca.imputation import FitConfig, load_model
 from geofpca.simulation import OrbitConfig, SimulationConfig, simulate_mixed_transect, simulate_orbit
 from geofpca.validation import run_imputation_experiment, select_centers
@@ -225,6 +228,49 @@ class TestImpute:
         assert "line 3" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def model_doc(sim_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert run(["fit", "--input", sim_csv[0], "--region", "34.9:35.47", "--n-perm", 99,
+                "--out", path]) == 0
+    return json.loads(path.read_text())
+
+
+def _first_fit(doc):
+    return next(f for f in doc["fits"] if f is not None)
+
+
+class TestMalformedModel:
+    """A model file that cannot krige what it claims exits 3 with one line."""
+
+    MUTATIONS = {
+        "fits-short": lambda d: d["fits"].pop(),
+        "tests-short": lambda d: d["tests"].pop(),
+        "sill-string": lambda d: _first_fit(d).update(sill="x"),
+        "sill-negative": lambda d: _first_fit(d).update(sill=-1.0),
+        "range-zero": lambda d: _first_fit(d).update(range_km=0.0),
+    }
+
+    @pytest.mark.parametrize("name", MUTATIONS)
+    def test_exits_3(self, model_doc, tmp_path, capsys, name):
+        doc = json.loads(json.dumps(model_doc))
+        self.MUTATIONS[name](doc)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
+                    "--footprint", 4, "--out", out]) == 3, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{model_path}: malformed model file (" in err
+        assert not out.exists()
+
+    def test_unmutated_model_loads(self, model_doc, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_doc))
+        assert run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
+                    "--footprint", 4, "--out", tmp_path / "s.csv"]) == 0
+
+
 class TestUnmix:
     def test_end_to_end_with_truth(self, sim_csv, tmp_path):
         path, truth = sim_csv
@@ -291,6 +337,31 @@ class TestValidate:
                     "--n-perm", 99, "--out", out])
         assert code == 0
         assert len(out.read_text().splitlines()) > 1
+
+    def test_unknown_center_exits_3(self, orbit_csv, tmp_path, capsys):
+        path, ds = orbit_csv
+        center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+        out = tmp_path / "report.csv"
+        assert run(["validate", "--input", path, "--r", "1:2",
+                    "--centers", f"{center}:999999", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sounding id 999999 not in dataset" in err
+        assert not out.exists()
+
+    def test_failed_cells_printed(self, orbit_csv, tmp_path, capsys):
+        path, ds = orbit_csv
+        center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+        out = tmp_path / "report.csv"
+        assert run(["validate", "--input", path, "--r", "1:2", "--centers", str(center),
+                    "--lat-halfwidth", 1.0, "--max-lat-span", 0.01, "--n-perm", 99,
+                    "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("config validate: ")
+        assert "0 rows, 2 failed cells" in lines[1]
+        for line, r in zip(lines[2:], (1, 2)):
+            assert line.startswith(f"failed cell: center {center}, r {r}: ")
+            assert "homogeneity guard" in line
+        assert len(lines) == 4
 
     @pytest.mark.parametrize("r", ["1:9", "0:2", "3:2", "a:2", "1.5:2", "4"])
     def test_bad_r_exits_3(self, orbit_csv, tmp_path, capsys, r):
@@ -413,6 +484,26 @@ def test_command_loads_no_scipy(sim_csv, orbit_csv, tmp_path, command):
                            "--seed", 3, "--threads", 1],
     }[command]
     assert scipy_loaded_by(*args, "--out", out) == "0 []"
+
+
+@pytest.mark.parametrize("command", ["fit", "impute", "validate"])
+def test_command_loads_no_numpy_ma(sim_csv, orbit_csv, tmp_path, command):
+    transect, orbit = sim_csv[0], orbit_csv[0]
+    model = tmp_path / "model.json"
+    fit = ["fit", "--input", transect, "--region", "34.9:35.47", "--n-perm", 99]
+    if command == "impute":
+        assert run(fit + ["--out", model]) == 0
+    args = {
+        "fit": fit,
+        "impute": ["impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
+                   "--footprint", 4],
+        "validate": ["validate", "--input", orbit, "--r", "1:1", "--min-region-count", 8,
+                     "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1],
+    }[command]
+    out = run_python("import sys; from geofpca.cli import main; code = main(sys.argv[1:]); "
+                     "print(code, 'numpy.ma' in sys.modules)",
+                     *args, "--out", tmp_path / "out.csv")
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_validate_bytes_independent_of_openblas_threads(tmp_path):
@@ -746,18 +837,51 @@ def test_closed_standard_output_exits_3(sim_csv, tmp_path):
     assert "None" not in out.stderr and "Traceback" not in out.stderr
 
 
-def test_benchmark_tracer_targets_resolve():
-    """Every function the benchmark's launcher wraps exists in the library."""
+def benchmark_launcher():
+    """perfbench/launcher.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"
     spec = importlib.util.spec_from_file_location("perfbench_launcher", path)
     launcher = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launcher)
+    return launcher
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every function the benchmark's launcher wraps exists in the library."""
+    launcher = benchmark_launcher()
     for module, name, how in launcher.TRACED:
         assert callable(getattr(importlib.import_module(f"geofpca.{module}"), name)), \
             f"geofpca.{module}.{name}"
         assert how in ("span", "count")
     krige_score = importlib.import_module("geofpca.geostat").krige_score
     assert importlib.import_module("geofpca.imputation").krige_score is krige_score
+
+
+def test_benchmark_selftest_passes():
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300, cwd=script.parents[1])
+    assert out.returncode == 0, out.stderr
+
+
+def test_benchmark_krige_measure_binds_krige_score():
+    """The launcher's measure reads krige_score's arguments by name, as its tracer binds them."""
+    measure = benchmark_launcher().MEASURES["geostat.krige_score"]
+    n = 12
+    rng = np.random.default_rng(3)
+    field = ScoreField(np.arange(1, n + 1), rng.standard_normal((n, 1)),
+                       35.0 + 0.01 * np.arange(n), np.full(n, 23.8), np.full(n, 4),
+                       {4: np.array([0.1])})
+    fit = VariogramFit(1.0, 10.0, "nh2", 0.0, False,
+                       EmpiricalVariogram(np.array([1.0, 2.0]), np.array([10, 10]),
+                                          np.array([0.5, 0.8])))
+    signature = inspect.signature(krige_score)
+    for args, kwargs, nbytes in [(((35.05, 23.8), field, 0, fit), {}, 8 * n * n),
+                                 (((35.05, 23.8), field, 0, None), {"dependent": False}, 0)]:
+        assert isinstance(krige_score(*args, **kwargs), float)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        assert measure(bound) == {"matrix_bytes": nbytes}
 
 
 @pytest.mark.parametrize("workload, files", [("region-impute", ["region.csv"]),

@@ -9,13 +9,14 @@ from geofpca.dataset import haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import (GRID_POINTS, PERM_ELEMENTS, EmpiricalVariogram,
-                             KrigingSystem, VariogramBins, _cholesky_in_place,
+                             VariogramBins, _back_solve, _cholesky_in_place,
                              _forward_solve, _permuted_moran, _wls_weights,
                              empirical_semivariogram, exponential_variogram,
-                             fit_variogram_wls, krige_score, spatial_dependence_test)
+                             fit_variogram_wls, krige_score, kriged_scores,
+                             kriging_weights, spatial_dependence_test)
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
                      moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
-                     triangular_solve, triu_binned_pairs)
+                     transposed_triangular_solve, triangular_solve, triu_binned_pairs)
 
 
 def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
@@ -425,17 +426,15 @@ def simple_fit(sill, range_km):
 class TestKrigeScore:
     def test_single_observation_returns_it(self):
         sf = score_field([35.0], np.array([3.25]), [0.0])
-        pred, var = krige_score((35.5, 23.8), sf, 0, simple_fit(2.0, 10.0))
-        assert pred == 3.25
+        assert krige_score((35.5, 23.8), sf, 0, simple_fit(2.0, 10.0)) == 3.25
 
     def test_exact_interpolation_at_observed_location(self, rng):
         lats = transect_latitudes(6, 8.0)
         u = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
         sf = score_field(lats, u, [0.0])
         target = (lats[2], 23.8)
-        pred, var = krige_score(target, sf, 0, simple_fit(1.0, 10.0))
+        pred = krige_score(target, sf, 0, simple_fit(1.0, 10.0))
         assert pred == pytest.approx(u[2], abs=1e-8)
-        assert var == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_bordered_system_oracle(self, rng):
         n = 30
@@ -447,14 +446,13 @@ class TestKrigeScore:
         sf = score_field(lats, u, taus, lons=lons, footprints=fps)
         fit = simple_fit(2.3, 12.0)
         target = (35.15, 23.02)
-        pred, var = krige_score(target, sf, 0, fit)
+        pred = krige_score(target, sf, 0, fit)
         cov = 2.3 * np.exp(-pairwise_distances(lats, lons) / 12.0)
         tau_i = np.array([0.05 + 0.01 * p for p in fps])
         np.fill_diagonal(cov, 2.3 + tau_i + 1e-8 * 2.3)
         nu = 2.3 * np.exp(-haversine_km(*target, lats, lons) / 12.0)
-        pred_ref, var_ref = bordered_kriging(cov, nu, u, 2.3)
+        pred_ref, _ = bordered_kriging(cov, nu, u, 2.3)
         assert pred == pytest.approx(pred_ref, abs=1e-8)
-        assert var == pytest.approx(var_ref, abs=1e-8)
 
     def test_constant_field_returns_constant(self, rng):
         n, c = 25, 4.2
@@ -462,7 +460,7 @@ class TestKrigeScore:
         fps = rng.integers(1, 9, n)
         taus = {p: np.array([0.3 * p]) for p in range(1, 9)}  # any nugget
         sf = score_field(lats, np.full(n, c), taus, footprints=fps)
-        pred, _ = krige_score((35.4, 23.8), sf, 0, simple_fit(1.7, 9.0))
+        pred = krige_score((35.4, 23.8), sf, 0, simple_fit(1.7, 9.0))
         assert pred == pytest.approx(c, abs=1e-10)
 
     def test_translation_equivariance(self, rng):
@@ -472,31 +470,15 @@ class TestKrigeScore:
         sf1 = score_field(lats, u, [0.2])
         sf2 = score_field(lats, u + shift, [0.2])
         target = (35.07, 23.8)
-        p1, _ = krige_score(target, sf1, 0, simple_fit(1.5, 11.0))
-        p2, _ = krige_score(target, sf2, 0, simple_fit(1.5, 11.0))
+        p1 = krige_score(target, sf1, 0, simple_fit(1.5, 11.0))
+        p2 = krige_score(target, sf2, 0, simple_fit(1.5, 11.0))
         assert p2 - p1 == pytest.approx(shift, abs=1e-10)
-
-    def test_variance_nonnegative_everywhere(self, rng):
-        n = 15
-        lats = transect_latitudes(n, 4.0)
-        u = rng.normal(0, 1.0, n)
-        sf = score_field(lats, u, [0.4])
-        for lat in np.linspace(34.9, 35.7, 9):
-            _, var = krige_score((lat, 23.8), sf, 0, simple_fit(2.0, 8.0))
-            assert var >= 0.0
 
     def test_reduced_predictor(self, rng):
         u = rng.normal(0, 1.0, 12)
         sf = score_field(transect_latitudes(12), u, [0.1])
-        pred, var = krige_score((35.0, 23.8), sf, 0, None,
-                                dependent=False, marginal_variance=3.3)
+        pred = krige_score((35.0, 23.8), sf, 0, None, dependent=False)
         assert pred == pytest.approx(float(u.mean()), abs=1e-12)
-        assert var == 3.3
-
-    def test_reduced_needs_marginal_variance(self, rng):
-        sf = score_field(transect_latitudes(5), rng.normal(size=5), [0.1])
-        with pytest.raises(DataError, match="marginal variance"):
-            krige_score((35.0, 23.8), sf, 0, None, dependent=False)
 
 
 class TestKrigingSystem:
@@ -511,30 +493,28 @@ class TestKrigingSystem:
         t_lat = 35.0 + rng.uniform(-0.05, 0.35, 24)
         t_lon = 23.0 + rng.uniform(-0.02, 0.07, 24)
         t_lat[:3], t_lon[:3] = lats[:3], lons[:3]  # training locations too
-        pred, var = KrigingSystem(sf, 0, simple_fit(sill, range_km)).predict(t_lat, t_lon)
+        fit = simple_fit(sill, range_km)
+        pred = kriged_scores(*kriging_weights(sf, 0, fit), fit, sf, t_lat, t_lon)
         cov = sill * np.exp(-pairwise_distances(lats, lons) / range_km)
         np.fill_diagonal(cov, sill + 0.05 + 0.01 * fps + 1e-8 * sill)
         for j in range(t_lat.size):
             nu = sill * np.exp(-haversine_km(t_lat[j], t_lon[j], lats, lons) / range_km)
-            pred_ref, var_ref = cholesky_kriging(cov, nu, u, sill)
+            pred_ref, _ = cholesky_kriging(cov, nu, u, sill)
             assert abs(pred[j] - pred_ref) <= 1e-12
-            assert abs(var[j] - var_ref) <= 1e-12
 
     def test_constant_predictors(self, rng):
         u = rng.normal(0, 1.0, 12)
         sf = score_field(transect_latitudes(12), u, [0.1])
-        pred, var = KrigingSystem(sf, 0, None, dependent=False,
-                                  marginal_variance=3.3).predict([35.0, 35.1], [23.8, 23.8])
+        assert kriging_weights(sf, 0, None, dependent=False) == (u.mean(), None)
+        pred = kriged_scores(u.mean(), None, None, sf, [35.0, 35.1], [23.8, 23.8])
         np.testing.assert_array_equal(pred, np.full(2, u.mean()))
-        np.testing.assert_array_equal(var, [3.3, 3.3])
         one = score_field([35.0], [3.25], [0.5])
-        pred, var = KrigingSystem(one, 0, simple_fit(2.0, 10.0)).predict([35.5], [23.8])
-        assert pred[0] == 3.25 and var[0] == 2.5
+        assert kriging_weights(one, 0, simple_fit(2.0, 10.0)) == (3.25, None)
 
     def test_not_spd_raises(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [-5.0])
         with pytest.raises(NumericalError, match="not SPD"):
-            KrigingSystem(sf, 0, simple_fit(1.0, 10.0))
+            kriging_weights(sf, 0, simple_fit(1.0, 10.0))
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
     def test_forward_solve_matches_triangular_oracle(self, rng, n):
@@ -546,6 +526,18 @@ class TestKrigingSystem:
             x = _forward_solve(chol, rhs)
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, triangular_solve(chol, rhs), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    def test_back_solve_matches_transposed_triangular_oracle(self, rng, n):
+        lats = 35.0 + rng.uniform(0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
+        chol = np.linalg.cholesky(cov)
+        rhs = rng.standard_normal(n)
+        x = _back_solve(chol, rhs)
+        assert x.shape == rhs.shape
+        np.testing.assert_allclose(x, transposed_triangular_solve(chol, rhs),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
     def test_in_place_cholesky_matches_lapack(self, rng, n):
@@ -560,8 +552,8 @@ class TestKrigingSystem:
 
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
-        pred, var = KrigingSystem(sf, 0, simple_fit(1.0, 10.0)).predict([], [])
-        assert pred.shape == (0,) and var.shape == (0,)
+        fit = simple_fit(1.0, 10.0)
+        assert kriged_scores(*kriging_weights(sf, 0, fit), fit, sf, [], []).shape == (0,)
 
 
 class TestMemoryPeaks:
@@ -603,5 +595,5 @@ class TestMemoryPeaks:
         assert peak <= 1.25
 
     def test_kriging_system(self, field):
-        _, peak = self.traced_peak(lambda: KrigingSystem(field, 0, simple_fit(2.0, 10.0)))
+        _, peak = self.traced_peak(lambda: kriging_weights(field, 0, simple_fit(2.0, 10.0)))
         assert peak <= 1.25

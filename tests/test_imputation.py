@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
-from geofpca.geostat import WEIGHT_SCHEMES, KrigingSystem, VariogramBins
+from geofpca.geostat import WEIGHT_SCHEMES, VariogramBins, kriging_weights
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -140,6 +140,18 @@ class TestFitMemory:
         assert any(a is model.scores._pair_bins[1][0] for a in arrays)  # caches are walked
         assert all(a.size < n * n for a in arrays)
 
+    def test_no_square_array_after_prediction(self):
+        """A model keeps K weight vectors for kriging, never a factor."""
+        ds, _ = simulate_orbit(OrbitConfig(n_tracks=75, track_spacing=0.008))
+        n = len(ds)
+        model = fit_geofpca(ds, FitConfig(n_perm=99))
+        assert any(model.dependent(k) for k in range(model.basis.K))
+        predict_scores(model, ds.latitudes[:3], ds.longitudes[:3])
+        arrays = list(reachable_arrays(model))
+        assert all(a.size < n * n for a in arrays)
+        alphas = [alpha for _, alpha in model.kriging_weights() if alpha is not None]
+        assert alphas and all(any(a is alpha for a in arrays) for alpha in alphas)
+
 
 class TestImputeRadiance:
     def test_training_location_zero_noise(self, rng):
@@ -157,8 +169,7 @@ class TestImputeRadiance:
         ds, _, _ = rank_k_dataset(rng, n=36, variances=(6.0,))
         model = fit_geofpca(ds, FitConfig(n_perm=99))
         # ~3400 km north: every covariance vector entry is numerically zero.
-        preds, _ = predict_scores(model, [65.0], [23.8])
-        preds = preds[0]
+        preds = predict_scores(model, [65.0], [23.8])[0]
         u = model.scores.scores
         for k in range(model.basis.K):
             if model.dependent(k) and model.fits[k] is not None:
@@ -235,7 +246,7 @@ class TestBatchedPrediction:
         model, lats, lons, fps = fitted
         # Both predictor branches are exercised.
         assert {model.dependent(k) for k in range(model.basis.K)} == {True, False}
-        preds, variances = predict_scores(model, lats, lons)
+        preds = predict_scores(model, lats, lons)
         sf = model.scores
         for k in range(model.basis.K):
             u = sf.scores[:, k]
@@ -249,11 +260,10 @@ class TestBatchedPrediction:
                 if model.dependent(k):
                     nu = fit.sill * np.exp(-haversine_km(
                         lats[j], lons[j], sf.latitudes, sf.longitudes) / fit.range_km)
-                    ref = cholesky_kriging(cov, nu, u, fit.sill)
+                    ref, _ = cholesky_kriging(cov, nu, u, fit.sill)
                 else:
-                    ref = (float(u.mean()), float(model.basis.eigenvalues[k]))
-                assert abs(preds[j, k] - ref[0]) <= 1e-12
-                assert abs(variances[j, k] - ref[1]) <= 1e-12
+                    ref = float(u.mean())
+                assert abs(preds[j, k] - ref) <= 1e-12
 
     def test_systems_equal_standalone_systems(self, fitted):
         """One distance evaluation serves every component; the field is left intact."""
@@ -262,27 +272,24 @@ class TestBatchedPrediction:
             sf = m.scores
             before = [a.copy() for a in (sf.scores, sf.latitudes, sf.longitudes,
                                          sf.footprints)]
-            systems = m.kriging_systems()
+            weights = m.kriging_weights()
             for a, b in zip(before, (sf.scores, sf.latitudes, sf.longitudes, sf.footprints)):
                 assert np.array_equal(a, b)
-            for k, got in enumerate(systems):
-                want = KrigingSystem(sf, k, m.fits[k], m.dependent(k),
-                                     float(m.basis.eigenvalues[k]))
-                assert got.constant == want.constant
-                if want.constant is None:
-                    assert np.array_equal(got.chol, want.chol)
-                    assert np.array_equal(got.weights, want.weights)
-                    assert got.kappa == want.kappa
+            for k, (kappa, alpha) in enumerate(weights):
+                want_kappa, want_alpha = kriging_weights(sf, k, m.fits[k], m.dependent(k))
+                assert kappa == want_kappa
+                assert (alpha is None) == (want_alpha is None) == (not m.dependent(k))
+                if alpha is not None:
+                    assert np.array_equal(alpha, want_alpha)
         assert sum(m.dependent(k) for k in range(m.basis.K)) >= 2
 
     def test_one_at_a_time_matches_batch(self, fitted):
         model, lats, lons, fps = fitted
-        preds, variances = predict_scores(model, lats, lons)
+        preds = predict_scores(model, lats, lons)
         spectra = impute_radiance(model, lats, lons, fps)
         for j in range(lats.size):
-            p1, v1 = predict_scores(model, lats[j:j + 1], lons[j:j + 1])
+            p1 = predict_scores(model, lats[j:j + 1], lons[j:j + 1])
             np.testing.assert_allclose(p1[0], preds[j], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(v1[0], variances[j], rtol=0, atol=1e-12)
             s1 = impute_radiance(model, lats[j:j + 1], lons[j:j + 1], fps[j:j + 1])
             np.testing.assert_allclose(s1[0], spectra[j], rtol=0, atol=1e-12)
 
@@ -290,16 +297,14 @@ class TestBatchedPrediction:
         model, lats, lons, fps = fitted
         save_model(model, tmp_path / "model.json")
         restored = load_model(tmp_path / "model.json")
-        for a, b in zip(predict_scores(model, lats, lons),
-                        predict_scores(restored, lats, lons)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(predict_scores(model, lats, lons),
+                                      predict_scores(restored, lats, lons))
         np.testing.assert_array_equal(impute_radiance(model, lats, lons, fps),
                                       impute_radiance(restored, lats, lons, fps))
 
     def test_zero_targets(self, fitted):
         model = fitted[0]
-        preds, variances = predict_scores(model, [], [])
-        assert preds.shape == variances.shape == (0, model.basis.K)
+        assert predict_scores(model, [], []).shape == (0, model.basis.K)
         assert impute_radiance(model, [], [], []).shape == (0, model.wavelengths.size)
 
     def test_rejects_bad_coordinates(self, fitted):
