@@ -15,12 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import (SpectralDataset, WavelengthSet, distance_blocks, haversine_km,
-                      haversine_radians, to_radians)
+from .dataset import SpectralDataset, WavelengthSet, distance_blocks, haversine_km
 from .errors import DataError, NumericalError
 from .mean_model import MeanModel, evaluate_mean_rows
-
-PAIR_CHUNK = 1 << 12  # pairs per distance evaluation of small variogram bins' means
 
 
 @dataclass
@@ -79,7 +76,6 @@ class ScoreField:
                                             compare=False)
     _nearest: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
-    _pair_bins: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -141,80 +137,8 @@ class ScoreField:
             self._nearest, self._largest_distance = (nb, d_nb), largest
         return self._nearest
 
-    def binned_pairs(self, n_bins: int, max_fraction: float) -> tuple[np.ndarray, ...]:
-        """Pairs i < j grouped by distance bin: (i, j, bin starts, bin counts, bin mean distances).
-
-        The bins split [0, max_fraction * largest pair distance] into
-        ``n_bins`` equal widths, closed on the left and the last also on the
-        right; farther pairs are left out. Bin b holds pairs
-        ``starts[b]:starts[b] + counts[b]`` of the int32 arrays ``i, j``, in
-        row-major order, so a mean over a bin's slice sums exactly as over
-        those pairs in ``triu`` order. One pass over blocks of rows keeps each
-        block's pairs and their bins, which are then placed bin by bin; each
-        bin's mean distance re-evaluates its pairs' distances. Computed once
-        per binning and read-only; every component's semivariogram shares it.
-        """
-        key = (n_bins, max_fraction)
-        if self._pair_bins is None or self._pair_bins[0] != key:
-            h_max = self.largest_distance() * max_fraction
-            if h_max <= 0:
-                raise DataError("all pairwise distances are zero")
-            edges = np.linspace(0.0, h_max, n_bins + 1)[1:-1]
-
-            def block_pairs(start, d):
-                """Row-major pairs in range of rows start.. (j > i), as int32, and their bins."""
-                near = d <= h_max
-                near[:, :d.shape[0]] &= ~np.tri(d.shape[0], dtype=bool)  # j > i
-                k = np.flatnonzero(near)
-                # A small bin dtype lets the stable argsort below be a radix sort.
-                which = np.digitize(d.ravel()[k], edges).astype(np.min_scalar_type(n_bins))
-                i, j = np.divmod(k, d.shape[1])
-                return (i + start).astype(np.int32), (j + start).astype(np.int32), which
-
-            blocks = [block_pairs(*b) for b in distance_blocks(self.latitudes, self.longitudes,
-                                                               upper=True)]
-            block_counts = np.array([np.bincount(b[2], minlength=n_bins) for b in blocks])
-            counts = block_counts.sum(axis=0)
-            starts = np.cumsum(counts) - counts
-            i_all, j_all = (np.empty(counts.sum(), dtype=np.int32) for _ in range(2))
-            # A block's run of pairs in bin b goes after the earlier bins' pairs
-            # and bin b's pairs from earlier blocks.
-            firsts = starts + np.cumsum(block_counts, axis=0) - block_counts
-            for dest, runs in zip(firsts.tolist(), block_counts.tolist()):
-                i, j, which = blocks.pop(0)
-                order = np.argsort(which, kind="stable")
-                i, j, lo = i[order], j[order], 0
-                for a, c in zip(dest, runs):
-                    i_all[a:a + c], j_all[a:a + c] = i[lo:lo + c], j[lo:lo + c]
-                    lo += c
-            # Consecutive bins share one evaluation while their pairs number at most
-            # PAIR_CHUNK or the largest bin's count; a bin's mean is over its own slice.
-            points = to_radians(self.latitudes, self.longitudes)
-            mean_d, ends, b = np.full(n_bins, np.nan), starts + counts, 0
-            chunk = max(PAIR_CHUNK, int(counts.max()))
-            while b < n_bins:
-                e = int(np.searchsorted(ends, starts[b] + chunk, "right"))
-                d = _pair_distances(points, i_all[starts[b]:ends[e - 1]],
-                                    j_all[starts[b]:ends[e - 1]])
-                for k in range(b, e):
-                    if counts[k]:
-                        mean_d[k] = d[starts[k] - starts[b]:ends[k] - starts[b]].mean()
-                b = e
-            tables = (i_all, j_all, starts, counts, mean_d)
-            for t in tables:
-                t.flags.writeable = False
-            self._pair_bins = (key, tables)
-        return self._pair_bins[1]
-
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))
-
-
-def _pair_distances(points: tuple[np.ndarray, ...], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances of the pairs (i[k], j[k]) of ``to_radians`` points, as the blocks
-    of the distance matrix hold them (i is the row)."""
-    i, j = i.astype(np.intp), j.astype(np.intp)
-    return haversine_radians(*(x[i] for x in points), *(x[j] for x in points))
 
 
 def _complete_rows(ds: SpectralDataset, ws: WavelengthSet) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import haversine_km, pairwise_distances
+from .dataset import distance_blocks, haversine_km, pairwise_distances
 from .errors import DataError, DegenerateScoresError, NumericalError
 from .fpca import ScoreField
 
@@ -125,32 +125,52 @@ def exponential_variogram(h, sill: float, range_km: float):
     return sill * (1.0 - np.exp(-np.asarray(h, dtype=float) / range_km))
 
 
-def empirical_semivariogram(scores: ScoreField, k: int,
-                            bins: VariogramBins | None = None) -> EmpiricalVariogram:
-    """Nugget-corrected binned semivariogram of one component's scores.
+def empirical_semivariogram(scores: ScoreField,
+                            bins: VariogramBins | None = None) -> list[EmpiricalVariogram]:
+    """Nugget-corrected binned semivariogram of every component's scores (K of them).
 
-    Per bin: half the mean squared score difference minus half the mean of the
-    two pair members' score-noise variances. Bins with fewer than
-    ``bins.min_pairs`` pairs are dropped.
+    The bins split [0, max_fraction * largest pair distance] into ``n_bins``
+    equal widths, closed on the left and the last also on the right; farther
+    pairs are left out. Per bin: the mean pair distance, and half the mean
+    squared score difference minus half the mean of the two pair members'
+    score-noise variances. One pass over the upper triangle's row blocks adds
+    each block's pairs i < j to per-bin sums, component by component, so a
+    component's bins do not depend on the others. Bins with fewer than
+    ``bins.min_pairs`` pairs are dropped; the failures depend only on the
+    soundings' geometry.
     """
     bins = bins or VariogramBins()
-    n = scores.sounding_ids.size
+    n, n_bins = scores.sounding_ids.size, bins.n_bins
     if n < 2:
         raise DataError("need at least 2 scored soundings for a semivariogram")
-    i, j, starts, counts, mean_d = scores.binned_pairs(bins.n_bins, bins.max_fraction)
-    u = scores.component(k)
-    tau = scores.tau_for(scores.footprints, k)
+    h_max = scores.largest_distance() * bins.max_fraction
+    if h_max <= 0:
+        raise DataError("all pairwise distances are zero")
+    edges = np.linspace(0.0, h_max, n_bins + 1)[1:-1]
+    u = scores.scores.T
+    tau = [scores.tau_for(scores.footprints, k) for k in range(scores.n_components)]
+    counts, dist = np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins)
+    half_sq, nugget = np.zeros((len(tau), n_bins)), np.zeros((len(tau), n_bins))
+    for start, d in distance_blocks(scores.latitudes, scores.longitudes, upper=True):
+        near = d <= h_max
+        near[:, :d.shape[0]] &= ~np.tri(d.shape[0], dtype=bool)  # j > i
+        i, j = np.nonzero(near)
+        d_ij = d[i, j]
+        which = np.digitize(d_ij, edges)
+        i, j = i + start, j + start
+        counts += np.bincount(which, minlength=n_bins)
+        dist += np.bincount(which, d_ij, n_bins)
+        for k, (u_k, tau_k) in enumerate(zip(u, tau)):
+            half_sq[k] += np.bincount(which, 0.5 * (u_k[i] - u_k[j]) ** 2, n_bins)
+            nugget[k] += np.bincount(which, 0.5 * (tau_k[i] + tau_k[j]), n_bins)
     keep = np.flatnonzero(counts >= bins.min_pairs)
     if not keep.size:
         raise DataError(
             f"no variogram bin retained >= {bins.min_pairs} pairs (n={n})"
         )
-    values = []
-    # One bin's pairs at a time, by intp index: numpy casts int32 ones at every gather.
-    for a, c in zip(starts[keep], counts[keep]):
-        ib, jb = i[a:a + c].astype(np.intp), j[a:a + c].astype(np.intp)
-        values.append((0.5 * (u[ib] - u[jb]) ** 2).mean() - (0.5 * (tau[ib] + tau[jb])).mean())
-    return EmpiricalVariogram(mean_d[keep], counts[keep], np.array(values))
+    c = counts[keep]
+    return [EmpiricalVariogram(dist[keep] / c, c, s[keep] / c - g[keep] / c)
+            for s, g in zip(half_sq, nugget)]
 
 
 def _wls_weights(ev: EmpiricalVariogram, scheme: str) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 ``fit_geofpca`` runs the full pipeline in order: wavelength selection, mean
 fit, per-footprint error covariances, signal covariance, eigendecomposition,
-scores, score-noise variances, spatial-dependence screening, then empirical
-variograms and WLS fits per retained component. The resulting model imputes
-spectra at any batch of locations as the mean plus the kriged-score
-reconstruction, computing each component's kriging weights once.
+scores, score-noise variances, spatial-dependence screening, then every
+component's empirical variogram in one pass and a WLS fit per component. The
+resulting model imputes spectra at any batch of locations as the mean plus the
+kriged-score reconstruction, computing each component's kriging weights once.
 """
 
 from __future__ import annotations
@@ -168,7 +168,6 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
         scores = _stage("score-smoothing", score_transform, scores)
 
     tests: list[SpatialTestResult | None] = []
-    fits: list[VariogramFit | None] = []
     for k in range(basis.K):
         if scores.sounding_ids.size >= 20:
             try:
@@ -181,9 +180,17 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
         else:
             test = None  # too few soundings to screen; keep the kriging path
         tests.append(test)
+    # After the screen: its neighbour pass records the largest distance the bins use.
+    try:
+        variograms, failure = empirical_semivariogram(scores, config.bins), None
+    except GeofpcaError as e:
+        variograms, failure = [], e
+    fits: list[VariogramFit | None] = []
+    for k, test in enumerate(tests):
         try:
-            ev = empirical_semivariogram(scores, k, config.bins)
-            fits.append(fit_variogram_wls(ev, config.weight_scheme))
+            if failure is not None:
+                raise failure
+            fits.append(fit_variogram_wls(variograms[k], config.weight_scheme))
         except GeofpcaError as e:
             if test is None or test.dependent:
                 raise type(e)(f"[variogram k={k}] {e}") from e
@@ -320,7 +327,7 @@ def load_model(path) -> GeoFpcaModel:
         raise DataError(f"{path}: not a model file")
     try:
         return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DataError) as e:
         raise DataError(f"{path}: malformed model file ({type(e).__name__}: {e})") from None
 
 
@@ -365,6 +372,17 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
     if any(a.shape != sf.sounding_ids.shape for a in (sf.latitudes, sf.longitudes,
                                                       sf.footprints)):
         raise ValueError("score coordinates and footprints need one entry per sounding id")
+    bad = coordinate_violation(sf.latitudes, sf.longitudes)
+    if bad is not None:
+        raise ValueError(f"score {bad[0]}: {bad[1]}")
+    fps = sorted(set(sf.footprints.tolist()))
+    if fps and not 1 <= fps[0] <= fps[-1] <= 8:
+        raise ValueError(f"score footprints {fps} outside 1..8")
+    for p in sorted(set(fps) | set(sf.taus)):
+        if sf.taus.get(p, np.empty(0)).shape != (k,):
+            raise ValueError(f"taus for footprint {p} need K = {k} entries")
+    if not model.region[0] <= model.region[1]:
+        raise ValueError(f"region {list(model.region)} has lo > hi")
     for c, fit in enumerate(model.fits):
         if fit is None:
             if model.dependent(c):

@@ -290,11 +290,6 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
     two fitted models keyed 'land'/'water'. ``config`` applies to both
     endmember fits.
     """
-    if not spec.qualified:
-        raise DataError(
-            f"region not qualified for unmixing: references are "
-            f"{spec.s1_label}/{spec.s2_label}"
-        )
     windows = spec.endmember_windows()
     models = {label: _fit_endmember_model(ds, win, spec, config, label)
               for label, win in windows.items()}

@@ -134,9 +134,8 @@ def argsort_nearest(dist, m):
 def triu_binned_pairs(dist, n_bins, max_fraction):
     """Pairs i < j grouped by distance bin, from full upper-triangle arrays.
 
-    The pair table as the library built it over all pairs at once: the
-    ``triu`` mask, ``digitize`` and a stable argsort by bin. Returns
-    (i, j, bin starts, bin counts, bin mean distances).
+    All pairs at once: the ``triu`` mask, ``digitize`` and a stable argsort
+    by bin. Returns (i, j, bin starts, bin counts, bin mean distances).
     """
     d = dist
     h_max = d.max() * max_fraction

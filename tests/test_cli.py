@@ -249,6 +249,14 @@ class TestMalformedModel:
         "sill-string": lambda d: _first_fit(d).update(sill="x"),
         "sill-negative": lambda d: _first_fit(d).update(sill=-1.0),
         "range-zero": lambda d: _first_fit(d).update(range_km=0.0),
+        "p-value-out-of-range": lambda d: d["tests"].__setitem__(0, {
+            "component": 0, "statistic": 0.5, "p_value": 2.0, "dependent": True,
+            "n_perm": 99, "alpha": 0.05}),
+        "taus-short": lambda d: d["scores"]["taus"]["4"].pop(),
+        "taus-missing": lambda d: d["scores"]["taus"].pop("4"),
+        "latitude-95": lambda d: d["scores"]["latitudes"].__setitem__(0, 95.0),
+        "footprint-9": lambda d: d["scores"]["footprints"].__setitem__(0, 9),
+        "region-reversed": lambda d: d["region"].reverse(),
     }
 
     @pytest.mark.parametrize("name", MUTATIONS)

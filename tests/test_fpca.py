@@ -9,6 +9,7 @@ from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                           compute_score_noise_variance, compute_scores, eigendecompose,
                           estimate_error_covariance, estimate_signal_covariance)
+from geofpca.geostat import VariogramBins, empirical_semivariogram
 from geofpca.mean_model import fit_mean_model
 from oracles import (argsort_nearest, jacobi_eigh, quadratic_form_loop, triu_binned_pairs,
                      two_pass_signal_covariance)
@@ -362,8 +363,22 @@ def assert_tables_equal(got, expected):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+def assert_bins_match(sf, n_bins, max_fraction):
+    """The semivariogram's pair counts equal the whole-matrix binning's, and its
+    bin distances are the mean pair distances within 1e-12 relative."""
+    counts, mean_d = triu_binned_pairs(field_distances(sf), n_bins, max_fraction)[3:]
+    bins = VariogramBins(n_bins, max_fraction, min_pairs=1)
+    if not counts.any():
+        with pytest.raises(DataError, match="no variogram bin"):
+            empirical_semivariogram(sf, bins)
+        return
+    ev, = empirical_semivariogram(sf, bins)
+    assert np.array_equal(ev.counts, counts[counts > 0])
+    np.testing.assert_allclose(ev.distances, mean_d[counts > 0], rtol=1e-12, atol=0)
+
+
 class TestSpatialTablesMatchFullMatrixOracles:
-    """The row-block neighbour and pair tables equal the whole-matrix builds."""
+    """The row-block neighbour table and variogram bins equal the whole-matrix builds."""
 
     @pytest.mark.parametrize("n", [2, 20, 63, 64, 65, 264, 1200])
     def test_nearest(self, n):
@@ -372,16 +387,14 @@ class TestSpatialTablesMatchFullMatrixOracles:
             got = sf.nearest(m)
             assert_tables_equal(got, argsort_nearest(field_distances(sf), m))
             assert all(a.base is None and not a.flags.writeable for a in got)
-        # The neighbour pass records the largest distance for the pair table.
+        # The neighbour pass records the largest distance the variogram bins use.
         assert sf._largest_distance == field_distances(sf).max()
 
     @pytest.mark.parametrize("n", [2, 20, 63, 64, 65, 264, 1200])
     def test_binned_pairs(self, n):
         sf = random_field(n)
         for n_bins, max_fraction in ((15, 0.5), (8, 1.0)):
-            got = sf.binned_pairs(n_bins, max_fraction)
-            assert got[0].dtype == got[1].dtype == np.int32
-            assert_tables_equal(got, triu_binned_pairs(field_distances(sf), n_bins, max_fraction))
+            assert_bins_match(sf, n_bins, max_fraction)
         assert sf.largest_distance() == field_distances(sf).max()
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 264])
@@ -401,9 +414,4 @@ class TestSpatialTablesMatchFullMatrixOracles:
             assert_tables_equal(sf.nearest(m), argsort_nearest(field_distances(sf), m))
         assert boundary_ties > 0  # some row's m-th neighbour ties with the next
         for n_bins, max_fraction in ((15, 0.5), (8, 1.0), (4, 0.25)):
-            assert_tables_equal(sf.binned_pairs(n_bins, max_fraction),
-                                triu_binned_pairs(field_distances(sf), n_bins, max_fraction))
-
-    def test_all_distances_zero_raises(self):
-        with pytest.raises(DataError, match="all pairwise distances are zero"):
-            location_field([35.0, 35.0], [23.8, 23.8]).binned_pairs(15, 0.5)
+            assert_bins_match(sf, n_bins, max_fraction)

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,17 +46,17 @@ def transect_latitudes(n, spacing_km=1.0, lat0=35.0):
 class TestEmpiricalSemivariogram:
     def test_constant_scores_zero(self):
         sf = score_field(transect_latitudes(30), np.full(30, 2.2), [0.0])
-        ev = empirical_semivariogram(sf, 0)
+        ev, = empirical_semivariogram(sf)
         np.testing.assert_allclose(ev.values, 0.0, atol=1e-12)
 
     def test_pure_nugget_corrected_to_zero(self, rng):
         n, v = 2000, 3.0
         u = rng.normal(0.0, np.sqrt(v), n)
         lats = transect_latitudes(n, 0.05)
-        corrected = empirical_semivariogram(score_field(lats, u, [v]), 0)
+        corrected, = empirical_semivariogram(score_field(lats, u, [v]))
         assert np.abs(corrected.values).max() < 0.1 * v
         # Without the correction the short-lag bins sit at the nugget level.
-        uncorrected = empirical_semivariogram(score_field(lats, u, [0.0]), 0)
+        uncorrected, = empirical_semivariogram(score_field(lats, u, [0.0]))
         assert uncorrected.values[0] == pytest.approx(v, rel=0.1)
 
     def test_matches_allpairs_oracle(self, rng):
@@ -66,7 +68,7 @@ class TestEmpiricalSemivariogram:
         taus = {p: np.array([0.1 * p]) for p in range(1, 9)}
         sf = score_field(lats, u, taus, lons=lons, footprints=fps)
         bins = VariogramBins(n_bins=8, min_pairs=5)
-        ev = empirical_semivariogram(sf, 0, bins)
+        ev, = empirical_semivariogram(sf, bins)
         d = pairwise_distances(lats, lons)
         hmax = d[np.triu_indices(n, 1)].max() * bins.max_fraction
         edges = np.linspace(0.0, hmax, bins.n_bins + 1)
@@ -80,37 +82,62 @@ class TestEmpiricalSemivariogram:
             assert ev.counts[i] == count
             assert ev.values[i] == pytest.approx(val, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [20, 264, 1200])
-    def test_values_equal_all_pair_arrays(self, n):
-        """Gathering one bin at a time gives the all-pairs means to the bit."""
+    @staticmethod
+    def random_field(n, n_components=1):
         rng = np.random.default_rng(n)
         lats = 35.0 + rng.uniform(0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
         fps = rng.integers(1, 9, n)
-        u = np.sin(20.0 * lats) + rng.normal(0, 1.0, n)
-        sf = score_field(lats, u, {p: np.array([0.1 * p]) for p in range(1, 9)},
-                         lons=lons, footprints=fps)
+        u = np.sin(20.0 * lats)[:, None] + rng.normal(0, 1.0, (n, n_components))
+        taus = {p: 0.1 * p * np.arange(1, n_components + 1) for p in range(1, 9)}
+        return score_field(lats, u, taus, lons=lons, footprints=fps)
+
+    @pytest.mark.parametrize("n", [20, 264, 1200])
+    def test_values_equal_all_pair_arrays(self, n):
+        """The per-bin sums give the all-pairs means within 1e-12 relative."""
+        sf = self.random_field(n)
         bins = VariogramBins()
-        ev = empirical_semivariogram(sf, 0, bins)
-        i, j, starts, counts, mean_d = triu_binned_pairs(
-            pairwise_distances(sf.latitudes, sf.longitudes), bins.n_bins, bins.max_fraction)
-        tau = 0.1 * fps
-        sq, nug = 0.5 * (u[i] - u[j]) ** 2, 0.5 * (tau[i] + tau[j])
+        ev, = empirical_semivariogram(sf, bins)
+        dist = pairwise_distances(sf.latitudes, sf.longitudes)
+        i, j, starts, counts, _ = triu_binned_pairs(dist, bins.n_bins, bins.max_fraction)
+        d = dist[i, j]
+        u, tau = sf.component(0), 0.1 * sf.footprints
         keep = counts >= bins.min_pairs
-        expected = [sq[a:a + c].mean() - nug[a:a + c].mean()
-                    for a, c in zip(starts[keep], counts[keep])]
-        assert np.array_equal(ev.values, expected)
-        assert np.array_equal(ev.distances, mean_d[keep])
+        assert np.array_equal(ev.counts, counts[keep])
+        for b, (a, c) in enumerate(zip(starts[keep], counts[keep])):
+            pairs = slice(a, a + c)
+            value = (math.fsum(0.5 * (u[i[pairs]] - u[j[pairs]]) ** 2) / c
+                     - math.fsum(0.5 * (tau[i[pairs]] + tau[j[pairs]])) / c)
+            assert ev.values[b] == pytest.approx(value, rel=1e-12)
+            assert ev.distances[b] == pytest.approx(math.fsum(d[pairs]) / c, rel=1e-12)
+
+    def test_components_binned_independently(self):
+        """Each of K components' bins equal, to the bit, a one-component field's."""
+        sf = self.random_field(264, n_components=3)
+        together = empirical_semivariogram(sf)
+        assert len(together) == 3
+        for k, ev in enumerate(together):
+            alone, = empirical_semivariogram(replace(
+                sf, scores=sf.scores[:, k:k + 1].copy(),
+                taus={p: tau[k:k + 1] for p, tau in sf.taus.items()}))
+            for a, b in ((ev.distances, alone.distances), (ev.counts, alone.counts),
+                         (ev.values, alone.values)):
+                assert np.array_equal(a, b)
+
+    def test_all_distances_zero_raises(self):
+        sf = score_field([35.0, 35.0], [1.0, 2.0], [0.0])
+        with pytest.raises(DataError, match="all pairwise distances are zero"):
+            empirical_semivariogram(sf)
 
     def test_sparse_bins_dropped(self, rng):
         sf = score_field(transect_latitudes(12), rng.normal(size=12), [0.0])
-        ev = empirical_semivariogram(sf, 0, VariogramBins(min_pairs=4))
+        ev, = empirical_semivariogram(sf, VariogramBins(min_pairs=4))
         assert (ev.counts >= 4).all()
 
     def test_no_bins_retained_raises(self, rng):
         sf = score_field(transect_latitudes(4), rng.normal(size=4), [0.0])
         with pytest.raises(DataError, match="no variogram bin"):
-            empirical_semivariogram(sf, 0, VariogramBins(min_pairs=50))
+            empirical_semivariogram(sf, VariogramBins(min_pairs=50))
 
 
 class TestFitVariogram:
@@ -136,7 +163,7 @@ class TestFitVariogram:
         for _ in range(50):
             u = chol @ rng.standard_normal(n) + rng.normal(0, np.sqrt(tau), n)
             sf = score_field(lats, u, [tau], lons=lons)
-            ev = empirical_semivariogram(sf, 0)
+            ev, = empirical_semivariogram(sf)
             fit = fit_variogram_wls(ev, "n")
             sills.append(fit.sill)
             ranges.append(fit.range_km)
@@ -590,8 +617,8 @@ class TestMemoryPeaks:
         assert nb.base is None and d_nb.base is None
         assert nb.nbytes + d_nb.nbytes <= 2 * self.n * m * 8
 
-    def test_binned_pairs(self, field):
-        _, peak = self.traced_peak(lambda: field.binned_pairs(15, 0.5))
+    def test_semivariogram(self, field):
+        _, peak = self.traced_peak(lambda: empirical_semivariogram(field))
         assert peak <= 1.25
 
     def test_kriging_system(self, field):

@@ -93,6 +93,16 @@ class TestFitGeofpca:
         with pytest.raises(DataError, match=r"\[error-covariance\]"):
             fit_geofpca(ds)
 
+    def test_variogram_failure_raises_for_a_kriged_component_only(self, water_region):
+        region, _ = water_region
+        n = len(region)
+        bins = VariogramBins(min_pairs=n * (n - 1) // 2 + 1)  # above every bin
+        with pytest.raises(DataError, match=r"\[variogram k=0\] no variogram bin"):
+            fit_geofpca(region, FitConfig(n_perm=99, alpha=0.999, bins=bins))
+        model = fit_geofpca(region, FitConfig(n_perm=99, alpha=1e-9, bins=bins))
+        assert all(t is not None and not t.dependent for t in model.tests)
+        assert model.fits == [None] * model.basis.K
+
     def test_deterministic(self, water_region, tmp_path):
         region, _ = water_region
         cfg = FitConfig(n_perm=99, seed=5)
@@ -137,7 +147,7 @@ class TestFitMemory:
             tracemalloc.stop()
         assert (peak - base) / (n * n * 8) < 2.2  # in units of one n x n float64 array
         arrays = list(reachable_arrays(model))
-        assert any(a is model.scores._pair_bins[1][0] for a in arrays)  # caches are walked
+        assert any(a is model.scores._nearest[0] for a in arrays)  # caches are walked
         assert all(a.size < n * n for a in arrays)
 
     def test_no_square_array_after_prediction(self):
