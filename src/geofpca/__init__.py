@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .dataset import (Sounding, SpectralDataset, WavelengthSet, common_wavelengths,
                       haversine_km, load_dataset, remove_cross_tracks, save_dataset,
                       select_region, track_numbers)
-from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
+from .errors import DataError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores, eigendecompose,
                    estimate_error_covariance, estimate_signal_covariance)

@@ -13,9 +13,5 @@ class DataError(GeofpcaError):
     """Input data is malformed, out of contract, or insufficient."""
 
 
-class DegenerateScoresError(DataError):
-    """A component's scores are constant, so there is no spatial structure to test."""
-
-
 class NumericalError(GeofpcaError):
     """A numerical routine failed (singular system, non-finite objective, ...)."""

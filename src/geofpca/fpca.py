@@ -74,8 +74,6 @@ class ScoreField:
     excluded_ids: tuple[int, ...] = ()
     _largest_distance: float | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    _nearest: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
-                                                           repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -111,31 +109,27 @@ class ScoreField:
 
         Ties keep sounding order: per block of rows of the distance matrix,
         the entries up to each row's m-th smallest are sorted by (distance,
-        column). The same pass records the largest distance. Computed once
-        per m and read-only; every component's spatial screen shares it.
+        column). The same pass records the largest distance.
         """
-        if self._nearest is None or self._nearest[0].shape[1] != m:
-            n = self.latitudes.size
-            nb, d_nb = np.empty((n, m), dtype=np.intp), np.empty((n, m))
+        n = self.latitudes.size
+        nb, d_nb = np.empty((n, m), dtype=np.intp), np.empty((n, m))
 
-            def fill_rows(start, block):
-                """Fill the block's rows of nb and d_nb; return its largest distance."""
-                largest = block.max()
-                rows = np.arange(block.shape[0])
-                block[rows, start + rows] = np.inf
-                kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
-                r, c = np.divmod(np.flatnonzero(block <= kth), block.shape[1])  # r ascending
-                dist = block[r, c]
-                take = np.lexsort((c, dist, r))[np.searchsorted(r, rows)[:, None] + np.arange(m)]
-                nb[start + rows], d_nb[start + rows] = c[take], dist[take]
-                return largest
+        def fill_rows(start, block):
+            """Fill the block's rows of nb and d_nb; return its largest distance."""
+            largest = block.max()
+            rows = np.arange(block.shape[0])
+            block[rows, start + rows] = np.inf
+            kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
+            r, c = np.divmod(np.flatnonzero(block <= kth), block.shape[1])  # r ascending
+            dist = block[r, c]
+            take = np.lexsort((c, dist, r))[np.searchsorted(r, rows)[:, None] + np.arange(m)]
+            nb[start + rows], d_nb[start + rows] = c[take], dist[take]
+            return largest
 
-            largest = np.max([fill_rows(*b) for b in distance_blocks(self.latitudes,
-                                                                    self.longitudes)],
-                             initial=0.0)
-            nb.flags.writeable = d_nb.flags.writeable = False
-            self._nearest, self._largest_distance = (nb, d_nb), largest
-        return self._nearest
+        self._largest_distance = np.max(
+            [fill_rows(*b) for b in distance_blocks(self.latitudes, self.longitudes)],
+            initial=0.0)
+        return nb, d_nb
 
     def with_scores(self, scores: np.ndarray) -> "ScoreField":
         return replace(self, scores=np.asarray(scores, dtype=float))

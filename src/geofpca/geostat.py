@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import distance_blocks, haversine_km, pairwise_distances
-from .errors import DataError, DegenerateScoresError, NumericalError
+from .errors import DataError, NumericalError
 from .fpca import ScoreField
 
 # numpy alone: the WLS fit's Nelder-Mead and kriging's triangular solves are
@@ -26,7 +26,8 @@ from .fpca import ScoreField
 
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
-PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (b permutations x n)
+MORAN_NEIGHBOURS = 10  # nearest soundings given inverse-distance Moran weights
+PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (L components x b x n)
 SOLVE_BLOCK = 64  # rows per forward-solve block, columns per Cholesky step
 GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
 GRID_RTOL = 1e-9  # start-grid points this close to the broadcast minimum are re-scored
@@ -305,27 +306,31 @@ def fit_variogram_wls(ev: EmpiricalVariogram,
     return VariogramFit(sill, rng, weight_scheme, fun, sill <= 0.0, ev)
 
 
-def _permuted_moran(z: np.ndarray, nb: np.ndarray, wts: np.ndarray, n_perm: int,
-                    seed: int) -> np.ndarray:
-    """Moran's I of ``n_perm`` permutations of the centred scores ``z``.
+def _moran_exceedances(z: np.ndarray, stats: np.ndarray, nb: np.ndarray,
+                       wts: np.ndarray, n_perm: int, seed: int) -> np.ndarray:
+    """Per row of the centred scores ``z`` (L x n), how many of ``n_perm``
+    permutations give a Moran's I at least as far from -1/(n-1) as ``stats``.
 
     The permutations are the successive ``default_rng(seed).permutation(n)``
-    draws; ``Generator.permuted`` draws a chunk of b = max(1, PERM_ELEMENTS
-    // n) of them, row by row, from that stream in one call. Each neighbour
-    term is one gather of the b x n chunk into a reused buffer; the lag adds
-    the same products in the same neighbour order, and the sums run over the
-    same contiguous rows, as one permutation at a time, so every statistic is
-    that permutation's to the bit.
+    draws, shared by every row; ``Generator.permuted`` draws a chunk of
+    b = max(1, PERM_ELEMENTS // (L n)) of them from that stream in one call,
+    and one gather applies them to all L rows as an (L b) x n array. Each
+    neighbour term is one gather of that array into a reused buffer; the lag
+    adds the same products in the same neighbour order, and the sums run over
+    the same contiguous rows, as one permutation of one row at a time, so
+    every permuted statistic is that permutation's to the bit.
     """
-    n, m = nb.shape
+    (rows, n), m = z.shape, nb.shape[1]
     s0 = wts.sum()
+    e_i = -1.0 / (n - 1)
+    bound = np.abs(stats - e_i)[:, None]
     nb_cols, wt_cols = np.ascontiguousarray(nb.T), np.ascontiguousarray(wts.T)
     rng = np.random.default_rng(seed)
-    chunk = max(1, PERM_ELEMENTS // n)
-    stats = np.empty(n_perm)
+    chunk = max(1, PERM_ELEMENTS // (rows * n))
+    exceed = np.zeros(rows, dtype=np.int64)
     for start in range(0, n_perm, chunk):
         b = min(chunk, n_perm - start)
-        zp = z[rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)]
+        zp = z[:, rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)].reshape(rows * b, n)
         lag = np.zeros_like(zp)
         term = np.empty_like(zp)
         for j in range(m):
@@ -334,38 +339,44 @@ def _permuted_moran(z: np.ndarray, nb: np.ndarray, wts: np.ndarray, n_perm: int,
             term *= wt_cols[j]
             lag += term
         lag *= zp
-        stats[start:start + b] = n / s0 * lag.sum(axis=1) / (zp * zp).sum(axis=1)
-    return stats
+        perm_stats = n / s0 * lag.sum(axis=1) / (zp * zp).sum(axis=1)
+        exceed += np.count_nonzero(np.abs(perm_stats.reshape(rows, b) - e_i) >= bound,
+                                   axis=1)
+    return exceed
 
 
-def spatial_dependence_test(scores: ScoreField, k: int, n_perm: int = 999,
-                            alpha: float = 0.05, seed: int = 0,
-                            n_neighbors: int = 10) -> SpatialTestResult:
-    """Moran's I permutation test with inverse-distance k-nearest weights.
+def spatial_dependence_test(scores: ScoreField, n_perm: int = 999, alpha: float = 0.05,
+                            seed: int = 0) -> list[SpatialTestResult]:
+    """Moran's I permutation test of every component (K results).
 
-    The p-value is two-sided around the permutation-null expectation
-    -1/(n-1); ``dependent`` is the comparison against ``alpha``.
+    The weights are inverse distances to each sounding's MORAN_NEIGHBOURS
+    nearest others. The p-value is two-sided around the permutation-null
+    expectation -1/(n-1), and every component meets the same permutations;
+    ``dependent`` is the comparison against ``alpha``. A component with
+    constant scores has no statistic: NaN, p = 1 and not dependent, so its
+    mean predicts it exactly.
     """
     n = scores.sounding_ids.size
     if n < 20:
         raise DataError(f"spatial dependence test needs >= 20 soundings, got {n}")
     if n_perm < 99:
         raise DataError(f"n_perm {n_perm} < 99")
-    z = scores.component(k) - scores.component(k).mean()
-    if float(z @ z) <= 0.0:
-        raise DegenerateScoresError(f"component {k}: degenerate (zero-variance) scores")
-
-    m = min(n_neighbors, n - 1)
-    nb, d_nb = scores.nearest(m)
+    nb, d_nb = scores.nearest(MORAN_NEIGHBOURS)
     wts = 1.0 / np.maximum(d_nb, 1e-9)
     s0 = wts.sum()
-
-    stat = n / s0 * float(np.sum(z[:, None] * wts * z[nb])) / float(z @ z)
-    e_i = -1.0 / (n - 1)
-    perm_stats = _permuted_moran(z, nb, wts, n_perm, seed)
-    exceed = int(np.count_nonzero(np.abs(perm_stats - e_i) >= abs(stat - e_i)))
-    p = (1 + exceed) / (1 + n_perm)
-    return SpatialTestResult(k, stat, p, p < alpha, n_perm, alpha)
+    z = [u - u.mean() for u in scores.scores.T]
+    # Constant scores can centre to a tiny constant, not to zeros.
+    live = [k for k, (u, z_k) in enumerate(zip(scores.scores.T, z))
+            if not (u.min() == u.max() or float(z_k @ z_k) <= 0.0)]
+    stats, p = np.full(len(z), np.nan), np.ones(len(z))
+    for k in live:
+        stats[k] = n / s0 * float(np.sum(z[k][:, None] * wts * z[k][nb])) / float(z[k] @ z[k])
+    if live:
+        exceed = _moran_exceedances(np.array([z[k] for k in live]), stats[live], nb, wts,
+                                    n_perm, seed)
+        p[live] = (1 + exceed) / (1 + n_perm)
+    return [SpatialTestResult(k, float(stats[k]), float(p[k]), bool(p[k] < alpha),
+                              n_perm, alpha) for k in range(len(z))]
 
 
 def _cholesky_in_place(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import (SpectralDataset, WavelengthSet, common_wavelengths,
                       coordinate_violation, pairwise_distances)
-from .errors import DataError, DegenerateScoresError, GeofpcaError, NumericalError
+from .errors import DataError, GeofpcaError, NumericalError
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
                    eigendecompose, estimate_error_covariance,
@@ -167,19 +167,9 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     if score_transform is not None:
         scores = _stage("score-smoothing", score_transform, scores)
 
-    tests: list[SpatialTestResult | None] = []
-    for k in range(basis.K):
-        if scores.sounding_ids.size >= 20:
-            try:
-                test = spatial_dependence_test(scores, k, config.n_perm,
-                                               config.alpha, config.seed)
-            except DegenerateScoresError:
-                # Constant scores: the reduced mean predictor is exact.
-                test = SpatialTestResult(k, math.nan, 1.0, False,
-                                         config.n_perm, config.alpha)
-        else:
-            test = None  # too few soundings to screen; keep the kriging path
-        tests.append(test)
+    # Too few soundings to screen keeps the kriging path (tests None).
+    tests = (spatial_dependence_test(scores, config.n_perm, config.alpha, config.seed)
+             if scores.sounding_ids.size >= 20 else [None] * basis.K)
     # After the screen: its neighbour pass records the largest distance the bins use.
     try:
         variograms, failure = empirical_semivariogram(scores, config.bins), None
@@ -327,7 +317,7 @@ def load_model(path) -> GeoFpcaModel:
         raise DataError(f"{path}: not a model file")
     try:
         return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError, DataError) as e:
+    except (LookupError, TypeError, ValueError, DataError) as e:
         raise DataError(f"{path}: malformed model file ({type(e).__name__}: {e})") from None
 
 
@@ -369,6 +359,11 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
                           ("basis.eigenvalues", model.basis.eigenvalues)):
         if len(entries) != k:
             raise ValueError(f"{name} has {len(entries)} entries for K = {k}")
+    for name, values in (("scores.values", sf.scores),
+                         ("basis.eigenvectors", model.basis.eigenvectors),
+                         ("basis.eigenvalues", model.basis.eigenvalues)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite number")
     if any(a.shape != sf.sounding_ids.shape for a in (sf.latitudes, sf.longitudes,
                                                       sf.footprints)):
         raise ValueError("score coordinates and footprints need one entry per sounding id")

@@ -81,8 +81,7 @@ def synthetic_profile(m: int, kind: str) -> EndmemberProfile:
 
 
 def simulate_error_process(sigma: np.ndarray, seed: Seed | None = None,
-                           rng: np.random.Generator | None = None,
-                           indices: np.ndarray | None = None) -> np.ndarray:
+                           rng: np.random.Generator | None = None) -> np.ndarray:
     """Draws of the correlated error process, scaled by ``sigma``.
 
     The process is a random combination of one sine and one cosine over the
@@ -95,11 +94,9 @@ def simulate_error_process(sigma: np.ndarray, seed: Seed | None = None,
         raise DataError("sigma must be finite and nonnegative")
     if rng is None:
         rng = np.random.default_rng(seed)
-    if indices is None:
-        indices = np.arange(1, sigma.shape[-1] + 1, dtype=float)
-    c_w = float(len(indices))
+    c_w = float(sigma.shape[-1])
     amp = 1.0 / math.sqrt(c_w / 2.0)
-    phase = np.pi * (np.asarray(indices, dtype=float) - indices[0]) / c_w
+    phase = np.pi * np.arange(sigma.shape[-1], dtype=float) / c_w
     nu = rng.normal(0.0, math.sqrt(c_w / 2.0), size=sigma.shape[:-1] + (2,))
     return sigma * (nu[..., :1] * amp * np.sin(phase) + nu[..., 1:] * amp * np.cos(phase))
 

@@ -207,12 +207,12 @@ def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None = None) 
     return best_h
 
 
-def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray, f_water: np.ndarray,
-                           clamp: bool = True) -> float:
+def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray,
+                           f_water: np.ndarray) -> float:
     """Least-squares land fraction of a spectrum against two endmembers.
 
     The closed-form minimizer of the squared loss over the mixing fraction,
-    truncated to [0, 1] unless ``clamp`` is disabled.
+    truncated to [0, 1].
     """
     obs, f_land, f_water = (np.asarray(v, dtype=float) for v in (obs, f_land, f_water))
     if not obs.shape == f_land.shape == f_water.shape:
@@ -221,10 +221,7 @@ def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray, f_water: np.ndar
     denom = float(diff @ diff)
     if denom <= 0.0:
         raise DataError("endmember spectra are indistinguishable (zero denominator)")
-    alpha = float((obs - f_water) @ diff) / denom
-    if clamp:
-        alpha = min(max(alpha, 0.0), 1.0)
-    return alpha
+    return min(max(float((obs - f_water) @ diff) / denom, 0.0), 1.0)
 
 
 def _has_extreme_scores(scores: ScoreField, spec: MixedRegionSpec) -> bool:

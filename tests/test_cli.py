@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,9 @@ class TestMalformedModel:
         "latitude-95": lambda d: d["scores"]["latitudes"].__setitem__(0, 95.0),
         "footprint-9": lambda d: d["scores"]["footprints"].__setitem__(0, 9),
         "region-reversed": lambda d: d["region"].reverse(),
+        "score-null": lambda d: d["scores"]["values"][str(d["scores"]["sounding_ids"][0])]
+        .__setitem__(0, None),
+        "eigenvector-null": lambda d: d["basis"]["eigenvectors"].__setitem__(0, None),
     }
 
     @pytest.mark.parametrize("name", MUTATIONS)
@@ -277,6 +281,53 @@ class TestMalformedModel:
         model_path.write_text(json.dumps(model_doc))
         assert run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
                     "--footprint", 4, "--out", tmp_path / "s.csv"]) == 0
+
+
+def _doc_paths(node, path=()):
+    """(path, value) for a JSON document node and every node below it."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _doc_paths(child, path + (key,))
+
+
+def test_any_model_mutation_exits_0_3_or_4(model_doc, tmp_path, capsys):
+    """One edit of a saved model: impute exits 0, 3 or 4 with at most one line."""
+    paths = list(_doc_paths(model_doc))
+    lists = [p for p, v in paths if isinstance(v, list)]
+    numbers = [p for p, v in paths if type(v) in (int, float)]
+    edits = (st.tuples(st.sampled_from(["drop", "append"]), st.sampled_from(lists))
+             | st.tuples(st.sampled_from(["string", "null", "negative", "zero"]),
+                         st.sampled_from(numbers)))
+    model_path, out = tmp_path / "model.json", tmp_path / "s.csv"
+
+    @settings(max_examples=80, deadline=None)
+    @given(edits)
+    def prop(edit):
+        kind, path = edit
+        doc = json.loads(json.dumps(model_doc))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        value = node[path[-1]]
+        if kind == "drop":
+            del value[-1:]
+        elif kind == "append":
+            value.append(value[-1] if value else 0)
+        else:
+            node[path[-1]] = {"string": "x", "null": None, "negative": -1 - abs(value),
+                              "zero": 0}[kind]
+        model_path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
+                        "--footprint", 4, "--out", out])
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), (edit, err)
+        assert err.count("\n") <= 1 and not caught, (edit, err, caught)
+
+    prop()
 
 
 class TestUnmix:

@@ -10,9 +10,10 @@ from geofpca import geostat
 from geofpca.dataset import haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
-from geofpca.geostat import (GRID_POINTS, PERM_ELEMENTS, EmpiricalVariogram,
-                             VariogramBins, _back_solve, _cholesky_in_place,
-                             _forward_solve, _permuted_moran, _wls_weights,
+from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
+                             EmpiricalVariogram, VariogramBins, _back_solve,
+                             _cholesky_in_place, _forward_solve, _moran_exceedances,
+                             _wls_weights,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, kriged_scores,
                              kriging_weights, spatial_dependence_test)
@@ -319,8 +320,7 @@ class TestSpatialDependenceTest:
         rejections = 0
         for rep in range(reps):
             sf = score_field(lats, rng.standard_normal(n), [0.0])
-            res = spatial_dependence_test(sf, 0, n_perm=99, alpha=alpha,
-                                          seed=rep)
+            res, = spatial_dependence_test(sf, n_perm=99, alpha=alpha, seed=rep)
             rejections += res.dependent
         rate = rejections / reps
         se = np.sqrt(alpha * (1 - alpha) / reps)
@@ -336,25 +336,33 @@ class TestSpatialDependenceTest:
         for rep in range(40):
             u = chol @ rng.standard_normal(n)
             sf = score_field(lats, u, [0.0])
-            res = spatial_dependence_test(sf, 0, n_perm=199, seed=rep)
+            res, = spatial_dependence_test(sf, n_perm=199, seed=rep)
             detected += res.dependent
         assert detected >= 0.95 * 40
 
     def test_constant_scores_degenerate(self):
         sf = score_field(transect_latitudes(25), np.full(25, 1.0), [0.0])
-        with pytest.raises(DataError, match="degenerate"):
-            spatial_dependence_test(sf, 0)
+        res, = spatial_dependence_test(sf)
+        assert math.isnan(res.statistic)
+        assert (res.p_value, res.dependent, res.component) == (1.0, False, 0)
 
     def test_needs_twenty_soundings(self, rng):
         sf = score_field(transect_latitudes(10), rng.standard_normal(10), [0.0])
         with pytest.raises(DataError, match=">= 20"):
-            spatial_dependence_test(sf, 0)
+            spatial_dependence_test(sf)
 
     def test_deterministic_given_seed(self, rng):
         sf = score_field(transect_latitudes(30), rng.standard_normal(30), [0.0])
-        r1 = spatial_dependence_test(sf, 0, seed=11)
-        r2 = spatial_dependence_test(sf, 0, seed=11)
+        r1, = spatial_dependence_test(sf, seed=11)
+        r2, = spatial_dependence_test(sf, seed=11)
         assert r1.p_value == r2.p_value and r1.statistic == r2.statistic
+
+
+def assert_matches_loop_oracle(res, u, dist, n_perm, seed):
+    stat, p = moran_permutation_loop(u, dist, n_perm, seed, n_neighbors=MORAN_NEIGHBOURS)
+    assert res.p_value == p
+    assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+    assert res.dependent == (p < res.alpha)
 
 
 class TestMoranMatchesLoopOracle:
@@ -372,65 +380,67 @@ class TestMoranMatchesLoopOracle:
             u = strength * np.sin(25.0 * lats) + rng.standard_normal(n)
             sf = score_field(lats, u, [0.0], lons=lons)
             for seed, n_perm in enumerate(n_perms):
-                res = spatial_dependence_test(sf, 0, n_perm=n_perm, seed=seed)
-                stat, p = moran_permutation_loop(u, dist, n_perm, seed)
-                assert res.p_value == p
-                assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+                res, = spatial_dependence_test(sf, n_perm=n_perm, seed=seed)
+                assert_matches_loop_oracle(res, u, dist, n_perm, seed)
 
-    def test_components_share_one_neighbour_table(self):
-        n = 264
+    @staticmethod
+    def three_components(n, last):
         rng = np.random.default_rng(5)
         lats = 35.0 + rng.uniform(0.0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
         u = np.column_stack([np.sin(25.0 * lats) + rng.standard_normal(n),
-                             rng.standard_normal(n),
-                             0.3 * np.cos(20.0 * lats) + rng.standard_normal(n)])
-        sf = score_field(lats, u, [0.0, 0.0, 0.0], lons=lons)
-        dist = pairwise_distances(lats, lons)
-        # A change of n_neighbors between components must rebuild the table.
-        for k, m in ((0, 10), (1, 10), (2, 5), (0, 10)):
-            res = spatial_dependence_test(sf, k, n_perm=199, seed=k, n_neighbors=m)
-            stat, p = moran_permutation_loop(u[:, k], dist, 199, k, n_neighbors=m)
-            assert res.p_value == p
-            assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
-        table = sf.nearest(10)
-        assert sf.nearest(10) is table
-        assert not any(a.flags.writeable for a in table)
+                             rng.standard_normal(n), last(lats, rng)])
+        return score_field(lats, u, [0.0, 0.0, 0.0], lons=lons), u, pairwise_distances(lats, lons)
 
-    def test_fewer_points_than_neighbors(self, rng):
-        n = 20
-        lats = transect_latitudes(n)
-        u = rng.standard_normal(n)
-        res = spatial_dependence_test(score_field(lats, u, [0.0]), 0,
-                                      n_perm=129, seed=3, n_neighbors=40)
-        stat, p = moran_permutation_loop(u, pairwise_distances(lats, np.full(n, 23.8)),
-                                         129, 3, n_neighbors=40)
-        assert res.p_value == p
-        assert res.statistic == pytest.approx(stat, rel=1e-12, abs=1e-12)
+    def test_components_share_one_neighbour_table(self):
+        """K components tested in one pass, each as if tested alone under the seed."""
+        sf, u, dist = self.three_components(
+            264, lambda lats, rng: 0.3 * np.cos(20.0 * lats) + rng.standard_normal(lats.size))
+        for seed, n_perm in ((0, 199), (7, 1000)):  # 1000: more than one chunk of 3 rows
+            results = spatial_dependence_test(sf, n_perm=n_perm, seed=seed)
+            assert [r.component for r in results] == [0, 1, 2]
+            for k, res in enumerate(results):
+                assert_matches_loop_oracle(res, u[:, k], dist, n_perm, seed)
+
+    @pytest.mark.parametrize("n", [20, 264])
+    def test_constant_last_component(self, n):
+        sf, u, dist = self.three_components(n, lambda lats, rng: np.full(lats.size, -0.7))
+        for seed, n_perm in ((3, 99), (4, 999)):
+            *live, constant = spatial_dependence_test(sf, n_perm=n_perm, seed=seed)
+            for k, res in enumerate(live):
+                assert_matches_loop_oracle(res, u[:, k], dist, n_perm, seed)
+            assert math.isnan(constant.statistic)
+            assert (constant.component, constant.p_value, constant.dependent) == (2, 1.0, False)
 
 
 class TestMoranMatchesChunkedOracle:
-    """The batched permutation kernel against the 128-row chunked loop, bit for bit."""
+    """The batched permutation kernel against the 128-row chunked loop, exactly."""
 
     @pytest.mark.parametrize("n", [20, 21, 264, 1200])
     def test_statistics_equal(self, n):
         rng = np.random.default_rng(100 + n)
         lats = 35.0 + rng.uniform(0.0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
-        u = 0.5 * np.sin(25.0 * lats) + rng.standard_normal(n)
-        sf = score_field(lats, u, [0.0], lons=lons)
-        z = u - u.mean()
-        chunk = max(1, PERM_ELEMENTS // n)
-        # Around one and two batched chunks, and around the oracle's 128.
-        n_perms = sorted({chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 127, 128, 129} - {0})
-        for m in sorted({10, n - 1} if n < 30 else {10}):
-            nb, d_nb = sf.nearest(m)
-            wts = 1.0 / np.maximum(d_nb, 1e-9)
-            for seed, n_perm in enumerate(n_perms):
-                new = _permuted_moran(z, nb, wts, n_perm, seed)
-                old = moran_chunked_stats(z, nb, wts, n_perm, seed)
-                assert new.shape == (n_perm,)
-                assert np.array_equal(new, old), (m, n_perm)
+        u = np.column_stack([0.5 * np.sin(25.0 * lats) + rng.standard_normal(n),
+                             rng.standard_normal(n)])
+        sf = score_field(lats, u, [0.0, 0.0], lons=lons)
+        z = np.array([u_k - u_k.mean() for u_k in u.T])
+        e_i = -1.0 / (n - 1)
+        for rows in (1, 2):
+            chunk = max(1, PERM_ELEMENTS // (rows * n))
+            # Around one and two batched chunks, and around the oracle's 128.
+            n_perms = sorted({chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 127, 128, 129} - {0})
+            for m in sorted({10, n - 1} if n < 30 else {10}):
+                nb, d_nb = sf.nearest(m)
+                wts = 1.0 / np.maximum(d_nb, 1e-9)
+                # Thresholds that split the permuted statistics.
+                stats = e_i + np.array([0.02, -0.05])[:rows]
+                for seed, n_perm in enumerate(n_perms):
+                    new = _moran_exceedances(z[:rows], stats, nb, wts, n_perm, seed)
+                    old = [np.count_nonzero(np.abs(moran_chunked_stats(
+                        z_k, nb, wts, n_perm, seed) - e_i) >= abs(s - e_i))
+                        for z_k, s in zip(z[:rows], stats)]
+                    assert new.tolist() == old, (rows, m, n_perm)
 
     @pytest.mark.parametrize("n", [1, 2, 20, 1200])
     def test_permuted_rows_are_successive_permutations(self, n):
@@ -616,6 +626,19 @@ class TestMemoryPeaks:
         assert peak <= 0.5
         assert nb.base is None and d_nb.base is None
         assert nb.nbytes + d_nb.nbytes <= 2 * self.n * m * 8
+
+    def test_screen_keeps_no_statistic_per_permutation(self):
+        """From two full permutation chunks on (the second allocates while the
+        first's buffers are alive), the screen's peak does not grow with
+        n_perm: each chunk's statistics are counted and dropped."""
+        n = 20
+        rng = np.random.default_rng(20)
+        sf = score_field(transect_latitudes(n), rng.standard_normal(n), [0.0])
+        lo, hi = 2 * (PERM_ELEMENTS // n), 20000
+        assert hi > 6 * lo
+        _, peak_lo = self.traced_peak(lambda: spatial_dependence_test(sf, n_perm=lo))
+        _, peak_hi = self.traced_peak(lambda: spatial_dependence_test(sf, n_perm=hi))
+        assert (peak_hi - peak_lo) * self.n * self.n * 8 < 0.8 * (hi - lo)
 
     def test_semivariogram(self, field):
         _, peak = self.traced_peak(lambda: empirical_semivariogram(field))

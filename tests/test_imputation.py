@@ -147,7 +147,7 @@ class TestFitMemory:
             tracemalloc.stop()
         assert (peak - base) / (n * n * 8) < 2.2  # in units of one n x n float64 array
         arrays = list(reachable_arrays(model))
-        assert any(a is model.scores._nearest[0] for a in arrays)  # caches are walked
+        assert any(a is model.scores.scores for a in arrays)  # nested fields are walked
         assert all(a.size < n * n for a in arrays)
 
     def test_no_square_array_after_prediction(self):

@@ -211,8 +211,9 @@ class TestEstimateLandFraction:
 
     def test_swap_maps_to_complement(self, rng):
         obs = 0.8 * self.f_land + 0.2 * self.f_water + rng.normal(0, 2.0, 30)
-        a = estimate_land_fraction(obs, self.f_land, self.f_water, clamp=False)
-        b = estimate_land_fraction(obs, self.f_water, self.f_land, clamp=False)
+        a = estimate_land_fraction(obs, self.f_land, self.f_water)
+        b = estimate_land_fraction(obs, self.f_water, self.f_land)
+        assert 0.0 < a < 1.0  # inside the clamp
         assert b == pytest.approx(1.0 - a, abs=1e-12)
 
     def test_clamped_to_unit_interval(self, rng):
