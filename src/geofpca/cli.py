@@ -274,6 +274,9 @@ def cmd_simulate(cfg: dict) -> int:
         study_to_csv(result, cfg["out"])
         print(f"study over rho={grid} written to {cfg['out']} "
               f"({result.n_failures} failures)")
+        for r in result.records:
+            if r.error is not None:
+                print(f"failed replicate: rho {r.rho!r}, rep {r.rep}: {r.error}")
         return EXIT_OK
     ds, truth = simulate_mixed_transect(sim_cfg)
     save_dataset(ds, cfg["out"])

@@ -353,10 +353,10 @@ def _parse_radiance(cells: list[str], line_no: int) -> np.ndarray:
     return rad
 
 
-def load_dataset(path, sidecar=None) -> SpectralDataset:
+def load_dataset(path) -> SpectralDataset:
     """Load a dataset from CSV, with an optional JSON sidecar.
 
-    Both files are UTF-8. The sidecar (``<path>.json`` by default) holds a
+    Both files are UTF-8. The sidecar (``<path>.json``), if present, holds a
     JSON object that may declare an integer ``grid_length``, ``unit``, and
     ``orbit_id``; extra keys are kept as metadata. Empty cells and the literal
     ``NaN`` mark missing radiance; an infinite radiance is a data error. An
@@ -368,7 +368,7 @@ def load_dataset(path, sidecar=None) -> SpectralDataset:
     if not path.exists():
         raise DataError(f"no such file: {path}")
     metadata: dict = {}
-    sidecar = Path(sidecar) if sidecar else Path(str(path) + ".json")
+    sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         try:
             with open(sidecar, encoding="utf-8") as fh:

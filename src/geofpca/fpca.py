@@ -200,10 +200,12 @@ def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
 def eigendecompose(cov: CovarianceMatrix, fve_threshold: float = 0.99) -> FpcaBasis:
     """Eigendecompose a covariance and truncate by fraction of variance.
 
-    Negative eigenvalues (possible after the error correction) are discarded;
-    the FVE denominator is the sum of the positive eigenvalues. Each
-    eigenvector's sign is fixed so its largest-magnitude coordinate is
-    positive, making serialized bases reproducible.
+    Eigenvalues at or below m * eps * lambda_1 (m the dimension) are rounding
+    noise whose sign depends on the BLAS kernel: they and the negative ones
+    (possible after the error correction) are discarded, and the FVE
+    denominator is the sum of the kept eigenvalues. Each eigenvector's sign is
+    fixed so its largest-magnitude coordinate is positive, making serialized
+    bases reproducible.
     """
     if not 0.0 < fve_threshold <= 1.0:
         raise DataError(f"fve_threshold {fve_threshold} outside (0, 1]")
@@ -214,10 +216,10 @@ def eigendecompose(cov: CovarianceMatrix, fve_threshold: float = 0.99) -> FpcaBa
     evals, evecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    positive = evals > 0.0
-    if not positive.any():
+    kept = evals > evals.size * np.finfo(float).eps * evals[0]
+    if not kept.any():
         raise NumericalError("no positive eigenvalues; nothing to retain")
-    evals, evecs = evals[positive], evecs[:, positive]
+    evals, evecs = evals[kept], evecs[:, kept]
     fve_curve = np.cumsum(evals) / evals.sum()
     k = int(np.searchsorted(fve_curve, fve_threshold) + 1)
     k = min(k, evals.size)

@@ -3,9 +3,9 @@
 ``fit_geofpca`` runs the full pipeline in order: wavelength selection, mean
 fit, per-footprint error covariances, signal covariance, eigendecomposition,
 scores, score-noise variances, spatial-dependence screening, then every
-component's empirical variogram in one pass and a WLS fit per component. The
-resulting model imputes spectra at any batch of locations as the mean plus the
-kriged-score reconstruction, computing each component's kriging weights once.
+component's empirical variogram in one pass and a WLS fit per kriged component.
+The resulting model imputes spectra at any batch of locations as the mean plus
+the kriged-score reconstruction, computing each component's kriging weights once.
 """
 
 from __future__ import annotations
@@ -141,8 +141,9 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
 
     ``score_transform``, when given, is applied to the score field after the
     score-noise variances are attached and before the spatial screening and
-    variogram fits (used for local-linear score smoothing in unmixing).
-    Sub-step failures carry their pipeline stage in the message.
+    variogram fits (used for local-linear score smoothing in unmixing). A
+    component the screen finds independent gets no fit (None). Sub-step
+    failures carry their pipeline stage in the message.
     """
     config = config or FitConfig()
     if len(ds) == 0:
@@ -170,21 +171,15 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     # Too few soundings to screen keeps the kriging path (tests None).
     tests = (spatial_dependence_test(scores, config.n_perm, config.alpha, config.seed)
              if scores.sounding_ids.size >= 20 else [None] * basis.K)
-    # After the screen: its neighbour pass records the largest distance the bins use.
-    try:
-        variograms, failure = empirical_semivariogram(scores, config.bins), None
-    except GeofpcaError as e:
-        variograms, failure = [], e
-    fits: list[VariogramFit | None] = []
-    for k, test in enumerate(tests):
-        try:
-            if failure is not None:
-                raise failure
-            fits.append(fit_variogram_wls(variograms[k], config.weight_scheme))
-        except GeofpcaError as e:
-            if test is None or test.dependent:
-                raise type(e)(f"[variogram k={k}] {e}") from e
-            fits.append(None)  # unused by the reduced predictor
+    kriged = [k for k, t in enumerate(tests) if t is None or t.dependent]
+    fits: list[VariogramFit | None] = [None] * basis.K
+    if kriged:
+        # After the screen: its neighbour pass records the largest distance the bins use.
+        variograms = _stage(f"variogram k={kriged[0]}", empirical_semivariogram,
+                            scores, config.bins)
+        for k in kriged:
+            fits[k] = _stage(f"variogram k={k}", fit_variogram_wls, variograms[k],
+                             config.weight_scheme)
     return GeoFpcaModel(region, ws, mean, basis, scores, fits, tests, config)
 
 

@@ -80,8 +80,7 @@ def synthetic_profile(m: int, kind: str) -> EndmemberProfile:
     return EndmemberProfile(intercept, slope, _orthonormal_against_affine(x, raw))
 
 
-def simulate_error_process(sigma: np.ndarray, seed: Seed | None = None,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
+def simulate_error_process(sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of the correlated error process, scaled by ``sigma``.
 
     The process is a random combination of one sine and one cosine over the
@@ -92,8 +91,6 @@ def simulate_error_process(sigma: np.ndarray, seed: Seed | None = None,
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
     if (sigma < 0).any() or not np.all(np.isfinite(sigma)):
         raise DataError("sigma must be finite and nonnegative")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     c_w = float(sigma.shape[-1])
     amp = 1.0 / math.sqrt(c_w / 2.0)
     phase = np.pi * np.arange(sigma.shape[-1], dtype=float) / c_w
@@ -368,6 +365,7 @@ class StudyResult:
 
 # The study's endmember fits run fewer Moran permutations than fit_geofpca's default.
 STUDY_FIT = FitConfig(n_perm=199)
+STUDY_TRIM = 0.1  # share of the errors cut from each end before the study's mean
 
 
 def _study_cell(cfg: SimulationConfig, replicate) -> StudyRecord:
@@ -397,17 +395,15 @@ def _trim_mean(a: np.ndarray, proportion: float) -> float:
 
 
 def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = None,
-                       trim: float = 0.1, threads: int = 1) -> StudyResult:
+                       threads: int = 1) -> StudyResult:
     """Replicated comparison of unmixing vs interpolation across noise levels.
 
-    Per noise ratio and method, reports the ``trim``-trimmed mean of the
+    Per noise ratio and method, reports the ``STUDY_TRIM``-trimmed mean of the
     relative absolute error at the mixed site over ``n_reps`` replicates.
     Replicates get derived seeds, so results do not depend on ``threads``.
     """
     if n_reps < 2:
         raise DataError("n_reps must be >= 2")
-    if not 0.0 <= trim < 0.5:
-        raise DataError(f"trim {trim} outside [0, 0.5)")
     cfg = cfg or SimulationConfig()
     base_seed = _check_seed(cfg.seed)[0]
     replicates = [(float(rho), i, rep)
@@ -426,7 +422,7 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
             errs = np.array([abs(getattr(r, attr) - r.alpha_true) / r.alpha_true
                              for r in good])
             rows.append(StudyRow(float(rho), method,
-                                 _trim_mean(errs, trim) if errs.size else math.nan,
+                                 _trim_mean(errs, STUDY_TRIM) if errs.size else math.nan,
                                  len(good), int(base_seed)))
     return StudyResult(rows, records, n_failures)
 

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geofpca
+from geofpca import simulation
 from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
 from geofpca.dataset import load_dataset, save_dataset
+from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
 from geofpca.imputation import FitConfig, load_model
@@ -55,6 +57,25 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "rho,method,trimmed_mean_rel_abs_error,n_reps,seed"
         assert len(lines) == 5
+
+    def test_study_prints_failed_replicates(self, tmp_path, capsys, monkeypatch):
+        """Each failed replicate gets one line after the summary; the CSV counts the rest."""
+        real, calls = simulation.unmix_region, []
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise DataError("forced failure")
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "unmix_region", second_call_fails)
+        out = tmp_path / "study.csv"
+        assert run(["simulate", "--study", "--rho-grid", "0.01", "--n-reps", 3,
+                    "--seed", 3, "--threads", 1, "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith("(1 failures)")
+        assert lines[-1] == "failed replicate: rho 0.01, rep 1: forced failure"
+        assert [row.split(",")[3] for row in out.read_text().splitlines()[1:]] == ["2", "2"]
 
 
     @pytest.mark.parametrize("grid_length", [4, -1])

@@ -165,6 +165,12 @@ class TestEigendecompose:
         np.testing.assert_allclose(basis.eigenvalues, [3.0, 2.0])
         np.testing.assert_allclose(basis.fve_curve, [0.6, 1.0])
 
+    def test_rounding_noise_eigenvalues_dropped(self):
+        """At or below m eps lambda_1 (2.7e-15 here) an eigenvalue counts as zero."""
+        basis = eigendecompose(self.cov(np.diag([4.0, 1.0, 1e-15])), 1.0)
+        assert basis.K == 2
+        np.testing.assert_allclose(basis.fve_curve, [0.8, 1.0])
+
     def test_asymmetric_raises(self):
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(DataError, match="symmetric"):

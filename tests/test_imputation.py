@@ -2,7 +2,6 @@ import json
 import math
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import make_dataset
 from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
-from geofpca.geostat import WEIGHT_SCHEMES, VariogramBins, kriging_weights
+from geofpca import imputation
+from geofpca.geostat import (WEIGHT_SCHEMES, VariogramBins, empirical_semivariogram,
+                             fit_variogram_wls, kriging_weights)
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -55,6 +56,13 @@ def exact_rank_dataset(rng, ramps, n_per_fp=24, width=10):
         rows.extend(rad)
     lons = 23.8 + 0.01 * (np.asarray(fps) - 4)
     return make_dataset(lats, fps, np.asarray(rows), lons=lons), q
+
+
+def small_orbit():
+    """112 soundings whose default fit kriges component 2 and not component 1."""
+    ds, _ = simulate_orbit(OrbitConfig(n_tracks=14, seed=5, grid_length=24,
+                                       track_spacing=0.01))
+    return ds
 
 
 @pytest.fixture
@@ -102,6 +110,29 @@ class TestFitGeofpca:
         model = fit_geofpca(region, FitConfig(n_perm=99, alpha=1e-9, bins=bins))
         assert all(t is not None and not t.dependent for t in model.tests)
         assert model.fits == [None] * model.basis.K
+
+    def test_one_wls_fit_per_kriged_component(self, monkeypatch):
+        calls = []
+
+        def counting(ev, scheme):
+            calls.append(ev)
+            return fit_variogram_wls(ev, scheme)
+
+        monkeypatch.setattr(imputation, "fit_variogram_wls", counting)
+        model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
+        kriged = [k for k in range(model.basis.K) if model.dependent(k)]
+        assert 0 < len(kriged) < model.basis.K
+        assert len(calls) == len(kriged)
+
+    def test_independent_components_have_no_fit(self):
+        model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
+        variograms = empirical_semivariogram(model.scores)
+        assert {model.dependent(k) for k in range(model.basis.K)} == {True, False}
+        for k, fit in enumerate(model.fits):
+            if model.dependent(k):
+                assert fit.to_dict() == fit_variogram_wls(variograms[k]).to_dict()
+            else:
+                assert fit is None
 
     def test_deterministic(self, water_region, tmp_path):
         region, _ = water_region
@@ -243,8 +274,7 @@ class TestImputeRadiance:
 class TestBatchedPrediction:
     @pytest.fixture
     def fitted(self):
-        ds, _ = simulate_orbit(OrbitConfig(n_tracks=14, seed=5, grid_length=24,
-                                           track_spacing=0.01))
+        ds = small_orbit()
         model = fit_geofpca(ds, FitConfig(n_perm=99))
         rng = np.random.default_rng(77)
         lats = rng.uniform(*model.region, 24)
@@ -278,7 +308,9 @@ class TestBatchedPrediction:
     def test_systems_equal_standalone_systems(self, fitted):
         """One distance evaluation serves every component; the field is left intact."""
         model = fitted[0]
-        for m in (model, replace(model, tests=[None] * model.basis.K)):  # all kriged
+        all_kriged = fit_geofpca(small_orbit(), FitConfig(n_perm=99, alpha=0.999))
+        assert all(all_kriged.dependent(k) for k in range(all_kriged.basis.K))
+        for m in (model, all_kriged):
             sf = m.scores
             before = [a.copy() for a in (sf.scores, sf.latitudes, sf.longitudes,
                                          sf.footprints)]
