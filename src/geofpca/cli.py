@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -187,9 +188,7 @@ def cmd_fit(cfg: dict) -> int:
     kept = len(model.scores.sounding_ids)
     print(f"fitted: wavelengths={model.wavelengths.size} K={model.basis.K} "
           f"soundings={kept} region=[{model.region[0]!r},{model.region[1]!r}]")
-    for k in range(model.basis.K):
-        t = model.tests[k]
-        f = model.fits[k]
+    for k, (t, f) in enumerate(zip(model.tests, model.fits)):
         dep = "untested" if t is None else ("dependent" if t.dependent else "independent")
         fit_txt = "none" if f is None else (f"sill={f.sill:.6g} range={f.range_km:.6g}"
                                             + (" degenerate" if f.degenerate else ""))
@@ -238,26 +237,31 @@ def cmd_unmix(cfg: dict) -> int:
           f"qualified={spec.qualified}")
     alphas, _ = unmix_region(ds, spec, fit_cfg)
     alphas = {method: a.tolist() for method, a in alphas.items()}
+    rows = [ds.index_of(sid) for sid in spec.mixed_ids]
+    lats, lons, fps, reported = (column[rows].tolist() for column in (
+        ds.latitudes, ds.longitudes, ds.footprints, ds.land_fractions))
     lines = ["id,latitude,longitude,footprint,alpha_unmix,alpha_interp,alpha_reported"]
-    for sid, a_u, a_i in zip(spec.mixed_ids, alphas["unmixing"], alphas["interpolation"]):
-        s = ds.get(sid)
-        reported = "" if s.land_fraction is None else repr(s.land_fraction)
-        lines.append(f"{sid},{s.latitude!r},{s.longitude!r},{s.footprint},"
-                     f"{a_u!r},{a_i!r},{reported}")
+    for sid, lat, lon, fp, a_u, a_i, lf in zip(spec.mixed_ids, lats, lons, fps,
+                                               alphas["unmixing"], alphas["interpolation"],
+                                               reported):
+        shown = "" if math.isnan(lf) else repr(lf)
+        lines.append(f"{sid},{lat!r},{lon!r},{fp},{a_u!r},{a_i!r},{shown}")
     Path(cfg["out"]).write_text("\n".join(lines) + "\n")
-    print(f"land fractions for {len(spec.mixed_ids)} soundings written to {cfg['out']}")
+    m = len(spec.mixed_ids)
+    print(f"land fractions for {m} soundings written to {cfg['out']}")
+    a, b = (sum(v in (0.0, 1.0) for v in alphas[k]) for k in ("unmixing", "interpolation"))
+    print(f"fractions at 0 or 1: unmixing {a} of {m}, interpolation {b} of {m}")
 
     if cfg.get("summary"):
-        summary: dict = {"n_mixed": len(spec.mixed_ids), "qualified": spec.qualified,
+        summary: dict = {"n_mixed": m, "qualified": spec.qualified,
                          "delta0": spec.delta0}
         if truth:
             for method, values in alphas.items():
                 errs = [(v - truth[sid]) ** 2 for sid, v in zip(spec.mixed_ids, values)
                         if sid in truth]
                 summary[f"mse_{method}"] = sum(errs) / len(errs) if errs else None
-            errs = [(ds.get(sid).land_fraction - truth[sid]) ** 2
-                    for sid in spec.mixed_ids
-                    if sid in truth and ds.get(sid).land_fraction is not None]
+            errs = [(lf - truth[sid]) ** 2 for sid, lf in zip(spec.mixed_ids, reported)
+                    if sid in truth and not math.isnan(lf)]
             summary["mse_reported"] = sum(errs) / len(errs) if errs else None
         Path(cfg["summary"]).write_text(json.dumps(summary, sort_keys=True) + "\n")
         print(f"summary written to {cfg['summary']}")

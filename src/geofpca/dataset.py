@@ -105,11 +105,6 @@ class WavelengthSet:
         """0-based column positions into a radiance array."""
         return np.asarray(self.indices, dtype=int) - 1
 
-    @property
-    def values(self) -> np.ndarray:
-        """Indices as a float array (the discrete integration grid)."""
-        return np.asarray(self.indices, dtype=float)
-
 
 class SpectralDataset:
     """An immutable, orbit-ordered table of soundings over a shared grid.

@@ -416,24 +416,22 @@ def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
-                    dependent: bool = True, distances: np.ndarray | None = None
+                    distances: np.ndarray | None = None
                     ) -> tuple[float, np.ndarray | None]:
     """Ordinary kriging of one component's scores in dual form: (kappa, alpha).
 
     Sigma is sill*exp(-d/range) plus, on the diagonal, the footprint
     score-noise variance and a relative jitter. kappa is the GLS mean and
-    alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. A
-    spatially independent component predicts its score mean, and a single
-    observation its own score: alpha is None. ``distances`` (the soundings'
+    alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. With no
+    fit (not kriged) kappa is the score mean, and a single observation predicts
+    its own score: alpha is None. ``distances`` (the soundings'
     ``pairwise_distances``, else evaluated here) is overwritten in place.
     """
     u = scores.component(k)
     if u.size < 1:
         raise DataError("no scores to krige from")
-    if not dependent:
-        return float(u.mean()), None
     if fit is None:
-        raise DataError(f"component {k}: no variogram fit available for kriging")
+        return float(u.mean()), None
     if u.size < 2:
         return float(u[0]), None
     cov = (pairwise_distances(scores.latitudes, scores.longitudes)
@@ -471,5 +469,7 @@ def kriged_scores(kappa: float, alpha: np.ndarray | None, fit: VariogramFit | No
 def krige_score(target: tuple[float, float], scores: ScoreField, k: int,
                 fit: VariogramFit | None, dependent: bool = True) -> float:
     """One component's predicted score at one (latitude, longitude)."""
-    kappa, alpha = kriging_weights(scores, k, fit, dependent)
+    if dependent and fit is None:
+        raise DataError(f"component {k}: no variogram fit available for kriging")
+    kappa, alpha = kriging_weights(scores, k, fit if dependent else None)
     return float(kriged_scores(kappa, alpha, fit, scores, [target[0]], [target[1]])[0])

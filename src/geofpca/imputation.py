@@ -91,7 +91,10 @@ class FitConfig:
 
 @dataclass
 class GeoFpcaModel:
-    """Everything needed to impute spectra in the fitted region."""
+    """Everything needed to impute spectra in the fitted region.
+
+    ``fits[k]`` is None exactly where component k is predicted by its mean.
+    """
 
     region: tuple[float, float]
     wavelengths: WavelengthSet
@@ -104,11 +107,6 @@ class GeoFpcaModel:
     _weights: list[tuple[float, np.ndarray | None]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def dependent(self, k: int) -> bool:
-        """Spatial dependence decision for component k (default True if untested)."""
-        t = self.tests[k]
-        return True if t is None else t.dependent
-
     def kriging_weights(self) -> list[tuple[float, np.ndarray | None]]:
         """Each component's (kappa, alpha), built on first use and never saved.
 
@@ -116,14 +114,14 @@ class GeoFpcaModel:
         the last takes a copy for its covariance, and the last takes them over.
         """
         if self._weights is None:
-            kriged = [k for k in range(self.basis.K) if self.dependent(k)]
+            kriged = [k for k, f in enumerate(self.fits) if f is not None]
             dist = (pairwise_distances(self.scores.latitudes, self.scores.longitudes)
                     if kriged else None)
             self._weights = [
-                kriging_weights(self.scores, k, self.fits[k], self.dependent(k),
+                kriging_weights(self.scores, k, fit,
                                 None if k not in kriged else dist if k == kriged[-1]
                                 else dist.copy())
-                for k in range(self.basis.K)
+                for k, fit in enumerate(self.fits)
             ]
         return self._weights
 
@@ -344,6 +342,8 @@ def _model_from_doc(doc: dict) -> GeoFpcaModel:
     model = GeoFpcaModel((doc["region"][0], doc["region"][1]), ws, mean, basis,
                          scores, fits, tests, FitConfig.from_dict(doc["config"]))
     _check_kriging_inputs(model)
+    # Older files keep an unread fit for an independent component: drop it.
+    model.fits = [f if t is None or t.dependent else None for f, t in zip(fits, tests)]
     return model
 
 
@@ -375,7 +375,7 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
         raise ValueError(f"region {list(model.region)} has lo > hi")
     for c, fit in enumerate(model.fits):
         if fit is None:
-            if model.dependent(c):
+            if model.tests[c] is None or model.tests[c].dependent:
                 raise ValueError(f"component {c} is kriged but has no variogram fit")
         elif (not all(type(x) in (int, float) and math.isfinite(x)
                       for x in (fit.sill, fit.range_km))

@@ -128,7 +128,7 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
     ds, config, lat_halfwidth = shared
     center, r = cell
     try:
-        center_lat = ds.get(center).latitude
+        center_lat = float(ds.latitudes[ds.index_of(center)])
         region = select_region(ds, (center_lat - lat_halfwidth,
                                     center_lat + lat_halfwidth))
         train, held = remove_cross_tracks(region, center, r)

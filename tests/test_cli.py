@@ -258,6 +258,17 @@ def model_doc(sim_csv, tmp_path_factory):
     return json.loads(path.read_text())
 
 
+@pytest.fixture(scope="module")
+def screened_doc(orbit_csv, tmp_path_factory):
+    """A model whose screen found component 0 independent (null fit) and 1 dependent."""
+    path = tmp_path_factory.mktemp("screened") / "model.json"
+    assert run(["fit", "--input", orbit_csv[0], "--n-perm", 99, "--out", path]) == 0
+    doc = json.loads(path.read_text())
+    assert [t["dependent"] for t in doc["tests"]] == [False, True]
+    assert [f is None for f in doc["fits"]] == [True, False]
+    return doc
+
+
 def _first_fit(doc):
     return next(f for f in doc["fits"] if f is not None)
 
@@ -313,42 +324,99 @@ def _doc_paths(node, path=()):
         yield from _doc_paths(child, path + (key,))
 
 
-def test_any_model_mutation_exits_0_3_or_4(model_doc, tmp_path, capsys):
-    """One edit of a saved model: impute exits 0, 3 or 4 with at most one line."""
-    paths = list(_doc_paths(model_doc))
-    lists = [p for p, v in paths if isinstance(v, list)]
-    numbers = [p for p, v in paths if type(v) in (int, float)]
-    edits = (st.tuples(st.sampled_from(["drop", "append"]), st.sampled_from(lists))
-             | st.tuples(st.sampled_from(["string", "null", "negative", "zero"]),
-                         st.sampled_from(numbers)))
+def assert_load_rules(model):
+    """What every loaded model satisfies: K entries per component, finite
+    arrays, and a null fit exactly where the screen found independence."""
+    k = model.basis.K
+    assert len(model.fits) == len(model.tests) == len(model.basis.eigenvalues) == k
+    for a in (model.scores.scores, model.basis.eigenvectors, model.basis.eigenvalues):
+        assert np.isfinite(a).all()
+    assert ([f is None for f in model.fits]
+            == [t is not None and not t.dependent for t in model.tests])
+
+
+def test_any_model_mutation_exits_0_3_or_4(model_doc, screened_doc, tmp_path, capsys):
+    """One edit of a saved model: impute exits 0, 3 or 4 with at most one line,
+    and every model it accepts satisfies the load rules."""
     model_path, out = tmp_path / "model.json", tmp_path / "s.csv"
 
-    @settings(max_examples=80, deadline=None)
-    @given(edits)
-    def prop(edit):
-        kind, path = edit
-        doc = json.loads(json.dumps(model_doc))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        value = node[path[-1]]
-        if kind == "drop":
-            del value[-1:]
-        elif kind == "append":
-            value.append(value[-1] if value else 0)
-        else:
-            node[path[-1]] = {"string": "x", "null": None, "negative": -1 - abs(value),
-                              "zero": 0}[kind]
-        model_path.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run(["impute", "--model", model_path, "--lat", 35.2, "--lon", 23.77,
-                        "--footprint", 4, "--out", out])
-        err = capsys.readouterr().err
-        assert code in (0, 3, 4), (edit, err)
-        assert err.count("\n") <= 1 and not caught, (edit, err, caught)
+    def check(original, lat, lon):
+        paths = list(_doc_paths(original))
+        lists = [p for p, v in paths if isinstance(v, list)]
+        numbers = [p for p, v in paths if type(v) in (int, float)]
+        flags = [p for p, v in paths if type(v) is bool]
+        edits = (st.tuples(st.sampled_from(["drop", "append"]), st.sampled_from(lists))
+                 | st.tuples(st.sampled_from(["string", "null", "negative", "zero"]),
+                             st.sampled_from(numbers))
+                 | st.tuples(st.just("flip"), st.sampled_from(flags)))
 
-    prop()
+        @settings(max_examples=80, deadline=None)
+        @given(edits)
+        def prop(edit):
+            kind, path = edit
+            doc = json.loads(json.dumps(original))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            value = node[path[-1]]
+            if kind == "drop":
+                del value[-1:]
+            elif kind == "append":
+                value.append(value[-1] if value else 0)
+            elif kind == "flip":
+                node[path[-1]] = not value
+            else:
+                node[path[-1]] = {"string": "x", "null": None, "negative": -1 - abs(value),
+                                  "zero": 0}[kind]
+            model_path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run(["impute", "--model", model_path, "--lat", lat, "--lon", lon,
+                            "--footprint", 4, "--out", out])
+            err = capsys.readouterr().err
+            assert code in (0, 3, 4), (edit, err)
+            assert err.count("\n") <= 1 and not caught, (edit, err, caught)
+            if code == 0:
+                assert_load_rules(load_model(model_path))
+
+        prop()
+
+    check(model_doc, 35.2, 23.77)
+    check(screened_doc, 35.1, 23.8)
+
+
+class TestFitListIsTheKrigingDecision:
+    """A null fit means the score mean is predicted; a fit stored for an
+    independent component is dropped at load."""
+
+    @staticmethod
+    def impute(doc, tmp_path, name):
+        model_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        model_path.write_text(json.dumps(doc))
+        code = run(["impute", "--model", model_path, "--lat", 35.1, "--lon", 23.8,
+                    "--footprint", 4, "--out", out])
+        return code, model_path, out
+
+    def test_fit_of_independent_component_is_dropped(self, screened_doc, tmp_path):
+        doc = json.loads(json.dumps(screened_doc))
+        doc["fits"][0] = doc["fits"][1]  # as older model files carry
+        code, _, saved = self.impute(screened_doc, tmp_path, "saved")
+        assert code == 0
+        code, model_path, extra = self.impute(doc, tmp_path, "extra-fit")
+        assert code == 0
+        assert extra.read_bytes() == saved.read_bytes()
+        model = load_model(model_path)
+        assert model.fits[0] is None and model.fits[1] is not None
+
+    def test_dependent_component_without_fit_exits_3(self, screened_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(screened_doc))
+        doc["fits"][1] = None
+        code, model_path, out = self.impute(doc, tmp_path, "no-fit")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "component 1 is kriged but has no variogram fit" in err
+        assert not out.exists()
 
 
 class TestUnmix:
@@ -369,6 +437,20 @@ class TestUnmix:
         assert doc["qualified"] is True
         assert doc["mse_unmixing"] >= 0.0
         assert doc["mse_reported"] >= 0.0
+
+    def test_reports_fractions_at_0_or_1(self, tmp_path, capsys):
+        path, out = tmp_path / "transect.csv", tmp_path / "fractions.csv"
+        # This transect's unmixing fraction is clamped to 0; its interpolation one is not.
+        ds, _ = simulate_mixed_transect(SimulationConfig(rho=0.2, seed=3))
+        save_dataset(ds, path)
+        assert run(["unmix", "--input", path, "--n-perm", 99, "--out", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        unmixing, interpolation = (sum(float(row[col]) in (0.0, 1.0) for row in rows)
+                                   for col in (4, 5))
+        assert (unmixing, interpolation) == (1, 0)
+        m = len(rows)
+        assert (f"fractions at 0 or 1: unmixing {unmixing} of {m}, "
+                f"interpolation {interpolation} of {m}\n") in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

@@ -516,6 +516,8 @@ class TestKrigeScore:
         sf = score_field(transect_latitudes(12), u, [0.1])
         pred = krige_score((35.0, 23.8), sf, 0, None, dependent=False)
         assert pred == pytest.approx(float(u.mean()), abs=1e-12)
+        with pytest.raises(DataError, match="no variogram fit"):
+            krige_score((35.0, 23.8), sf, 0, None)
 
 
 class TestKrigingSystem:
@@ -542,7 +544,7 @@ class TestKrigingSystem:
     def test_constant_predictors(self, rng):
         u = rng.normal(0, 1.0, 12)
         sf = score_field(transect_latitudes(12), u, [0.1])
-        assert kriging_weights(sf, 0, None, dependent=False) == (u.mean(), None)
+        assert kriging_weights(sf, 0, None) == (u.mean(), None)
         pred = kriged_scores(u.mean(), None, None, sf, [35.0, 35.1], [23.8, 23.8])
         np.testing.assert_array_equal(pred, np.full(2, u.mean()))
         one = score_field([35.0], [3.25], [0.5])

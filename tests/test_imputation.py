@@ -120,16 +120,16 @@ class TestFitGeofpca:
 
         monkeypatch.setattr(imputation, "fit_variogram_wls", counting)
         model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
-        kriged = [k for k in range(model.basis.K) if model.dependent(k)]
+        kriged = [k for k, fit in enumerate(model.fits) if fit is not None]
         assert 0 < len(kriged) < model.basis.K
         assert len(calls) == len(kriged)
 
     def test_independent_components_have_no_fit(self):
         model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
         variograms = empirical_semivariogram(model.scores)
-        assert {model.dependent(k) for k in range(model.basis.K)} == {True, False}
+        assert {t.dependent for t in model.tests} == {True, False}
         for k, fit in enumerate(model.fits):
-            if model.dependent(k):
+            if model.tests[k].dependent:
                 assert fit.to_dict() == fit_variogram_wls(variograms[k]).to_dict()
             else:
                 assert fit is None
@@ -186,7 +186,7 @@ class TestFitMemory:
         ds, _ = simulate_orbit(OrbitConfig(n_tracks=75, track_spacing=0.008))
         n = len(ds)
         model = fit_geofpca(ds, FitConfig(n_perm=99))
-        assert any(model.dependent(k) for k in range(model.basis.K))
+        assert any(fit is not None for fit in model.fits)
         predict_scores(model, ds.latitudes[:3], ds.longitudes[:3])
         arrays = list(reachable_arrays(model))
         assert all(a.size < n * n for a in arrays)
@@ -213,7 +213,7 @@ class TestImputeRadiance:
         preds = predict_scores(model, [65.0], [23.8])[0]
         u = model.scores.scores
         for k in range(model.basis.K):
-            if model.dependent(k) and model.fits[k] is not None:
+            if model.fits[k] is not None:
                 fit = model.fits[k]
                 cov = fit.sill * np.exp(-pairwise_distances(
                     model.scores.latitudes, model.scores.longitudes) / fit.range_km)
@@ -240,7 +240,7 @@ class TestImputeRadiance:
         lats, lons = model.scores.latitudes, model.scores.longitudes
         for k in range(model.basis.K):
             u = model.scores.scores[:, k]
-            if model.dependent(k):
+            if model.fits[k] is not None:
                 fit = model.fits[k]
                 cov = fit.sill * np.exp(-pairwise_distances(lats, lons) / fit.range_km)
                 tau = model.scores.tau_for(model.scores.footprints, k)
@@ -285,19 +285,19 @@ class TestBatchedPrediction:
     def test_matches_cholesky_oracle(self, fitted):
         model, lats, lons, fps = fitted
         # Both predictor branches are exercised.
-        assert {model.dependent(k) for k in range(model.basis.K)} == {True, False}
+        assert {fit is None for fit in model.fits} == {True, False}
         preds = predict_scores(model, lats, lons)
         sf = model.scores
         for k in range(model.basis.K):
             u = sf.scores[:, k]
             fit = model.fits[k]
-            if model.dependent(k):
+            if fit is not None:
                 cov = fit.sill * np.exp(-pairwise_distances(
                     sf.latitudes, sf.longitudes) / fit.range_km)
                 np.fill_diagonal(cov, fit.sill + sf.tau_for(sf.footprints, k)
                                  + 1e-8 * fit.sill)
             for j in range(lats.size):
-                if model.dependent(k):
+                if fit is not None:
                     nu = fit.sill * np.exp(-haversine_km(
                         lats[j], lons[j], sf.latitudes, sf.longitudes) / fit.range_km)
                     ref, _ = cholesky_kriging(cov, nu, u, fit.sill)
@@ -309,7 +309,7 @@ class TestBatchedPrediction:
         """One distance evaluation serves every component; the field is left intact."""
         model = fitted[0]
         all_kriged = fit_geofpca(small_orbit(), FitConfig(n_perm=99, alpha=0.999))
-        assert all(all_kriged.dependent(k) for k in range(all_kriged.basis.K))
+        assert all(fit is not None for fit in all_kriged.fits)
         for m in (model, all_kriged):
             sf = m.scores
             before = [a.copy() for a in (sf.scores, sf.latitudes, sf.longitudes,
@@ -318,12 +318,12 @@ class TestBatchedPrediction:
             for a, b in zip(before, (sf.scores, sf.latitudes, sf.longitudes, sf.footprints)):
                 assert np.array_equal(a, b)
             for k, (kappa, alpha) in enumerate(weights):
-                want_kappa, want_alpha = kriging_weights(sf, k, m.fits[k], m.dependent(k))
+                want_kappa, want_alpha = kriging_weights(sf, k, m.fits[k])
                 assert kappa == want_kappa
-                assert (alpha is None) == (want_alpha is None) == (not m.dependent(k))
+                assert (alpha is None) == (want_alpha is None) == (m.fits[k] is None)
                 if alpha is not None:
                     assert np.array_equal(alpha, want_alpha)
-        assert sum(m.dependent(k) for k in range(m.basis.K)) >= 2
+        assert sum(fit is not None for fit in m.fits) >= 2
 
     def test_one_at_a_time_matches_batch(self, fitted):
         model, lats, lons, fps = fitted
