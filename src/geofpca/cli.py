@@ -69,7 +69,13 @@ def _read_config(path, actions: dict[str, argparse.Action], command: str) -> dic
 def _convert(action: argparse.Action, value):
     """A JSON value read as the flag reads its text; a bad one is a data error."""
     if action.type is not None:
-        value = _as(action.type, str(value), action.dest)
+        try:
+            value = action.type(str(value))
+        except argparse.ArgumentTypeError as e:
+            raise DataError(f"config key {action.dest!r}: {e}") from None
+        except (TypeError, ValueError):
+            raise DataError(f"config key {action.dest!r}: expected "
+                            f"{action.type.__name__}, got {value!r}") from None
     elif not isinstance(value, bool if action.nargs == 0 else str):
         expected = "true or false" if action.nargs == 0 else "a string"
         raise DataError(f"config key {action.dest!r}: expected {expected}, got {value!r}")
@@ -77,17 +83,6 @@ def _convert(action: argparse.Action, value):
         raise DataError(f"config key {action.dest!r}: expected one of "
                         f"{', '.join(action.choices)}, got {value!r}")
     return value
-
-
-def _as(kind: type, value, key: str):
-    """``kind(value)`` for the config key ``key``; a bad value is a data error."""
-    try:
-        return kind(value)
-    except argparse.ArgumentTypeError as e:
-        raise DataError(f"config key {key!r}: {e}") from None
-    except (TypeError, ValueError):
-        raise DataError(f"config key {key!r}: expected {kind.__name__}, "
-                        f"got {value!r}") from None
 
 
 def _options(target, cfg: dict) -> dict:
@@ -121,6 +116,20 @@ def _thread_count(text: str) -> int:
 
 def _threads(cfg: dict) -> int:
     return cfg.get("threads", _cpu_count())
+
+
+def _numbers(text: str, kind: type = float) -> list:
+    """A ``--rho-grid`` value: colon-separated numbers (of type ``kind``)."""
+    try:
+        return [kind(x) for x in text.split(":")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected colon-separated {kind.__name__} values, got {text!r}") from None
+
+
+def _centers(text: str) -> str | list[int]:
+    """A ``--centers`` value: 'auto' or colon-separated sounding ids."""
+    return text if text == "auto" else _numbers(text, int)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -271,8 +280,7 @@ def cmd_unmix(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     sim_cfg = SimulationConfig(**_options(SimulationConfig, cfg))
     if cfg.get("study"):
-        grid = [_as(float, x, "rho_grid")
-                for x in cfg.get("rho_grid", "0.01:0.05:0.1:0.15:0.2").split(":")]
+        grid = cfg.get("rho_grid", [0.01, 0.05, 0.1, 0.15, 0.2])
         result = run_unmixing_study(grid, cfg.get("n_reps", 200), sim_cfg,
                                     threads=_threads(cfg))
         study_to_csv(result, cfg["out"])
@@ -309,11 +317,9 @@ def cmd_validate(cfg: dict) -> int:
     if "r" in cfg:
         experiment["r_values"] = _parse_r(cfg["r"])
     experiment.update(config=_fit_config(cfg), threads=_threads(cfg))
-    spec = cfg.get("centers", "auto")
-    centers = None if spec == "auto" else [_as(int, x, "centers")
-                                           for x in spec.split(":")]
+    centers = cfg.get("centers", "auto")
     ds = load_dataset(cfg["input"])
-    if centers is None:
+    if centers == "auto":
         centers = select_centers(ds, **_options(select_centers, cfg))
         if not centers:
             print("no qualifying centers found", file=sys.stderr)
@@ -406,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="fixed mixed fraction")
     p.add_argument("--study", action="store_true", default=None,
                    help="run the replicated unmixing study instead")
-    p.add_argument("--rho-grid", help="colon-separated rho values")
+    p.add_argument("--rho-grid", type=_numbers, help="colon-separated rho values")
     p.add_argument("--n-reps", type=int)
     p.add_argument("--threads", type=_thread_count,
                    help="worker processes, 1 to the CPU count (default: the CPU count)")
@@ -417,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "cross-track removal experiment", fit_options)
     p.add_argument("--input", help="dataset CSV")
     p.add_argument("--r", help="cross-track range LO:HI (integers in 1..8)")
-    p.add_argument("--centers", help="'auto' (default) or colon-separated sounding ids")
+    p.add_argument("--centers", type=_centers,
+                   help="'auto' (default) or colon-separated sounding ids")
     p.add_argument("--footprint", type=int, help="center footprint")
     p.add_argument("--min-region-count", type=int)
     p.add_argument("--lat-halfwidth", type=float)

@@ -68,6 +68,8 @@ class FitConfig:
              f"weight_scheme {self.weight_scheme!r} not one of {WEIGHT_SCHEMES}"),
             (self.n_perm >= 99, f"n_perm {self.n_perm} < 99: too few permutations "
                                 "for the spatial dependence screen"),
+            (self.n_perm <= 99_999, f"n_perm {self.n_perm} > 99999: the screen's "
+                                    "time grows with it past a 1e-5 p-value resolution"),
             (0.0 < self.alpha < 1.0, f"alpha {self.alpha} outside (0, 1)"),
             (self.seed >= 0, f"seed {self.seed} must be >= 0"),
         ):
@@ -369,8 +371,13 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
     if fps and not 1 <= fps[0] <= fps[-1] <= 8:
         raise ValueError(f"score footprints {fps} outside 1..8")
     for p in sorted(set(fps) | set(sf.taus)):
-        if sf.taus.get(p, np.empty(0)).shape != (k,):
-            raise ValueError(f"taus for footprint {p} need K = {k} entries")
+        tau = sf.taus.get(p, np.empty(0))
+        if tau.shape != (k,) or not (np.isfinite(tau) & (tau >= 0.0)).all():
+            raise ValueError(f"taus for footprint {p} need K = {k} finite entries >= 0")
+    fve = model.basis.fve_curve
+    if not (fve.ndim == 1 and fve.size and np.isfinite(fve).all()
+            and (np.diff(fve) >= 0.0).all() and abs(fve[-1] - 1.0) <= 1e-9):
+        raise ValueError("basis.fve_curve must be finite and non-decreasing, ending at 1")
     if not model.region[0] <= model.region[1]:
         raise ValueError(f"region {list(model.region)} has lo > hi")
     for c, fit in enumerate(model.fits):

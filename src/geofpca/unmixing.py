@@ -109,25 +109,22 @@ def detect_mixed_region(ds: SpectralDataset, land_hi: float = 0.70,
                            float(delta0), qualified, mixed_ids)
 
 
-def _epanechnikov(t: np.ndarray) -> np.ndarray:
-    out = 1.0 - t * t
-    out[np.abs(t) >= 1.0] = 0.0
-    return 0.75 * out
-
-
-def _local_linear(x: np.ndarray, y: np.ndarray, x0: np.ndarray, h: float,
+def _local_linear(x: np.ndarray, y: np.ndarray, x0: np.ndarray, h: float | np.ndarray,
                   leave_one_out: bool = False) -> np.ndarray:
-    """Local linear estimates at the points x0 from one T x n kernel matrix.
+    """Local linear estimates at the points x0 for one bandwidth or H of them.
 
-    NaN where no kernel mass reaches a point; ``leave_one_out`` fits each
-    x0 = x without its own observation.
+    A scalar ``h`` gives T values; a vector of H bandwidths gives H x T, from
+    one H x T x n kernel stack. NaN where no kernel mass reaches a point;
+    ``leave_one_out`` fits each x0 = x without its own observation.
     """
     d = x[None, :] - np.asarray(x0, dtype=float)[:, None]
-    w = _epanechnikov(d / h)
+    t = d / np.asarray(h, dtype=float)[..., None, None]
+    w = 0.75 * np.where(np.abs(t) < 1.0, 1.0 - t * t, 0.0)  # Epanechnikov
     if leave_one_out:
-        np.fill_diagonal(w, 0.0)
+        i = np.arange(d.shape[0])
+        w[..., i, i] = 0.0
     wd = w * d
-    s0, s1, s2 = w.sum(axis=1), wd.sum(axis=1), (wd * d).sum(axis=1)
+    s0, s1, s2 = w.sum(axis=-1), wd.sum(axis=-1), (wd * d).sum(axis=-1)
     t0, t1 = w @ y, wd @ y
     denom = s0 * s2 - s1 * s1
     out = np.full(s0.shape, math.nan)
@@ -141,8 +138,9 @@ def _local_linear(x: np.ndarray, y: np.ndarray, x0: np.ndarray, h: float,
 
 
 def _mad_inliers(u: np.ndarray, threshold: float) -> np.ndarray:
-    med = np.median(u)
-    mad = MAD_SCALE * np.median(np.abs(u - med))
+    """Scores within ``threshold`` scaled MADs of their median, column by column."""
+    med = np.median(u, axis=0)
+    mad = MAD_SCALE * np.median(np.abs(u - med), axis=0)
     return np.abs(u - med) <= threshold * mad
 
 
@@ -152,41 +150,35 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv") -> ScoreFie
     Smoothing runs per (component, footprint) with an Epanechnikov kernel.
     Outliers beyond ``OUTLIER_MAD`` scaled MADs from the group median are
     dropped from the fit (their locations still receive smoothed values).
-    ``bandwidth`` is a fixed width in degrees or ``"cv"`` for leave-one-out
-    selection over a log-spaced grid.
+    ``bandwidth`` is a fixed width in degrees (finite, > 0) or ``"cv"`` for
+    leave-one-out selection over a log-spaced grid; where it leaves a location
+    without kernel mass, the group is smoothed with the data span instead.
     """
-    lats = scores.latitudes
-    fps = scores.footprints
+    if isinstance(bandwidth, str):
+        if bandwidth != "cv":
+            raise DataError(f"unknown bandwidth mode {bandwidth!r}")
+    elif not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise DataError(f"bandwidth {bandwidth!r} must be finite and > 0")
     smoothed = scores.scores.copy()
-    for p in sorted(set(fps.tolist())):
-        sel = np.flatnonzero(fps == p)
+    for p in sorted(set(scores.footprints.tolist())):
+        sel = np.flatnonzero(scores.footprints == p)
         if sel.size < 5:
             raise DataError(f"footprint {p}: {sel.size} soundings, need >= 5 to smooth")
-        x = lats[sel]
-        for k in range(scores.n_components):
-            y = scores.scores[sel, k]
-            inliers = _mad_inliers(y, OUTLIER_MAD)
-            if inliers.sum() < 2:
-                raise DataError(
-                    f"footprint {p}, component {k}: fewer than 2 inlier scores"
-                )
-            xf, yf = x[inliers], y[inliers]
-            if isinstance(bandwidth, str):
-                if bandwidth != "cv":
-                    raise DataError(f"unknown bandwidth mode {bandwidth!r}")
-                h = _cv_bandwidth(xf, yf)
-            else:
-                h = float(bandwidth)
-            smoothed[sel, k] = _local_linear(xf, yf, x, h)
-            if np.isnan(smoothed[sel, k]).any():
-                # Fixed bandwidth too narrow somewhere: widen to the data span.
-                span = float(xf.max() - xf.min()) or 1.0
-                smoothed[sel, k] = _local_linear(xf, yf, x, span)
+        x, u = scores.latitudes[sel], scores.scores[sel]
+        for k, keep in enumerate(_mad_inliers(u, OUTLIER_MAD).T):
+            if keep.sum() < 2:
+                raise DataError(f"footprint {p}, component {k}: fewer than 2 inlier scores")
+            xf, yf = x[keep], u[keep, k]
+            h = _cv_bandwidth(xf, yf) if isinstance(bandwidth, str) else float(bandwidth)
+            span = float(xf.max() - xf.min()) or 1.0
+            fit = _local_linear(xf, yf, x, np.array([h, span]))
+            smoothed[sel, k] = fit[1] if np.isnan(fit[0]).any() else fit[0]
     return scores.with_scores(smoothed)
 
 
 def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None = None) -> float:
-    """Leave-one-out bandwidth selection; candidates failing anywhere are skipped."""
+    """Leave-one-out bandwidth: the first grid value of least error, skipping
+    candidates that fail anywhere; one kernel stack scores the whole grid."""
     span = float(x.max() - x.min())
     if span <= 0:
         raise DataError("cannot select a bandwidth on coincident latitudes")
@@ -194,17 +186,13 @@ def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None = None) 
         gaps = np.diff(np.sort(x))
         lo = max(2.0 * float(np.median(gaps)), span / 20.0)
         grid = np.geomspace(lo, span, 8)
-    best_h, best_err = None, math.inf
-    for h in grid:
-        pred = _local_linear(x, y, x, float(h), leave_one_out=True)
-        if np.isnan(pred).any():
-            continue
-        err = float(np.mean((pred - y) ** 2))
-        if err < best_err:
-            best_h, best_err = float(h), err
-    if best_h is None:
+    pred = _local_linear(x, y, x, grid, leave_one_out=True)
+    err = np.mean((pred - y) ** 2, axis=-1)
+    # A candidate that leaves some point without kernel mass has NaN error.
+    ok = np.flatnonzero(err < math.inf)
+    if ok.size == 0:
         raise DataError("bandwidth grid exhausted: every candidate was degenerate")
-    return best_h
+    return float(grid[ok[np.argmin(err[ok])]])
 
 
 def estimate_land_fraction(obs: np.ndarray, f_land: np.ndarray,
@@ -229,15 +217,10 @@ def _has_extreme_scores(scores: ScoreField, spec: MixedRegionSpec) -> bool:
     lo, hi = spec.m_window
     near = (scores.latitudes >= lo - EXTREME_REACH * spec.delta0) & \
            (scores.latitudes <= hi + EXTREME_REACH * spec.delta0)
-    if not near.any():
-        return False
     for p in sorted(set(scores.footprints.tolist())):
         sel = scores.footprints == p
-        for k in range(scores.n_components):
-            u = scores.scores[sel, k]
-            inl = _mad_inliers(u, EXTREME_MAD)
-            if (~inl & near[sel]).any():
-                return True
+        if (~_mad_inliers(scores.scores[sel], EXTREME_MAD) & near[sel, None]).any():
+            return True
     return False
 
 

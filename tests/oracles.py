@@ -285,6 +285,63 @@ def cv_bandwidth_loop(x, y, grid=None):
     return best_h
 
 
+def local_linear_one(x, y, x0, h, leave_one_out=False):
+    """Local linear estimates at x0 for one bandwidth, from one T x n kernel matrix.
+
+    The same elementwise steps, row sums and matrix products as the library's
+    smoother, so a stacked evaluation must match it bit for bit.
+    """
+    d = x[None, :] - np.asarray(x0, dtype=float)[:, None]
+    t = d / h
+    w = 1.0 - t * t
+    w[np.abs(t) >= 1.0] = 0.0
+    w = 0.75 * w
+    if leave_one_out:
+        np.fill_diagonal(w, 0.0)
+    wd = w * d
+    s0, s1, s2 = w.sum(axis=1), wd.sum(axis=1), (wd * d).sum(axis=1)
+    t0, t1 = w @ y, wd @ y
+    denom = s0 * s2 - s1 * s1
+    out = np.full(s0.shape, math.nan)
+    mass = s0 > 0.0
+    flat = mass & (denom <= 1e-12 * np.maximum(s0 * s2, 1e-300))
+    line = mass & ~flat
+    out[flat] = t0[flat] / s0[flat]
+    out[line] = (s2[line] * t0[line] - s1[line] * t1[line]) / denom[line]
+    return out
+
+
+def cv_bandwidth_candidates(x, y, grid=None):
+    """Leave-one-out bandwidth by one smoother call per candidate.
+
+    Keeps the best candidate so far under a strict ``<`` (the first minimum in
+    grid order), skipping candidates with a NaN prediction; None when no
+    candidate survives.
+    """
+    if grid is None:
+        span = float(x.max() - x.min())
+        lo = max(2.0 * float(np.median(np.diff(np.sort(x)))), span / 20.0)
+        grid = np.geomspace(lo, span, 8)
+    best_h, best_err = None, math.inf
+    for h in grid:
+        pred = local_linear_one(x, y, x, float(h), leave_one_out=True)
+        if np.isnan(pred).any():
+            continue
+        err = float(np.mean((pred - y) ** 2))
+        if err < best_err:
+            best_h, best_err = float(h), err
+    return best_h
+
+
+def smooth_group_retry(xf, yf, x, h):
+    """Smoothed values at x from the inliers (xf, yf): bandwidth h, then a
+    second call at the data span when the first leaves a NaN."""
+    out = local_linear_one(xf, yf, x, h)
+    if np.isnan(out).any():
+        out = local_linear_one(xf, yf, x, float(xf.max() - xf.min()) or 1.0)
+    return out
+
+
 def moran_permutation_loop(u, dist, n_perm, seed, n_neighbors=10):
     """Moran's I with inverse-distance k-nearest weights and its permutation p-value.
 

@@ -156,6 +156,12 @@ class TestFit:
         assert "n_perm 5" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_too_many_permutations_exits_3(self, tmp_path, capsys):
+        # Refused while the configuration is built, before the input is read.
+        assert run(["fit", "--input", tmp_path / "nope.csv", "--n-perm", 100000,
+                    "--out", tmp_path / "m.json"]) == 3
+        assert "n_perm 100000 > 99999" in capsys.readouterr().err
+
     def test_numerical_failure_exits_4(self, tmp_path):
         # Collinear (latitude, longitude) covariates: rank-deficient design.
         lines = ["id,latitude,longitude,footprint,land_fraction,w_1,w_2"]
@@ -293,6 +299,12 @@ class TestMalformedModel:
         "score-null": lambda d: d["scores"]["values"][str(d["scores"]["sounding_ids"][0])]
         .__setitem__(0, None),
         "eigenvector-null": lambda d: d["basis"]["eigenvectors"].__setitem__(0, None),
+        "taus-null": lambda d: d["scores"]["taus"]["4"].__setitem__(0, None),
+        "taus-negative": lambda d: d["scores"]["taus"]["4"].__setitem__(0, -1.0),
+        "fve-null": lambda d: d["basis"]["fve_curve"].__setitem__(0, None),
+        "fve-decreasing": lambda d: d["basis"]["fve_curve"].insert(0, 1.5),
+        "fve-short-of-one": lambda d: d["basis"]["fve_curve"].__setitem__(-1, 0.999),
+        "fve-empty": lambda d: d["basis"]["fve_curve"].clear(),
     }
 
     @pytest.mark.parametrize("name", MUTATIONS)
@@ -307,6 +319,17 @@ class TestMalformedModel:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{model_path}: malformed model file (" in err
         assert not out.exists()
+
+    def test_null_tau_of_kriged_component_exits_3(self, screened_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(screened_doc))
+        doc["scores"]["taus"]["4"][1] = None
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert run(["impute", "--model", model_path, "--lat", 35.1, "--lon", 23.8,
+                    "--footprint", 4, "--out", tmp_path / "s.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{model_path}: malformed model file (" in err
+        assert "taus for footprint 4" in err
 
     def test_unmutated_model_loads(self, model_doc, tmp_path):
         model_path = tmp_path / "model.json"
@@ -326,11 +349,17 @@ def _doc_paths(node, path=()):
 
 def assert_load_rules(model):
     """What every loaded model satisfies: K entries per component, finite
-    arrays, and a null fit exactly where the screen found independence."""
+    arrays, finite taus >= 0, an FVE curve that rises to 1, and a null fit
+    exactly where the screen found independence."""
     k = model.basis.K
     assert len(model.fits) == len(model.tests) == len(model.basis.eigenvalues) == k
     for a in (model.scores.scores, model.basis.eigenvectors, model.basis.eigenvalues):
         assert np.isfinite(a).all()
+    for tau in model.scores.taus.values():
+        assert tau.shape == (k,) and np.isfinite(tau).all() and (tau >= 0.0).all()
+    fve = model.basis.fve_curve
+    assert np.isfinite(fve).all() and (np.diff(fve) >= 0.0).all()
+    assert abs(fve[-1] - 1.0) <= 1e-9
     assert ([f is None for f in model.fits]
             == [t is not None and not t.dependent for t in model.tests])
 
@@ -702,6 +731,26 @@ def test_pin_blas_leaves_every_openblas_at_one_thread(scipy_first):
     if not counts:
         pytest.skip("no OpenBLAS with the scipy_openblas symbols is loaded")
     assert counts == [1] * len(counts)
+
+
+class TestListFlags:
+    """A malformed --rho-grid or --centers flag is a usage error naming the flag."""
+
+    @pytest.mark.parametrize("args, flag", [
+        (["simulate", "--study", "--rho-grid", "0.1:abc"], "--rho-grid"),
+        (["validate", "--centers", "1:x"], "--centers"),
+    ])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, args, flag):
+        with pytest.raises(SystemExit) as err:
+            run(args + ["--out", tmp_path / "out.csv"])
+        assert err.value.code == 2
+        assert f"argument {flag}: expected colon-separated" in capsys.readouterr().err
+
+    def test_parsed_values(self):
+        parse = build_parser().parse_args
+        assert parse(["validate", "--centers", "auto"]).centers == "auto"
+        assert parse(["validate", "--centers", "12:30"]).centers == [12, 30]
+        assert parse(["simulate", "--rho-grid", "0.01:0.2"]).rho_grid == [0.01, 0.2]
 
 
 class TestThreadsBound:

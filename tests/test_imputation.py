@@ -364,6 +364,11 @@ class TestFitConfigValidation:
         with pytest.raises(DataError, match="n_perm 5"):
             FitConfig(n_perm=5)
 
+    def test_too_many_permutations(self):
+        assert FitConfig(n_perm=99_999).n_perm == 99_999
+        with pytest.raises(DataError, match="n_perm 100000 > 99999"):
+            FitConfig(n_perm=100_000)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(DataError, match="alpha"):

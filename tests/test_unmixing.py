@@ -1,4 +1,6 @@
+import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from geofpca.fpca import ScoreField
 from geofpca.imputation import FitConfig
 from geofpca.simulation import (SimulationConfig, run_unmixing_study,
                                 simulate_mixed_transect)
-from geofpca.unmixing import (_cv_bandwidth, _local_linear, _nearest_spectra,
-                              detect_mixed_region, estimate_land_fraction,
-                              smooth_scores, unmix_region)
-from oracles import (cv_bandwidth_loop, local_linear_fit, local_linear_point,
-                     nearest_spectrum_point)
+from geofpca.unmixing import (OUTLIER_MAD, _cv_bandwidth, _local_linear, _mad_inliers,
+                              _nearest_spectra, detect_mixed_region,
+                              estimate_land_fraction, smooth_scores, unmix_region)
+from oracles import (cv_bandwidth_candidates, cv_bandwidth_loop, local_linear_fit,
+                     local_linear_one, local_linear_point, nearest_spectrum_point,
+                     smooth_group_retry)
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -135,6 +138,13 @@ class TestSmoothScores:
         with pytest.raises(DataError, match=">= 5"):
             smooth_scores(field_from(lats, rng.standard_normal(4)), bandwidth=0.1)
 
+    @pytest.mark.parametrize("bandwidth", [-0.05, 0.0, math.nan, math.inf, "gcv"])
+    def test_bad_bandwidth_refused_before_any_group(self, rng, bandwidth):
+        # Four soundings would fail the per-footprint check inside the loop.
+        lats = 35.0 + 0.01 * np.arange(4)
+        with pytest.raises(DataError, match="bandwidth"):
+            smooth_scores(field_from(lats, rng.standard_normal(4)), bandwidth=bandwidth)
+
 
 class TestBatchedSmoothingMatchesLoopOracles:
     """Kernel-matrix local-linear fits against per-point and refit loops."""
@@ -187,6 +197,85 @@ class TestBatchedSmoothingMatchesLoopOracles:
         assert cv_bandwidth_loop(x, y, [0.5, 1.0]) is None
         with pytest.raises(DataError, match="grid exhausted"):
             _cv_bandwidth(x, y, np.array([0.5, 1.0]))
+
+
+class TestStackedSmoothingMatchesOneBandwidthOracle:
+    """One kernel stack per bandwidth grid against one smoother call per
+    bandwidth and a second call for the span fallback, compared with ==."""
+
+    @staticmethod
+    def case(seed):
+        """Every third case has latitudes rounded to 0.1 or 0.01 deg (coincident
+        points, tied gaps); every fifth has all-zero scores, where every
+        candidate's leave-one-out error is exactly 0 (a tie)."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        x = 35.0 + np.sort(rng.uniform(0.0, rng.choice([0.05, 0.3, 0.6]), n))
+        if seed % 3 == 0:
+            x = np.round(x, int(rng.integers(1, 3)))
+        y = (np.zeros(n) if seed % 5 == 0
+             else np.sin(8.0 * (x - 35.0)) + 0.2 * rng.standard_normal(n))
+        return rng, x, y
+
+    def test_chosen_bandwidth(self):
+        seen = Counter()
+        for seed in range(400):
+            rng, x, y = self.case(seed)
+            # The default grid; repeated values (ties); widths around the
+            # largest gap (candidates with an empty kernel, exhausted grids).
+            grid = (None, np.repeat(np.geomspace(0.01, 0.6, 4), 2),
+                    np.sort(rng.uniform(0.0, 1.2, 5)) * float(np.diff(x).max()) + 1e-6,
+                    )[(seed // 3) % 3]
+            if x.max() == x.min():
+                seen["coincident"] += 1
+                with pytest.raises(DataError, match="coincident"):
+                    _cv_bandwidth(x, y, grid)
+                continue
+            want = cv_bandwidth_candidates(x, y, grid)
+            if want is None:
+                seen["exhausted"] += 1
+                with pytest.raises(DataError, match="grid exhausted"):
+                    _cv_bandwidth(x, y, grid)
+                continue
+            assert _cv_bandwidth(x, y, grid) == want, seed
+            if grid is not None:
+                fits = [local_linear_one(x, y, x, float(h), leave_one_out=True)
+                        for h in grid]
+                stack = _local_linear(x, y, x, grid, leave_one_out=True)
+                assert np.array_equal(stack, np.array(fits), equal_nan=True), seed
+                seen["empty kernel"] += any(np.isnan(f).any() for f in fits)
+            seen["tie"] += not y.any()
+        assert set(seen) == {"coincident", "exhausted", "empty kernel", "tie"}, seen
+
+    def test_smooth_scores(self):
+        seen = Counter()
+        for seed in range(320):
+            rng, x, y = self.case(seed)
+            u = rng.standard_normal(x.size)
+            u[rng.integers(x.size)] = 50.0  # an outlier left out of the fit
+            field = field_from(x, np.column_stack([y, u]))
+            bandwidth = ("cv", 0.002, 0.02, 0.2)[seed % 4]
+            want = np.empty_like(field.scores)
+            try:
+                for k in range(2):
+                    col = field.scores[:, k]
+                    keep = _mad_inliers(col, OUTLIER_MAD)
+                    xf, yf = x[keep], col[keep]
+                    if keep.sum() < 2 or (bandwidth == "cv" and xf.max() == xf.min()):
+                        raise DataError("degenerate group")
+                    h = cv_bandwidth_candidates(xf, yf) if bandwidth == "cv" else bandwidth
+                    if h is None:
+                        raise DataError("grid exhausted")
+                    seen["span fallback"] += bool(np.isnan(local_linear_one(xf, yf, x, h)).any())
+                    want[:, k] = smooth_group_retry(xf, yf, x, h)
+            except DataError:
+                seen["refused"] += 1
+                with pytest.raises(DataError):
+                    smooth_scores(field, bandwidth)
+                continue
+            seen["smoothed"] += 1
+            np.testing.assert_array_equal(smooth_scores(field, bandwidth).scores, want)
+        assert set(seen) == {"refused", "span fallback", "smoothed"}, seen
 
 
 class TestEstimateLandFraction:
