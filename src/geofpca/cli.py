@@ -6,8 +6,9 @@ re-runs are byte-identical: BLAS runs on one thread whatever
 ``--config`` JSON file may carry the command's flags as keys (``--n-perm`` is
 ``n_perm``); explicit flags win. The parser is the schema: a file value is
 converted and checked as its flag would be, and a key the command does not
-declare is a data error. Options left unset keep the library's defaults. Exit
-codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+declare is a data error, as is a flag the other settings leave unread.
+Options left unset keep the library's defaults. Exit codes: 0 success, 2
+usage error, 3 data error (out of memory included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dataset import load_dataset, save_dataset, select_region
+from .dataset import BLOCK_SIZES, load_dataset, save_dataset, select_region
 from .errors import DataError, NumericalError
 from .geostat import WEIGHT_SCHEMES, VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
@@ -114,10 +116,6 @@ def _thread_count(text: str) -> int:
     return threads
 
 
-def _threads(cfg: dict) -> int:
-    return cfg.get("threads", _cpu_count())
-
-
 def _numbers(text: str, kind: type = float) -> list:
     """A ``--rho-grid`` value: colon-separated numbers (of type ``kind``)."""
     try:
@@ -132,24 +130,31 @@ def _centers(text: str) -> str | list[int]:
     return text if text == "auto" else _numbers(text, int)
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise DataError(f"expected LO:HI, got {text!r}") from None
+def _range(text: str) -> list[float]:
+    """A ``--region`` value: LO:HI."""
+    bounds = _numbers(text)
+    if len(bounds) != 2:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    return bounds
 
 
 def _parse_r(text: str) -> range:
-    """Cross-track block sizes LO:HI; remove_cross_tracks supports 1..8."""
+    """Cross-track block sizes LO:HI, within dataset.BLOCK_SIZES."""
     try:
         lo, hi = (int(x) for x in text.split(":"))
     except ValueError:
         lo = hi = 0
-    if not 1 <= lo <= hi <= 8:
-        raise DataError(f"--r expects integers LO:HI with 1 <= LO <= HI <= 8, "
-                        f"got {text!r}")
+    if not (lo in BLOCK_SIZES and hi in BLOCK_SIZES and lo <= hi):
+        raise DataError(f"--r expects integers LO:HI with {BLOCK_SIZES[0]} <= LO <= HI <= "
+                        f"{BLOCK_SIZES[-1]}, got {text!r}")
     return range(lo, hi + 1)
+
+
+def _refuse(cfg: dict, keys: tuple[str, ...], reason: str) -> None:
+    """A data error naming the set flags among ``keys``, which ``reason`` leaves unread."""
+    given = [f"--{k.replace('_', '-')}" for k in keys if k in cfg]
+    if given:
+        raise DataError(f"{', '.join(given)} would be ignored {reason}")
 
 
 def _read_targets(path) -> list[tuple[int, float, float, int]]:
@@ -191,7 +196,7 @@ def cmd_fit(cfg: dict) -> int:
     fit_cfg = _fit_config(cfg)
     ds = load_dataset(cfg["input"])
     if cfg.get("region"):
-        ds = select_region(ds, _parse_range(cfg["region"]))
+        ds = select_region(ds, cfg["region"])
     model = fit_geofpca(ds, fit_cfg)
     save_model(model, cfg["out"])
     kept = len(model.scores.sounding_ids)
@@ -210,6 +215,7 @@ def cmd_fit(cfg: dict) -> int:
 
 def cmd_impute(cfg: dict) -> int:
     if cfg.get("targets"):
+        _refuse(cfg, ("lat", "lon", "footprint"), "with --targets")
         targets = _read_targets(cfg["targets"])
     else:
         for key in ("lat", "lon", "footprint"):
@@ -265,24 +271,25 @@ def cmd_unmix(cfg: dict) -> int:
         summary: dict = {"n_mixed": m, "qualified": spec.qualified,
                          "delta0": spec.delta0}
         if truth:
-            for method, values in alphas.items():
+            for method, values in {**alphas, "reported": reported}.items():
                 errs = [(v - truth[sid]) ** 2 for sid, v in zip(spec.mixed_ids, values)
-                        if sid in truth]
+                        if sid in truth and not math.isnan(v)]
                 summary[f"mse_{method}"] = sum(errs) / len(errs) if errs else None
-            errs = [(lf - truth[sid]) ** 2 for sid, lf in zip(spec.mixed_ids, reported)
-                    if sid in truth and not math.isnan(lf)]
-            summary["mse_reported"] = sum(errs) / len(errs) if errs else None
         Path(cfg["summary"]).write_text(json.dumps(summary, sort_keys=True) + "\n")
         print(f"summary written to {cfg['summary']}")
     return EXIT_OK
 
 
 def cmd_simulate(cfg: dict) -> int:
+    if cfg.get("study"):
+        _refuse(cfg, ("rho", "alpha", "truth"), "with --study")
+    else:
+        _refuse(cfg, ("rho_grid", "n_reps", "threads"), "without --study")
     sim_cfg = SimulationConfig(**_options(SimulationConfig, cfg))
     if cfg.get("study"):
         grid = cfg.get("rho_grid", [0.01, 0.05, 0.1, 0.15, 0.2])
         result = run_unmixing_study(grid, cfg.get("n_reps", 200), sim_cfg,
-                                    threads=_threads(cfg))
+                                    threads=cfg.get("threads", _cpu_count()))
         study_to_csv(result, cfg["out"])
         print(f"study over rho={grid} written to {cfg['out']} "
               f"({result.n_failures} failures)")
@@ -294,30 +301,22 @@ def cmd_simulate(cfg: dict) -> int:
     save_dataset(ds, cfg["out"])
     print(f"simulated {len(ds)} soundings to {cfg['out']}")
     if cfg.get("truth"):
-        doc = {
-            "alpha": truth.alpha,
-            "mixed_id": truth.mixed_id,
-            "water_ids": list(truth.water_ids),
-            "land_ids": list(truth.land_ids),
-            "water_scores": [list(map(float, row)) for row in truth.water_scores],
-            "land_scores": [list(map(float, row)) for row in truth.land_scores],
-            "f_water_mixed": [float(v) for v in truth.f_water_mixed],
-            "f_land_mixed": [float(v) for v in truth.f_land_mixed],
-            "noise_free_mixed": [float(v) for v in truth.noise_free_mixed],
-            "sigma_water": [float(v) for v in truth.sigma_water],
-            "sigma_land": [float(v) for v in truth.sigma_land],
-        }
-        Path(cfg["truth"]).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        doc = {f.name: getattr(truth, f.name) for f in fields(truth)
+               if not f.name.endswith("_profile")}
+        Path(cfg["truth"]).write_text(
+            json.dumps(doc, sort_keys=True, default=lambda a: a.tolist()) + "\n")
         print(f"truth record written to {cfg['truth']}")
     return EXIT_OK
 
 
 def cmd_validate(cfg: dict) -> int:
+    centers = cfg.get("centers", "auto")
+    if centers != "auto":
+        _refuse(cfg, ("footprint", "min_region_count"), "with explicit --centers")
     experiment = _options(run_imputation_experiment, cfg)
     if "r" in cfg:
         experiment["r_values"] = _parse_r(cfg["r"])
-    experiment.update(config=_fit_config(cfg), threads=_threads(cfg))
-    centers = cfg.get("centers", "auto")
+    experiment.update(config=_fit_config(cfg), threads=cfg.get("threads", _cpu_count()))
     ds = load_dataset(cfg["input"])
     if centers == "auto":
         centers = select_centers(ds, **_options(select_centers, cfg))
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("fit", cmd_fit, ("input", "out"), "fit a model on a CSV region",
                 fit_options)
     p.add_argument("--input", help="dataset CSV")
-    p.add_argument("--region", help="latitude window LO:HI")
+    p.add_argument("--region", type=_range, help="latitude window LO:HI")
     p.add_argument("--out", help="model JSON path")
 
     p = command("impute", cmd_impute, ("model", "out"),
@@ -422,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("validate", cmd_validate, ("input", "out"),
                 "cross-track removal experiment", fit_options)
     p.add_argument("--input", help="dataset CSV")
-    p.add_argument("--r", help="cross-track range LO:HI (integers in 1..8)")
+    p.add_argument("--r", help=f"cross-track range LO:HI (integers in "
+                               f"{BLOCK_SIZES[0]}..{BLOCK_SIZES[-1]})")
     p.add_argument("--centers", type=_centers,
                    help="'auto' (default) or colon-separated sounding ids")
     p.add_argument("--footprint", type=int, help="center footprint")
@@ -448,7 +448,9 @@ def main(argv=None) -> int:
         for key in args.required_keys:
             if not cfg.get(key):
                 parser.error(f"the --{key} option is required (flag or config file)")
-        print(f"config {args.command}: " + json.dumps(cfg, sort_keys=True))
+        # Strict JSON: a non-finite float is echoed as its text ("nan", "inf", "-inf").
+        echo = json.loads(json.dumps(cfg), parse_constant=lambda c: str(float(c)))
+        print(f"config {args.command}: " + json.dumps(echo, sort_keys=True, allow_nan=False))
         code = args.func(cfg)
         sys.stdout.flush()  # here, so that a closed reader is reported below
         return code
@@ -464,6 +466,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as e:
+        print("data error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return EXIT_DATA
     except OSError as e:
         # Every file the commands write, and any input opened without a check.
         print(f"data error: cannot access {e.filename}: {e.strerror}", file=sys.stderr)

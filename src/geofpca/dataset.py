@@ -26,6 +26,8 @@ from .errors import DataError
 
 EARTH_RADIUS_KM = 6371.0088  # IUGG mean radius
 DISTANCE_BLOCK = 64  # rows of the distance matrix evaluated per array pass
+FOOTPRINTS = range(1, 9)  # the detector footprints a sounding can carry
+BLOCK_SIZES = range(1, 9)  # how many adjacent cross-tracks a removal can hold out
 
 _BASE_COLUMNS = ("id", "latitude", "longitude", "footprint", "land_fraction")
 
@@ -69,12 +71,13 @@ def coordinate_violation(lat: np.ndarray, lon: np.ndarray) -> tuple[int, str] | 
 
 
 def _row_violation(ids, lat, lon, fp, lf) -> tuple[int, str] | None:
-    """The first row with a footprint outside 1..8, a bad coordinate, a land
+    """The first row with a footprint outside FOOTPRINTS, a bad coordinate, a land
     fraction outside [0, 1] (NaN is absent) or an earlier row's id, or None."""
     first = np.zeros(ids.size, dtype=bool)
     first[np.unique(ids, return_index=True)[1]] = True
     return _first_violation(
-        [(~np.isin(fp, np.arange(1, 9)), lambda i: f"footprint {fp[i]} outside 1..8")]
+        [(~np.isin(fp, FOOTPRINTS),
+          lambda i: f"footprint {fp[i]} outside {FOOTPRINTS[0]}..{FOOTPRINTS[-1]}")]
         + _coordinate_rules(lat, lon)
         + [((lf < 0.0) | (lf > 1.0), lambda i: f"land_fraction {lf[i]} outside [0, 1]"),
            (~first, lambda i: f"duplicate sounding id {ids[i]}")])
@@ -135,7 +138,6 @@ class SpectralDataset:
         for column in (self.ids, lat, lon, self.footprints, lf, rad):
             column.flags.writeable = False
         self.metadata = dict(metadata or {})
-        self._by_id = {sid: i for i, sid in enumerate(ids.tolist())}
 
     def __len__(self) -> int:
         return self.ids.size
@@ -148,10 +150,10 @@ class SpectralDataset:
         return sorted(set(self.footprints.tolist()))
 
     def index_of(self, sounding_id: int) -> int:
-        try:
-            return self._by_id[sounding_id]
-        except KeyError:
-            raise DataError(f"sounding id {sounding_id} not in dataset") from None
+        at = np.flatnonzero(self.ids == sounding_id)
+        if at.size == 0:
+            raise DataError(f"sounding id {sounding_id} not in dataset")
+        return int(at[0])
 
     def get(self, sounding_id: int) -> Sounding:
         i = self.index_of(sounding_id)
@@ -290,25 +292,21 @@ def track_numbers(ds: SpectralDataset) -> np.ndarray:
     return tracks
 
 
+def held_tracks(t0: int, r: int) -> tuple[int, int]:
+    """First and last of the ``r`` cross-tracks nearest to track ``t0``: (r-1)/2
+    either side for odd ``r``, r/2 before and r/2-1 after for even ``r``."""
+    lo = t0 - r // 2
+    return lo, lo + r - 1
+
+
 def remove_cross_tracks(ds: SpectralDataset, center: int, r: int
                         ) -> tuple[SpectralDataset, SpectralDataset]:
-    """Split off the ``r`` cross-tracks nearest to the center sounding.
-
-    For odd ``r`` the held-out block is the center's track plus (r-1)/2 tracks
-    on each side; for even ``r`` it is the center's track plus r/2 tracks
-    observed before it and r/2-1 after.
-    """
-    if not 1 <= r <= 8:
-        raise DataError(f"r {r} outside 1..8")
-    at = np.flatnonzero(ds.ids == center)
-    if at.size == 0:
-        raise DataError(f"center sounding {center} not in dataset")
+    """Split off the ``r`` cross-tracks nearest to the center sounding (``held_tracks``)."""
+    if r not in BLOCK_SIZES:
+        raise DataError(f"r {r} outside {BLOCK_SIZES[0]}..{BLOCK_SIZES[-1]}")
     tracks = track_numbers(ds)
-    t0, n_tracks = int(tracks[at[0]]), int(tracks.max()) + 1
-    if r % 2 == 1:
-        lo, hi = t0 - (r - 1) // 2, t0 + (r - 1) // 2
-    else:
-        lo, hi = t0 - r // 2, t0 + r // 2 - 1
+    t0, n_tracks = int(tracks[ds.index_of(center)]), int(tracks.max()) + 1
+    lo, hi = held_tracks(t0, r)
     if lo < 0 or hi >= n_tracks:
         raise DataError(
             f"not enough cross-tracks around sounding {center} for r={r} "

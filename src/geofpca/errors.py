@@ -15,3 +15,10 @@ class DataError(GeofpcaError):
 
 class NumericalError(GeofpcaError):
     """A numerical routine failed (singular system, non-finite objective, ...)."""
+
+
+def require(*checks: tuple[bool, str]) -> None:
+    """Raise DataError with the message of the first (holds, message) check that fails."""
+    for ok, problem in checks:
+        if not ok:
+            raise DataError(problem)

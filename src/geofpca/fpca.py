@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,9 +130,6 @@ class ScoreField:
             [fill_rows(*b) for b in distance_blocks(self.latitudes, self.longitudes)],
             initial=0.0)
         return nb, d_nb
-
-    def with_scores(self, scores: np.ndarray) -> "ScoreField":
-        return replace(self, scores=np.asarray(scores, dtype=float))
 
 
 def _complete_rows(ds: SpectralDataset, ws: WavelengthSet) -> np.ndarray:

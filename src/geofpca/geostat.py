@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import distance_blocks, haversine_km, pairwise_distances
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, require
 from .fpca import ScoreField
 
 # numpy alone: the WLS fit's Nelder-Mead and kriging's triangular solves are
@@ -27,6 +27,7 @@ from .fpca import ScoreField
 WEIGHT_SCHEMES = ("nh2", "n")
 JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
 MORAN_NEIGHBOURS = 10  # nearest soundings given inverse-distance Moran weights
+MIN_SCREEN_SOUNDINGS = 20  # fewest scored soundings the Moran screen tests
 PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (L components x b x n)
 SOLVE_BLOCK = 64  # rows per forward-solve block, columns per Cholesky step
 GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
@@ -41,6 +42,24 @@ class VariogramBins:
     n_bins: int = 15
     max_fraction: float = 0.5
     min_pairs: int = 10
+
+
+def check_bins(bins: VariogramBins) -> None:
+    """Raise DataError unless ``bins`` is a binning the semivariogram can make."""
+    require((1 <= bins.n_bins <= 10_000, f"n_bins {bins.n_bins} outside 1..10000"),
+            (0.0 < bins.max_fraction <= 1.0,
+             f"bin max_fraction {bins.max_fraction} outside (0, 1]"),
+            (bins.min_pairs >= 1, f"min_pairs {bins.min_pairs} must be >= 1"))
+
+
+def check_screen(n_perm: int, alpha: float, seed: int) -> None:
+    """Raise DataError unless the Moran screen can run with these settings."""
+    require((n_perm >= 99, f"n_perm {n_perm} < 99: too few permutations "
+                           "for the spatial dependence screen"),
+            (n_perm <= 99_999, f"n_perm {n_perm} > 99999: the screen's time grows "
+                               "with it past a 1e-5 p-value resolution"),
+            (0.0 < alpha < 1.0, f"alpha {alpha} outside (0, 1)"),
+            (seed >= 0, f"seed {seed} must be >= 0"))
 
 
 @dataclass
@@ -141,6 +160,7 @@ def empirical_semivariogram(scores: ScoreField,
     soundings' geometry.
     """
     bins = bins or VariogramBins()
+    check_bins(bins)
     n, n_bins = scores.sounding_ids.size, bins.n_bins
     if n < 2:
         raise DataError("need at least 2 scored soundings for a semivariogram")
@@ -357,10 +377,10 @@ def spatial_dependence_test(scores: ScoreField, n_perm: int = 999, alpha: float 
     mean predicts it exactly.
     """
     n = scores.sounding_ids.size
-    if n < 20:
-        raise DataError(f"spatial dependence test needs >= 20 soundings, got {n}")
-    if n_perm < 99:
-        raise DataError(f"n_perm {n_perm} < 99")
+    if n < MIN_SCREEN_SOUNDINGS:
+        raise DataError(f"spatial dependence test needs >= {MIN_SCREEN_SOUNDINGS} "
+                        f"soundings, got {n}")
+    check_screen(n_perm, alpha, seed)
     nb, d_nb = scores.nearest(MORAN_NEIGHBOURS)
     wts = 1.0 / np.maximum(d_nb, 1e-9)
     s0 = wts.sum()

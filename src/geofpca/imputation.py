@@ -18,14 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import (SpectralDataset, WavelengthSet, common_wavelengths,
+from .dataset import (FOOTPRINTS, SpectralDataset, WavelengthSet, common_wavelengths,
                       coordinate_violation, pairwise_distances)
-from .errors import DataError, GeofpcaError, NumericalError
+from .errors import DataError, GeofpcaError, NumericalError, require
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
                    eigendecompose, estimate_error_covariance,
                    estimate_signal_covariance)
-from .geostat import (WEIGHT_SCHEMES, SpatialTestResult, VariogramBins, VariogramFit,
+from .geostat import (MIN_SCREEN_SOUNDINGS, WEIGHT_SCHEMES, SpatialTestResult,
+                      VariogramBins, VariogramFit, check_bins, check_screen,
                       empirical_semivariogram, fit_variogram_wls, kriged_scores,
                       kriging_weights, spatial_dependence_test)
 # Unused here; perfbench's tracer self-test checks it is rebound in this module.
@@ -37,7 +38,11 @@ ScoreTransform = Callable[[ScoreField], ScoreField]
 
 @dataclass
 class FitConfig:
-    """Tunables for the fitting pipeline, echoed into every saved model."""
+    """Tunables for the fitting pipeline, echoed into every saved model.
+
+    Each bound is stated by the stage that reads the value (``check_bins``,
+    ``check_screen``), and building a FitConfig checks them all.
+    """
 
     fve_threshold: float = 0.99
     min_coverage: float = 1.0
@@ -51,8 +56,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        b = self.bins
-        for ok, problem in (
+        require(
             (0.0 < self.fve_threshold <= 1.0,
              f"fve_threshold {self.fve_threshold} outside (0, 1]"),
             (0.0 < self.min_coverage <= 1.0,
@@ -61,20 +65,10 @@ class FitConfig:
              f"covariates {self.covariates!r} not one of {COVARIATE_MODES}"),
             (self.max_lat_span > 0.0, f"max_lat_span {self.max_lat_span} must be > 0"),
             (self.max_gap_km > 0.0, f"max_gap_km {self.max_gap_km} must be > 0"),
-            (b.n_bins >= 1, f"n_bins {b.n_bins} must be >= 1"),
-            (0.0 < b.max_fraction <= 1.0, f"bin max_fraction {b.max_fraction} outside (0, 1]"),
-            (b.min_pairs >= 1, f"min_pairs {b.min_pairs} must be >= 1"),
             (self.weight_scheme in WEIGHT_SCHEMES,
-             f"weight_scheme {self.weight_scheme!r} not one of {WEIGHT_SCHEMES}"),
-            (self.n_perm >= 99, f"n_perm {self.n_perm} < 99: too few permutations "
-                                "for the spatial dependence screen"),
-            (self.n_perm <= 99_999, f"n_perm {self.n_perm} > 99999: the screen's "
-                                    "time grows with it past a 1e-5 p-value resolution"),
-            (0.0 < self.alpha < 1.0, f"alpha {self.alpha} outside (0, 1)"),
-            (self.seed >= 0, f"seed {self.seed} must be >= 0"),
-        ):
-            if not ok:
-                raise DataError(problem)
+             f"weight_scheme {self.weight_scheme!r} not one of {WEIGHT_SCHEMES}"))
+        check_bins(self.bins)
+        check_screen(self.n_perm, self.alpha, self.seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -170,7 +164,7 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
 
     # Too few soundings to screen keeps the kriging path (tests None).
     tests = (spatial_dependence_test(scores, config.n_perm, config.alpha, config.seed)
-             if scores.sounding_ids.size >= 20 else [None] * basis.K)
+             if scores.sounding_ids.size >= MIN_SCREEN_SOUNDINGS else [None] * basis.K)
     kriged = [k for k, t in enumerate(tests) if t is None or t.dependent]
     fits: list[VariogramFit | None] = [None] * basis.K
     if kriged:
@@ -368,8 +362,8 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
     if bad is not None:
         raise ValueError(f"score {bad[0]}: {bad[1]}")
     fps = sorted(set(sf.footprints.tolist()))
-    if fps and not 1 <= fps[0] <= fps[-1] <= 8:
-        raise ValueError(f"score footprints {fps} outside 1..8")
+    if not set(fps) <= set(FOOTPRINTS):
+        raise ValueError(f"score footprints {fps} outside {FOOTPRINTS[0]}..{FOOTPRINTS[-1]}")
     for p in sorted(set(fps) | set(sf.taus)):
         tau = sf.taus.get(p, np.empty(0))
         if tau.shape != (k,) or not (np.isfinite(tau) & (tau >= 0.0)).all():

@@ -53,10 +53,11 @@ class MeanModel:
         return cls(wavelengths, d["covariates"], coefs)
 
 
-def _covariate_matrix(ds: SpectralDataset, rows: np.ndarray, covariates: str) -> np.ndarray:
+def _covariate_matrix(covariates: str, lat: np.ndarray, lon) -> np.ndarray:
+    """The covariate columns at n locations: n x 1 (latitude) or n x 2 (latlon)."""
     if covariates == "latitude":
-        return ds.latitudes[rows][:, None]
-    return np.column_stack([ds.latitudes[rows], ds.longitudes[rows]])
+        return lat[:, None]
+    return np.column_stack([lat, np.asarray(lon, dtype=float)])
 
 
 def _solve_ols(x: np.ndarray, y: np.ndarray, p: int, w: int) -> np.ndarray:
@@ -96,7 +97,7 @@ def fit_mean_model(ds: SpectralDataset, ws: WavelengthSet,
     coefficients = {}
     for p in ds.footprints_present():
         rows = np.flatnonzero(ds.footprints == p)
-        x = _covariate_matrix(ds, rows, covariates)
+        x = _covariate_matrix(covariates, ds.latitudes[rows], ds.longitudes[rows])
         y = ds.radiance[np.ix_(rows, pos)]
         missing = np.isnan(y)
         beta = np.empty((1 + x.shape[1], ws.size))
@@ -128,10 +129,7 @@ def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
     if not whole.all():
         raise DataError(f"footprint {given[~whole][0]} is not an integer")
     fps = given.astype(int)
-    if model.covariates == "latitude":
-        covs = lat[:, None]
-    else:
-        covs = np.column_stack([lat, np.asarray(longitudes, dtype=float)])
+    covs = _covariate_matrix(model.covariates, lat, longitudes)
     out = np.empty((fps.size, model.wavelengths.size))
     for p in sorted(set(fps.tolist())):
         if p not in model.coefficients:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SpectralDataset, pairwise_distances
+from .dataset import FOOTPRINTS, SpectralDataset, pairwise_distances
 from .errors import DataError, GeofpcaError
 from .imputation import FitConfig
 from .parallel import map_tasks
@@ -263,7 +263,7 @@ class OrbitConfig:
 
     n_tracks: int = 60
     track_spacing: float = 0.015
-    footprints: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
+    footprints: tuple[int, ...] = tuple(FOOTPRINTS)
     base_lat: float = 35.0
     base_lon: float = 23.8
     fp_lon_step: float = 0.008
@@ -360,7 +360,10 @@ class StudyRow:
 class StudyResult:
     rows: list[StudyRow]
     records: list[StudyRecord]
-    n_failures: int
+
+    @property
+    def n_failures(self) -> int:
+        return sum(r.error is not None for r in self.records)
 
 
 # The study's endmember fits run fewer Moran permutations than fit_geofpca's default.
@@ -370,8 +373,7 @@ STUDY_TRIM = 0.1  # share of the errors cut from each end before the study's mea
 
 def _study_cell(cfg: SimulationConfig, replicate) -> StudyRecord:
     rho, i_rho, rep = replicate
-    rep_cfg = replace(cfg, rho=rho, alpha=None,
-                      seed=_spawn_seed(cfg.seed, i_rho, rep))
+    rep_cfg = replace(cfg, rho=rho, alpha=None, seed=_check_seed(cfg.seed) + (i_rho, rep))
     ds, truth = simulate_mixed_transect(rep_cfg)
     try:
         spec = detect_mixed_region(ds)
@@ -381,10 +383,6 @@ def _study_cell(cfg: SimulationConfig, replicate) -> StudyRecord:
     j = spec.mixed_ids.index(truth.mixed_id)
     return StudyRecord(rho, rep, truth.alpha, float(alphas["unmixing"][j]),
                        float(alphas["interpolation"][j]))
-
-
-def _spawn_seed(seed: Seed, i_rho: int, rep: int) -> tuple[int, ...]:
-    return _check_seed(seed) + (i_rho, rep)
 
 
 def _trim_mean(a: np.ndarray, proportion: float) -> float:
@@ -412,11 +410,8 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
                         chunksize=max(1, len(replicates) // (max(threads, 1) * 8)))
 
     rows = []
-    n_failures = 0
     for i, rho in enumerate(rho_grid):
-        cell = records[i * n_reps:(i + 1) * n_reps]
-        good = [r for r in cell if r.error is None]
-        n_failures += len(cell) - len(good)
+        good = [r for r in records[i * n_reps:(i + 1) * n_reps] if r.error is None]
         for method, attr in (("unmixing", "alpha_unmix"),
                              ("interpolation", "alpha_interp")):
             errs = np.array([abs(getattr(r, attr) - r.alpha_true) / r.alpha_true
@@ -424,7 +419,7 @@ def run_unmixing_study(rho_grid, n_reps: int, cfg: SimulationConfig | None = Non
             rows.append(StudyRow(float(rho), method,
                                  _trim_mean(errs, STUDY_TRIM) if errs.size else math.nan,
                                  len(good), int(base_seed)))
-    return StudyResult(rows, records, n_failures)
+    return StudyResult(rows, records)
 
 
 def study_to_csv(result: StudyResult, path) -> None:

@@ -13,7 +13,7 @@ for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,14 +52,6 @@ class MixedRegionSpec:
                 f"region not qualified: references are {self.s1_label}/{self.s2_label}"
             )
         return {self.s1_label: self.s1_window, self.s2_label: self.s2_window}
-
-
-def _label(mean_fraction: float, land_hi: float, water_lo: float) -> str:
-    if mean_fraction > land_hi:
-        return "land"
-    if mean_fraction < water_lo:
-        return "water"
-    return "unidentified"
 
 
 def detect_mixed_region(ds: SpectralDataset, land_hi: float = 0.70,
@@ -101,7 +93,9 @@ def detect_mixed_region(ds: SpectralDataset, land_hi: float = 0.70,
                 f"reference window [{win[0]:.5g}, {win[1]:.5g}] has no soundings "
                 "with a reported land fraction"
             )
-        labels.append(_label(float(lf[sel].mean()), land_hi, water_lo))
+        mean = float(lf[sel].mean())
+        labels.append("land" if mean > land_hi else "water" if mean < water_lo
+                      else "unidentified")
     qualified = sorted(labels) == ["land", "water"]
     inside = (lats > m_window[0]) & (lats < m_window[1])
     mixed_ids = tuple(int(i) for i in ds.ids[inside])
@@ -173,7 +167,7 @@ def smooth_scores(scores: ScoreField, bandwidth: float | str = "cv") -> ScoreFie
             span = float(xf.max() - xf.min()) or 1.0
             fit = _local_linear(xf, yf, x, np.array([h, span]))
             smoothed[sel, k] = fit[1] if np.isnan(fit[0]).any() else fit[0]
-    return scores.with_scores(smoothed)
+    return replace(scores, scores=smoothed)
 
 
 def _cv_bandwidth(x: np.ndarray, y: np.ndarray, grid: np.ndarray | None = None) -> float:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SpectralDataset, remove_cross_tracks, select_region, track_numbers
+from .dataset import (BLOCK_SIZES, FOOTPRINTS, SpectralDataset, held_tracks,
+                      remove_cross_tracks, select_region, track_numbers)
 from .errors import DataError, GeofpcaError
 from .fpca import FpcaBasis, compute_scores
 from .imputation import (FitConfig, fit_geofpca, impute_radiance,
@@ -50,33 +51,28 @@ def rmspe(scores_obs: np.ndarray, scores_pred: np.ndarray, basis: FpcaBasis) -> 
     return float(np.sqrt(np.mean(recon * recon)))
 
 
-def _observed_mask(ds: SpectralDataset) -> np.ndarray:
-    """A sounding counts as observed when any radiance value is present."""
-    return ~np.isnan(ds.radiance).all(axis=1)
-
-
 def select_centers(ds: SpectralDataset, footprint: int = 4,
                    min_region_count: int = 164, lat_halfwidth: float = 0.25
                    ) -> list[int]:
     """Center soundings eligible for the removal experiment.
 
     A sounding on the requested footprint qualifies when (1) at least
-    ``min_region_count`` observed soundings lie within ``lat_halfwidth``
-    degrees of its latitude and (2) the 8 nearest cross-tracks around it are
-    complete: 8 tracks x 8 footprints, all observed.
+    ``min_region_count`` observed soundings (any radiance present) lie within
+    ``lat_halfwidth`` degrees of its latitude and (2) the largest held-out
+    block of cross-tracks around it has every footprint of every track observed.
     """
-    observed = _observed_mask(ds)
+    observed = ~np.isnan(ds.radiance).all(axis=1)
     tracks = track_numbers(ds)
     n_tracks = int(tracks.max()) + 1 if tracks.size else 0
-    # A track holds at most one sounding per footprint, so 8 observed is full.
-    full_track = np.bincount(tracks[observed], minlength=n_tracks) == 8
+    # A track holds at most one sounding per footprint, so all observed is full.
+    full_track = np.bincount(tracks[observed], minlength=n_tracks) == len(FOOTPRINTS)
     lats = ds.latitudes
     centers = []
     for i in np.flatnonzero((ds.footprints == footprint) & observed):
         window = np.abs(lats - lats[i]) <= lat_halfwidth
         if int((window & observed).sum()) < min_region_count:
             continue
-        lo, hi = tracks[i] - 4, tracks[i] + 3  # the even rule for r = 8
+        lo, hi = held_tracks(int(tracks[i]), BLOCK_SIZES[-1])
         if lo >= 0 and hi < n_tracks and full_track[lo:hi + 1].all():
             centers.append(int(ds.ids[i]))
     return centers
@@ -132,10 +128,6 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
         region = select_region(ds, (center_lat - lat_halfwidth,
                                     center_lat + lat_halfwidth))
         train, held = remove_cross_tracks(region, center, r)
-        train_ids = set(int(i) for i in train.ids)
-        held_ids = set(int(i) for i in held.ids)
-        assert not train_ids & held_ids, "train/held-out datasets overlap"
-        assert train_ids | held_ids == set(int(i) for i in region.ids)
         model = fit_geofpca(train, config)
         obs_scores = compute_scores(held, model.mean, model.basis)
         score_of = {int(i): row for i, row in
@@ -159,11 +151,11 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
                 val_p = math.nan  # incomplete spectrum: no observed scores
             rows.append(ExperimentRow(center, r, sid, int(fps[j]), val_f, val_i, val_p))
         return center, r, rows, None
-    except (GeofpcaError, AssertionError) as e:
+    except GeofpcaError as e:
         return center, r, [], str(e)
 
 
-def run_imputation_experiment(ds: SpectralDataset, centers, r_values=range(1, 9),
+def run_imputation_experiment(ds: SpectralDataset, centers, r_values=BLOCK_SIZES,
                               config: FitConfig | None = None,
                               lat_halfwidth: float = 0.25,
                               threads: int = 1) -> ExperimentReport:

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import importlib
 import importlib.util
@@ -15,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geofpca
-from geofpca import simulation
+from geofpca import cli, simulation
 from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
 from geofpca.dataset import load_dataset, save_dataset
 from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
 from geofpca.imputation import FitConfig, load_model
-from geofpca.simulation import OrbitConfig, SimulationConfig, simulate_mixed_transect, simulate_orbit
+from geofpca.simulation import (OrbitConfig, SimulationConfig, StudyResult,
+                                simulate_mixed_transect, simulate_orbit)
 from geofpca.validation import run_imputation_experiment, select_centers
 
 
@@ -734,11 +736,12 @@ def test_pin_blas_leaves_every_openblas_at_one_thread(scipy_first):
 
 
 class TestListFlags:
-    """A malformed --rho-grid or --centers flag is a usage error naming the flag."""
+    """A malformed --rho-grid, --centers or --region flag is a usage error naming the flag."""
 
     @pytest.mark.parametrize("args, flag", [
         (["simulate", "--study", "--rho-grid", "0.1:abc"], "--rho-grid"),
         (["validate", "--centers", "1:x"], "--centers"),
+        (["fit", "--region", "1:x"], "--region"),
     ])
     def test_bad_flag_exits_2(self, tmp_path, capsys, args, flag):
         with pytest.raises(SystemExit) as err:
@@ -751,6 +754,7 @@ class TestListFlags:
         assert parse(["validate", "--centers", "auto"]).centers == "auto"
         assert parse(["validate", "--centers", "12:30"]).centers == [12, 30]
         assert parse(["simulate", "--rho-grid", "0.01:0.2"]).rho_grid == [0.01, 0.2]
+        assert parse(["fit", "--region", "34.9:35.47"]).region == [34.9, 35.47]
 
 
 class TestThreadsBound:
@@ -1105,3 +1109,140 @@ def test_benchmark_inputs_build(workload, files, tmp_path):
                "runpy.run_path(sys.argv[0], run_name='__main__')",
                script, workload, tmp_path)
     assert all((tmp_path / name).stat().st_size > 0 for name in files)
+
+
+class TestOutOfMemory:
+    """An allocation the machine refuses exits 3 with one line, never a traceback."""
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 1.82 TiB for an array")
+
+        monkeypatch.setattr(cli, "simulate_mixed_transect", refuse)
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: out of memory: Unable to allocate 1.82 TiB for an array\n"
+        assert not out.exists()
+
+    def test_huge_bin_count_refused_before_the_input_is_read(self, tmp_path, capsys):
+        assert run(["fit", "--input", tmp_path / "missing.csv", "--n-bins", 10**15,
+                    "--out", tmp_path / "m.json"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"n_bins {10**15} outside 1..10000" in err
+
+
+class TestRegionFlag:
+    """--region is parsed by the parser: a usage error as a flag, a data error as a key."""
+
+    @pytest.mark.parametrize("region", ["35.0", "1:2:3"])
+    def test_not_two_bounds_exits_2(self, tmp_path, capsys, region):
+        with pytest.raises(SystemExit) as err:
+            run(no_input_args("fit", tmp_path) + ["--region", region])
+        assert err.value.code == 2
+        assert "argument --region: expected LO:HI" in capsys.readouterr().err
+
+    def test_bad_config_value_exits_3_naming_the_key(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"region": "1:x"}))
+        assert run(no_input_args("fit", tmp_path) + ["--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "config key 'region'" in err
+
+    def test_echoed_as_a_list(self, tmp_path, capsys):
+        run(no_input_args("fit", tmp_path) + ["--region", "34.9:35.47"])
+        assert echoed(capsys.readouterr().out)["region"] == [34.9, 35.47]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def echoed(out: str) -> dict:
+    """The settings of a ``config <command>:`` line, read by a strict JSON parser."""
+    line = out.splitlines()[0]
+    assert line.startswith("config ")
+    return json.loads(line.split(": ", 1)[1], parse_constant=reject_constant)
+
+
+def float_flags():
+    """(command, flag) for every float flag of every command."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[0]) for command, p in sub.choices.items()
+            for a in p._actions if a.type is float]
+
+
+class TestStrictEcho:
+    """The config echo is strict JSON: a non-finite float is echoed as its text."""
+
+    @pytest.mark.parametrize("command, flag", float_flags())
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_float_flag(self, tmp_path, capsys, command, flag, value):
+        # Every run stops at a refused value or the missing input: nothing is fitted.
+        assert run(no_input_args(command, tmp_path) + [f"{flag}={value}"]) == 3
+        key = flag[2:].replace("-", "_")
+        assert echoed(capsys.readouterr().out)[key] == value
+
+    def test_list_flag(self, tmp_path, capsys):
+        assert run(["simulate", "--study", "--rho-grid=-0.1:nan", "--n-reps", 2,
+                    "--threads", 1, "--out", tmp_path / "study.csv"]) == 3
+        assert echoed(capsys.readouterr().out)["rho_grid"] == [-0.1, "nan"]
+
+    def test_config_file_reads_the_echo_back(self, tmp_path, capsys):
+        assert run(["simulate", "--rho=inf", "--out", tmp_path / "s.csv"]) == 3
+        first = capsys.readouterr().out.splitlines()[0]
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(echoed(first)))
+        assert run(["simulate", "--config", config]) == 3
+        assert capsys.readouterr().out.splitlines()[0] == first
+
+
+class TestIgnoredFlags:
+    """A flag the other settings leave unread exits 3 naming it, before any file is touched."""
+
+    @pytest.mark.parametrize("case", ["impute-targets", "study", "transect", "validate-centers"])
+    def test_refused(self, tmp_path, capsys, case):
+        missing, out, truth = tmp_path / "missing", tmp_path / "out.csv", tmp_path / "t.json"
+        args, flags = {
+            "impute-targets": (["impute", "--model", missing, "--targets", missing,
+                                "--lat", 99, "--lon", 500, "--footprint", 42],
+                               "--lat, --lon, --footprint"),
+            "study": (["simulate", "--study", "--rho", 7, "--alpha", 0.3, "--truth", truth],
+                      "--rho, --alpha, --truth"),
+            "transect": (["simulate", "--rho-grid", "0.1", "--n-reps", 2, "--threads", 1],
+                         "--rho-grid, --n-reps, --threads"),
+            "validate-centers": (["validate", "--input", missing, "--centers", 197,
+                                  "--footprint", 3, "--min-region-count", 100000],
+                                 "--footprint, --min-region-count"),
+        }[case]
+        assert run(args + ["--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"data error: {flags} would be ignored" in err
+        assert not out.exists() and not truth.exists()
+
+    def test_refused_from_a_config_file(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"targets": str(tmp_path / "missing")}))
+        assert run(no_input_args("impute", tmp_path) + ["--config", config]) == 3
+        assert "--lat, --lon, --footprint would be ignored" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["fit", "impute", "validate", "study", "study-threads"])
+    def test_benchmark_commands_are_not_refused(self, tmp_path, capsys, monkeypatch, case):
+        """The benchmark's own flag sets; missing inputs stop them before any work."""
+        missing, out = tmp_path / "missing", tmp_path / "out.csv"
+        targets = tmp_path / "targets.csv"
+        targets.write_text("id,latitude,longitude,footprint\n5,35.1,23.77,4\n")
+        monkeypatch.setattr(cli, "run_unmixing_study", lambda *a, **k: StudyResult([], []))
+        args, code = {
+            "fit": (["fit", "--input", missing], 3),
+            "impute": (["impute", "--model", missing, "--targets", targets], 3),
+            "validate": (["validate", "--input", missing, "--centers", "197:198",
+                          "--threads", 1, "--n-perm", 199, "--r", "1:8",
+                          "--summary", tmp_path / "summary.csv"], 3),
+            "study": (["simulate", "--study", "--n-reps", 100, "--seed", 4242], 0),
+            "study-threads": (["simulate", "--study", "--n-reps", 100, "--seed", 4242,
+                               "--threads", 1], 0),
+        }[case]
+        assert run(args + ["--out", out]) == code
+        assert "would be ignored" not in capsys.readouterr().err

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geofpca.dataset import (SpectralDataset, _parse_radiance, common_wavelengths,
-                             haversine_km, load_dataset, pairwise_distances,
-                             remove_cross_tracks, save_dataset, select_region,
-                             track_numbers)
+from geofpca.dataset import (BLOCK_SIZES, SpectralDataset, _parse_radiance,
+                             common_wavelengths, haversine_km, held_tracks, load_dataset,
+                             pairwise_distances, remove_cross_tracks, save_dataset,
+                             select_region, track_numbers)
 from geofpca.errors import DataError
 from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
                                 simulate_orbit)
@@ -418,6 +418,20 @@ class TestCrossTracks:
             assert not train_ids & held_ids
             assert train_ids | held_ids == set(ds.ids.tolist())
             assert len(held_ids) <= 8 * r
+
+    @pytest.mark.parametrize("r", BLOCK_SIZES)
+    def test_held_tracks_is_the_odd_even_rule(self, r):
+        """Odd r: (r-1)/2 tracks either side; even r: r/2 before the center, r/2-1 after."""
+        t0 = 17
+        if r % 2 == 1:
+            expected = (t0 - (r - 1) // 2, t0 + (r - 1) // 2)
+        else:
+            expected = (t0 - r // 2, t0 + r // 2 - 1)
+        assert held_tracks(t0, r) == expected
+        assert expected[1] - expected[0] + 1 == r
+
+    def test_block_sizes_are_one_to_eight(self):
+        assert list(BLOCK_SIZES) == [1, 2, 3, 4, 5, 6, 7, 8]
 
     def test_insufficient_tracks(self):
         ds = orbit_dataset(4)

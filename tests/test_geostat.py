@@ -17,6 +17,7 @@ from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, kriged_scores,
                              kriging_weights, spatial_dependence_test)
+from geofpca.imputation import FitConfig
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
                      moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
                      transposed_triangular_solve, triangular_solve, triu_binned_pairs)
@@ -649,3 +650,33 @@ class TestMemoryPeaks:
     def test_kriging_system(self, field):
         _, peak = self.traced_peak(lambda: kriging_weights(field, 0, simple_fit(2.0, 10.0)))
         assert peak <= 1.25
+
+
+class TestOwnedBounds:
+    """FitConfig refuses exactly what the stage that reads a value refuses, in its words."""
+
+    @pytest.mark.parametrize("setting, value", [
+        ("n_perm", 98), ("n_perm", 100_000), ("alpha", 0.0), ("alpha", 1.0),
+        ("alpha", math.nan), ("seed", -1)])
+    def test_screen_settings(self, setting, value):
+        sf = score_field(transect_latitudes(25), np.arange(25.0), 0.1)
+        with pytest.raises(DataError) as config:
+            FitConfig(**{setting: value})
+        with pytest.raises(DataError) as stage:
+            spatial_dependence_test(sf, **{setting: value})
+        assert str(stage.value) == str(config.value)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("n_bins", 0), ("n_bins", 10_001), ("max_fraction", 0.0),
+        ("max_fraction", math.nan), ("min_pairs", 0)])
+    def test_bin_settings(self, setting, value):
+        sf = score_field(transect_latitudes(25), np.arange(25.0), 0.1)
+        bins = VariogramBins(**{setting: value})
+        with pytest.raises(DataError) as config:
+            FitConfig(bins=bins)
+        with pytest.raises(DataError) as stage:
+            empirical_semivariogram(sf, bins)
+        assert str(stage.value) == str(config.value)
+
+    def test_largest_bin_count_is_accepted(self):
+        assert FitConfig(bins=VariogramBins(n_bins=10_000)).bins.n_bins == 10_000
