@@ -69,7 +69,13 @@ def _read_config(path, actions: dict[str, argparse.Action], command: str) -> dic
 
 
 def _convert(action: argparse.Action, value):
-    """A JSON value read as the flag reads its text; a bad one is a data error."""
+    """A JSON value read as the flag reads its text; a bad one is a data error.
+
+    A colon-list flag also takes a JSON list, read as its items joined by ':'
+    (the form the config echo prints).
+    """
+    if action.type in (_numbers, _centers, _range) and isinstance(value, list):
+        value = ":".join(map(str, value))
     if action.type is not None:
         try:
             value = action.type(str(value))

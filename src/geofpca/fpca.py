@@ -22,12 +22,18 @@ from .mean_model import MeanModel, evaluate_mean_rows
 
 @dataclass
 class CovarianceMatrix:
-    """Symmetric m x m covariance over a wavelength set, with a label."""
+    """Symmetric m x m covariance over a wavelength set, with a label.
+
+    ``span``, when set, holds rows (r x m) whose span contains the matrix's
+    column space: the data rows it was built from. ``eigendecompose`` works
+    in that span when r < m.
+    """
 
     values: np.ndarray
     wavelengths: WavelengthSet
     label: str
     n_used: int
+    span: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -35,6 +41,11 @@ class CovarianceMatrix:
             raise DataError(f"covariance must be square, got {v.shape}")
         if v.shape[0] != self.wavelengths.size:
             raise DataError("covariance size does not match wavelength set")
+        if self.span is not None:
+            self.span = np.asarray(self.span, dtype=float)
+            if self.span.ndim != 2 or self.span.shape[1] != v.shape[0]:
+                raise DataError(f"span rows must have {v.shape[0]} columns, "
+                                f"got shape {self.span.shape}")
         self.values = v
 
 
@@ -43,8 +54,8 @@ class FpcaBasis:
     """Selected eigenpairs and the cumulative fraction-of-variance curve.
 
     ``eigenvectors`` is m x K with columns orthonormal in the discrete inner
-    product; ``fve_curve`` covers all positive eigenvalues, not just the K
-    retained ones.
+    product; ``fve_curve`` covers every eigenvalue above the noise floor, not
+    just the K retained ones.
     """
 
     eigenvalues: np.ndarray
@@ -145,7 +156,8 @@ def estimate_error_covariance(ds: SpectralDataset, ws: WavelengthSet, p: int,
     latitude; each interior sounding contributes the outer product of its
     second difference against both neighbors, and the average is divided by 6
     (the second-difference variance inflation for i.i.d. noise). Triples whose
-    neighbor spacing exceeds ``max_gap_km`` are dropped.
+    neighbor spacing exceeds ``max_gap_km`` are dropped. The kept second
+    differences are the matrix's ``span``.
     """
     rows = _complete_rows(ds, ws)
     rows = rows[ds.footprints[rows] == p]
@@ -165,8 +177,11 @@ def estimate_error_covariance(ds: SpectralDataset, ws: WavelengthSet, p: int,
     n_tilde = delta.shape[0]
     if n_tilde == 0:
         raise DataError(f"footprint {p}: no differencing triples within max_gap_km")
-    values = delta.T @ delta / (6.0 * n_tilde)
-    return CovarianceMatrix(values, ws, f"error:{p}", n_tilde)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = delta.T @ delta / (6.0 * n_tilde)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"footprint {p}: error covariance is not finite")
+    return CovarianceMatrix(values, ws, f"error:{p}", n_tilde, delta)
 
 
 def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
@@ -174,7 +189,10 @@ def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
     """Signal covariance: demeaned second moment minus the error correction.
 
     Both terms share the 1/(N-1) normalization, and the error correction
-    weights each footprint's error covariance by its sounding count.
+    weights each footprint's error covariance by its sounding count. The
+    ``span`` is the residual rows stacked with each footprint's span, kept
+    only when every footprint has one and the stack has fewer rows than
+    wavelengths.
     """
     ws = mean.wavelengths
     rows = _complete_rows(ds, ws)
@@ -182,20 +200,34 @@ def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
     if n < 2:
         raise DataError(f"{n} usable soundings, need >= 2 for the signal covariance")
     resid = ds.radiance[np.ix_(rows, ws.positions)] - evaluate_mean_rows(mean, ds, rows)
-    raw = resid.T @ resid / (n - 1)
     fps = ds.footprints[rows]
-    correction = np.zeros_like(raw)
-    for p in sorted(set(fps.tolist())):
-        if p not in errs:
-            raise DataError(f"missing error covariance for footprint {p}")
-        n_p = int((fps == p).sum())
-        correction += n_p * errs[p].values
-    values = raw - correction / (n - 1)
-    return CovarianceMatrix(values, ws, "signal", n)
+    present = sorted(set(fps.tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = resid.T @ resid / (n - 1)
+        correction = np.zeros_like(raw)
+        for p in present:
+            if p not in errs:
+                raise DataError(f"missing error covariance for footprint {p}")
+            n_p = int((fps == p).sum())
+            correction += n_p * errs[p].values
+        values = raw - correction / (n - 1)
+    if not np.isfinite(values).all():
+        raise NumericalError("signal covariance is not finite")
+    spans = [errs[p].span for p in present]
+    span = None
+    if all(s is not None for s in spans) and n + sum(len(s) for s in spans) < ws.size:
+        span = np.vstack([resid, *spans])
+    return CovarianceMatrix(values, ws, "signal", n, span)
 
 
 def eigendecompose(cov: CovarianceMatrix, fve_threshold: float = 0.99) -> FpcaBasis:
     """Eigendecompose a covariance and truncate by fraction of variance.
+
+    With a ``span`` of r < m rows the matrix is decomposed in their span
+    (Sirovich's method of snapshots): with q an orthonormal basis of the rows
+    from a Householder QR, the eigenpairs (lambda, v) of the r x r matrix
+    q^T S q give S's eigenpairs (lambda, q v), exactly in exact arithmetic
+    since col(S) lies in span(q). Otherwise ``eigh`` runs on the m x m matrix.
 
     Eigenvalues at or below m * eps * lambda_1 (m the dimension) are rounding
     noise whose sign depends on the BLAS kernel: they and the negative ones
@@ -207,20 +239,25 @@ def eigendecompose(cov: CovarianceMatrix, fve_threshold: float = 0.99) -> FpcaBa
     if not 0.0 < fve_threshold <= 1.0:
         raise DataError(f"fve_threshold {fve_threshold} outside (0, 1]")
     a = cov.values
+    m = a.shape[0]
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
         raise DataError("covariance is not symmetric to 1e-10 relative")
+    q = None
+    if cov.span is not None and cov.span.shape[0] < m:
+        q = np.linalg.qr(cov.span.T)[0]
+        a = q.T @ a @ q
     evals, evecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    kept = evals > evals.size * np.finfo(float).eps * evals[0]
+    kept = evals > m * np.finfo(float).eps * evals[0]
     if not kept.any():
         raise NumericalError("no positive eigenvalues; nothing to retain")
     evals, evecs = evals[kept], evecs[:, kept]
     fve_curve = np.cumsum(evals) / evals.sum()
     k = int(np.searchsorted(fve_curve, fve_threshold) + 1)
     k = min(k, evals.size)
-    evecs = evecs[:, :k].copy()
+    evecs = evecs[:, :k].copy() if q is None else q @ evecs[:, :k]
     for j in range(k):
         col = evecs[:, j]
         if col[np.argmax(np.abs(col))] < 0:

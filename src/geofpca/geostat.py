@@ -145,9 +145,13 @@ def exponential_variogram(h, sill: float, range_km: float):
     return sill * (1.0 - np.exp(-np.asarray(h, dtype=float) / range_km))
 
 
-def empirical_semivariogram(scores: ScoreField,
-                            bins: VariogramBins | None = None) -> list[EmpiricalVariogram]:
-    """Nugget-corrected binned semivariogram of every component's scores (K of them).
+def empirical_semivariogram(scores: ScoreField, bins: VariogramBins | None = None,
+                            components: list[int] | None = None
+                            ) -> list[EmpiricalVariogram]:
+    """Nugget-corrected binned semivariogram of the listed components' scores.
+
+    ``components`` lists the score columns to bin (default: all K); the
+    result is aligned with it.
 
     The bins split [0, max_fraction * largest pair distance] into ``n_bins``
     equal widths, closed on the left and the last also on the right; farther
@@ -168,8 +172,10 @@ def empirical_semivariogram(scores: ScoreField,
     if h_max <= 0:
         raise DataError("all pairwise distances are zero")
     edges = np.linspace(0.0, h_max, n_bins + 1)[1:-1]
-    u = scores.scores.T
-    tau = [scores.tau_for(scores.footprints, k) for k in range(scores.n_components)]
+    if components is None:
+        components = list(range(scores.n_components))
+    u = scores.scores.T[components]
+    tau = [scores.tau_for(scores.footprints, k) for k in components]
     counts, dist = np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins)
     half_sq, nugget = np.zeros((len(tau), n_bins)), np.zeros((len(tau), n_bins))
     for start, d in distance_blocks(scores.latitudes, scores.longitudes, upper=True):

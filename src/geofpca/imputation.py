@@ -2,8 +2,8 @@
 
 ``fit_geofpca`` runs the full pipeline in order: wavelength selection, mean
 fit, per-footprint error covariances, signal covariance, eigendecomposition,
-scores, score-noise variances, spatial-dependence screening, then every
-component's empirical variogram in one pass and a WLS fit per kriged component.
+scores, score-noise variances, spatial-dependence screening, then the kriged
+components' empirical variograms in one pass and a WLS fit for each of them.
 The resulting model imputes spectra at any batch of locations as the mean plus
 the kriged-score reconstruction, computing each component's kriging weights once.
 """
@@ -170,9 +170,9 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     if kriged:
         # After the screen: its neighbour pass records the largest distance the bins use.
         variograms = _stage(f"variogram k={kriged[0]}", empirical_semivariogram,
-                            scores, config.bins)
-        for k in kriged:
-            fits[k] = _stage(f"variogram k={k}", fit_variogram_wls, variograms[k],
+                            scores, config.bins, kriged)
+        for k, ev in zip(kriged, variograms):
+            fits[k] = _stage(f"variogram k={k}", fit_variogram_wls, ev,
                              config.weight_scheme)
     return GeoFpcaModel(region, ws, mean, basis, scores, fits, tests, config)
 

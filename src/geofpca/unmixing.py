@@ -271,8 +271,8 @@ def unmix_region(ds: SpectralDataset, spec: MixedRegionSpec,
                     set(models["water"].wavelengths.indices))
     if not common:
         raise DataError("endmember models share no wavelength indices")
-    pos_in = {label: np.array([models[label].wavelengths.indices.index(w)
-                               for w in common]) for label in models}
+    pos_in = {label: np.searchsorted(models[label].wavelengths.indices, common)
+              for label in models}
     grid_pos = np.asarray(common, dtype=int) - 1
 
     rows = np.array([ds.index_of(sid) for sid in spec.mixed_ids], dtype=int)

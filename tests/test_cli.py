@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import geofpca
 from geofpca import cli, simulation
 from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
-from geofpca.dataset import load_dataset, save_dataset
+from geofpca.dataset import SpectralDataset, load_dataset, save_dataset
 from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
@@ -163,6 +163,21 @@ class TestFit:
         assert run(["fit", "--input", tmp_path / "nope.csv", "--n-perm", 100000,
                     "--out", tmp_path / "m.json"]) == 3
         assert "n_perm 100000 > 99999" in capsys.readouterr().err
+
+    def test_overflowing_covariance_fails_in_one_line(self, orbit_csv, tmp_path, capsys):
+        """Radiance near 1e160 overflows the error covariance: one stderr line, no warnings."""
+        _, ds = orbit_csv
+        big = tmp_path / "big.csv"
+        save_dataset(SpectralDataset(ds.ids, ds.latitudes, ds.longitudes, ds.footprints,
+                                     ds.land_fractions, ds.radiance * 1e160), big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape main as an exception
+            assert run(["fit", "--input", big, "--out", tmp_path / "m.json"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: [error-covariance] footprint ")
+        assert err.endswith(": error covariance is not finite\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_numerical_failure_exits_4(self, tmp_path):
         # Collinear (latitude, longitude) covariates: rank-deficient design.
@@ -1196,6 +1211,50 @@ class TestStrictEcho:
         config.write_text(json.dumps(echoed(first)))
         assert run(["simulate", "--config", config]) == 3
         assert capsys.readouterr().out.splitlines()[0] == first
+
+
+@pytest.fixture
+def list_flag_runs(sim_csv, orbit_csv, tmp_path):
+    """For each colon-list flag, a run that sets it, and the files the run writes."""
+    transect, orbit = sim_csv[0], orbit_csv[0]
+    center = select_centers(orbit_csv[1], min_region_count=8, lat_halfwidth=1.0)[0]
+    out, summary = tmp_path / "out", tmp_path / "summary.csv"
+    return {
+        "region": (["fit", "--input", transect, "--region", "34.9:35.47", "--n-perm", 99,
+                    "--out", out], [out]),
+        "centers": (["validate", "--input", orbit, "--r", "1:1", "--centers", f"{center}",
+                     "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1,
+                     "--out", out, "--summary", summary], [out, summary]),
+        "rho_grid": (["simulate", "--study", "--rho-grid", "0.01:0.1", "--n-reps", 2,
+                      "--seed", 3, "--threads", 1, "--out", out], [out]),
+    }
+
+
+@pytest.mark.parametrize("flag", ["region", "centers", "rho_grid"])
+def test_echo_as_config_reruns_the_command(list_flag_runs, tmp_path, capsys, flag):
+    """A config line written back as --config prints the same line and writes the
+    same files: a JSON list is read as its items joined by ':'."""
+    args, outputs = list_flag_runs[flag]
+    assert run(args) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert isinstance(echoed(first)[flag], list)
+    written = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+    config = tmp_path / "echo.json"
+    config.write_text(json.dumps(echoed(first)))
+    assert run([args[0], "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first
+    assert [path.read_bytes() for path in outputs] == written
+
+
+@pytest.mark.parametrize("value", [[1, "x"], [], [[34.9, 35.47]], [34.9]])
+def test_bad_list_in_config_exits_3(tmp_path, capsys, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"region": value}))
+    assert run(no_input_args("fit", tmp_path) + ["--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error: config key 'region': ")
 
 
 class TestIgnoredFlags:

@@ -1,3 +1,8 @@
+import importlib.util
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +15,12 @@ from geofpca.fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                           compute_score_noise_variance, compute_scores, eigendecompose,
                           estimate_error_covariance, estimate_signal_covariance)
 from geofpca.geostat import VariogramBins, empirical_semivariogram
+from geofpca.imputation import FitConfig, fit_geofpca
 from geofpca.mean_model import fit_mean_model
+from geofpca.simulation import (STUDY_FIT, SimulationConfig, simulate_mixed_transect,
+                                simulate_orbit)
+from geofpca.unmixing import detect_mixed_region, unmix_region
+from geofpca.validation import run_imputation_experiment
 from oracles import (argsort_nearest, jacobi_eigh, quadratic_form_loop, triu_binned_pairs,
                      two_pass_signal_covariance)
 
@@ -75,6 +85,24 @@ class TestErrorCovariance:
         cov = estimate_error_covariance(ds2, WS3, 4)
         assert cov.n_used == 7  # nine complete soundings, minus two endpoints
 
+    def test_span_is_the_kept_second_differences(self, rng):
+        lats = np.concatenate([34.0 + 0.01 * np.arange(6), 35.0 + 0.01 * np.arange(6)])
+        ds = make_dataset(lats, [4] * 12, rng.normal(50.0, 1.0, (12, 5)))
+        ws = WavelengthSet(tuple(range(1, 6)))
+        for gap in (np.inf, 5.0):
+            cov = estimate_error_covariance(ds, ws, 4, max_gap_km=gap)
+            assert cov.span.shape == (cov.n_used, 5)
+            assert np.array_equal(cov.values, cov.span.T @ cov.span / (6.0 * cov.n_used))
+
+    def test_overflow_is_a_numerical_error(self):
+        ds = affine_dataset(12, 3, noise_fn=lambda s: np.resize([0.0, 3.0], s))
+        big = make_dataset(ds.latitudes, ds.footprints, ds.radiance * 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError,
+                               match="footprint 4: error covariance is not finite"):
+                estimate_error_covariance(big, WS3, 4)
+
 
 class TestSignalCovariance:
     def test_zero_noise_mean_only_gives_zero(self):
@@ -114,6 +142,42 @@ class TestSignalCovariance:
         mean = fit_mean_model(ds, WS3)
         with pytest.raises(DataError, match="footprint 4"):
             estimate_signal_covariance(ds, mean, {})
+
+    def test_overflow_is_a_numerical_error(self, rng):
+        ds = affine_dataset(10, 3, noise_fn=lambda s: rng.normal(0.0, 1e160, s))
+        mean = fit_mean_model(ds, WS3)
+        errs = {4: CovarianceMatrix(np.zeros((3, 3)), WS3, "error:4", 8)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="signal covariance is not finite"):
+                estimate_signal_covariance(ds, mean, errs)
+
+    def test_span_stacks_residuals_and_differences(self, rng):
+        """With n + n_tilde < m rows the span is kept, and it holds S's column space."""
+        ds = affine_dataset(12, 40, noise_fn=lambda s: rng.normal(0.0, 0.5, s))
+        ws = WavelengthSet(tuple(range(1, 41)))
+        mean = fit_mean_model(ds, ws)
+        errs = {4: estimate_error_covariance(ds, ws, 4)}
+        cov = estimate_signal_covariance(ds, mean, errs)
+        assert cov.span.shape == (12 + 10, 40)
+        assert np.array_equal(cov.span[12:], errs[4].span)
+        q = np.linalg.qr(cov.span.T)[0]
+        outside = cov.values - q @ (q.T @ cov.values @ q) @ q.T
+        assert np.abs(outside).max() <= 1e-12 * np.abs(cov.values).max()
+
+    def test_no_span_when_rows_reach_m_or_a_footprint_has_none(self, rng):
+        ds = affine_dataset(12, 22, noise_fn=lambda s: rng.normal(0.0, 0.5, s))
+        ws = WavelengthSet(tuple(range(1, 23)))
+        mean = fit_mean_model(ds, ws)
+        err = estimate_error_covariance(ds, ws, 4)
+        assert estimate_signal_covariance(ds, mean, {4: err}).span is None  # 22 rows
+        ws = WavelengthSet(tuple(range(1, 24)))
+        wide = affine_dataset(12, 23, noise_fn=lambda s: rng.normal(0.0, 0.5, s))
+        mean = fit_mean_model(wide, ws)
+        err = estimate_error_covariance(wide, ws, 4)
+        assert estimate_signal_covariance(wide, mean, {4: err}).span.shape == (22, 23)
+        hand = {4: replace(err, span=None)}
+        assert estimate_signal_covariance(wide, mean, hand).span is None
 
 
 class TestEigendecompose:
@@ -175,6 +239,117 @@ class TestEigendecompose:
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(DataError, match="symmetric"):
             eigendecompose(self.cov(bad), 0.99)
+
+
+def span_covariance(seed, n, n_tilde, repeated=0, correction=0.1, m=40):
+    """A signal covariance S = X^T X / (n-1) - c D^T D / (n-1) over m wavelengths
+    and its span [X; D]; the last ``repeated`` rows of D copy rows of X, so the
+    span is rank-deficient when it is positive."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m)) * np.linspace(3.0, 0.5, m)
+    d = rng.standard_normal((n_tilde, m))
+    d[n_tilde - repeated:] = x[:repeated]
+    values = (x.T @ x - correction * d.T @ d) / (n - 1)
+    return CovarianceMatrix(values, WavelengthSet(tuple(range(1, m + 1))), "signal", n,
+                            np.vstack([x, d]))
+
+
+def qr_calls(monkeypatch, fn, *args):
+    """``fn(*args)`` and the shapes np.linalg.qr was called on while it ran."""
+    shapes, real = [], np.linalg.qr
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", lambda a: shapes.append(a.shape) or real(a))
+        return fn(*args), shapes
+
+
+class TestRowSpaceEigendecompose:
+    """With a span of r < m rows, eigendecompose works in the span's r dimensions."""
+
+    @pytest.mark.parametrize("n, n_tilde, repeated, correction", [
+        (3, 2, 0, 0.1),      # r = 5
+        (3, 2, 1, 0.1),      # r = 5, rank 4
+        (20, 18, 0, 0.1),    # r = 38, the study's endmember fits
+        (20, 18, 4, 0.1),    # r = 38, rank 34
+        (20, 18, 0, 8.0),    # r = 38, negative eigenvalues beyond lambda_1
+        (20, 19, 3, 0.1),    # r = m - 1, rank 36
+        (20, 19, 0, 8.0),    # r = m - 1, negative eigenvalues beyond lambda_1
+    ])
+    def test_matches_the_m_by_m_path_and_jacobi(self, monkeypatch, n, n_tilde, repeated,
+                                                correction):
+        cov = span_covariance(n + n_tilde, n, n_tilde, repeated, correction)
+        row, shapes = qr_calls(monkeypatch, eigendecompose, cov)
+        assert shapes == [(40, n + n_tilde)]
+        full = eigendecompose(replace(cov, span=None))
+        evals, evecs = jacobi_eigh(cov.values)
+        if correction > 1.0:
+            assert -evals[-1] > evals[0]
+        assert row.K == full.K
+        k = row.K
+        assert np.abs(row.eigenvalues - evals[:k]).max() <= 1e-12 * evals[0]
+        assert np.abs(row.eigenvectors - evecs[:, :k]).max() <= 1e-10
+        # The span holds at most its rank's positive eigenvalues; m x m adds rounding noise.
+        assert row.fve_curve.size <= np.linalg.matrix_rank(cov.span)
+        assert row.fve_curve.size <= full.fve_curve.size
+
+    @pytest.mark.parametrize("rows", [None, 40, 43])
+    def test_m_or_more_rows_keep_the_m_by_m_bytes(self, monkeypatch, rows):
+        cov = span_covariance(7, 20, 19)
+        base = eigendecompose(replace(cov, span=None))
+        span = None if rows is None else np.resize(cov.span, (rows, 40))
+        monkeypatch.setattr(np.linalg, "qr", None)  # the m x m path calls no QR
+        got = eigendecompose(replace(cov, span=span))
+        assert got.K == base.K
+        for a, b in ((got.eigenvalues, base.eigenvalues),
+                     (got.eigenvectors, base.eigenvectors), (got.fve_curve, base.fve_curve)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_noise_floor_is_m_eps_lambda_1(self):
+        """The floor counts the matrix's m, not the span's r: 1e-14 lies between
+        r eps lambda_1 (2.7e-15 at r = 3) and m eps lambda_1 (3.6e-14 at m = 40)."""
+        values = np.diag([4.0, 1.0, 1e-14] + [0.0] * 37)
+        cov = CovarianceMatrix(values, WavelengthSet(tuple(range(1, 41))), "signal", 3,
+                               np.eye(3, 40))
+        basis = eigendecompose(cov, 1.0)
+        assert basis.K == 2
+        np.testing.assert_allclose(basis.fve_curve, [0.8, 1.0])
+
+    def test_span_must_have_m_columns(self):
+        cov = span_covariance(1, 3, 2)
+        with pytest.raises(DataError, match="span rows must have 40 columns"):
+            replace(cov, span=cov.span[:, :39])
+
+
+def benchmark_inputs():
+    """perfbench/inputs.py, loaded as a module: the benchmark's simulator settings."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWhoTakesTheRowPath:
+    """On the benchmark's inputs, the study's endmember fits take the row path;
+    the region-impute fit and the crosstrack-validate cells do not."""
+
+    def test_study_endmember_fits(self, monkeypatch):
+        ds, _ = simulate_mixed_transect(SimulationConfig(rho=0.05, seed=(101, 1, 0)))
+        spec = detect_mixed_region(ds)
+        _, shapes = qr_calls(monkeypatch, unmix_region, ds, spec, STUDY_FIT)
+        assert len(shapes) == 2  # land and water
+        assert all(m == 120 and r < m for m, r in shapes)
+
+    def test_region_impute_fit(self, monkeypatch):
+        ds, _ = simulate_orbit(benchmark_inputs().REGION_ORBIT)
+        _, shapes = qr_calls(monkeypatch, fit_geofpca, ds, FitConfig(n_perm=99))
+        assert shapes == []
+
+    def test_crosstrack_validate_cell(self, monkeypatch):
+        ds, _ = simulate_orbit(benchmark_inputs().CROSSTRACK_ORBIT)
+        report, shapes = qr_calls(monkeypatch, run_imputation_experiment, ds, [197], [1],
+                                  FitConfig(n_perm=99))
+        assert shapes == []
+        assert report.rows and not report.failures
 
 
 def basis_from(vectors, eigenvalues, ws):

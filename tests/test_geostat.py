@@ -126,6 +126,18 @@ class TestEmpiricalSemivariogram:
                          (ev.values, alone.values)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("components", [[1], [2, 0], [0, 1, 2], []])
+    def test_listed_components_only(self, components):
+        """The listed columns' bins, in list order, equal the all-component call's bins."""
+        sf = self.random_field(264, n_components=3)
+        together = empirical_semivariogram(sf)
+        listed = empirical_semivariogram(sf, components=components)
+        assert len(listed) == len(components)
+        for k, ev in zip(components, listed):
+            for a, b in ((ev.distances, together[k].distances),
+                         (ev.counts, together[k].counts), (ev.values, together[k].values)):
+                assert np.array_equal(a, b)
+
     def test_all_distances_zero_raises(self):
         sf = score_field([35.0, 35.0], [1.0, 2.0], [0.0])
         with pytest.raises(DataError, match="all pairwise distances are zero"):

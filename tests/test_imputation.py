@@ -112,17 +112,23 @@ class TestFitGeofpca:
         assert model.fits == [None] * model.basis.K
 
     def test_one_wls_fit_per_kriged_component(self, monkeypatch):
-        calls = []
+        calls, binned = [], []
 
         def counting(ev, scheme):
             calls.append(ev)
             return fit_variogram_wls(ev, scheme)
 
+        def binning(scores, bins, components):
+            binned.append(list(components))
+            return empirical_semivariogram(scores, bins, components)
+
         monkeypatch.setattr(imputation, "fit_variogram_wls", counting)
+        monkeypatch.setattr(imputation, "empirical_semivariogram", binning)
         model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
         kriged = [k for k, fit in enumerate(model.fits) if fit is not None]
         assert 0 < len(kriged) < model.basis.K
         assert len(calls) == len(kriged)
+        assert binned == [kriged]  # only the kriged components are binned
 
     def test_independent_components_have_no_fit(self):
         model = fit_geofpca(small_orbit(), FitConfig(n_perm=99))
