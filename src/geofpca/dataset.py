@@ -232,17 +232,19 @@ def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False,
             work=work[:size].reshape(shape))
 
 
-def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+def pairwise_distances(lat: np.ndarray, lon: np.ndarray, mirror: bool = True) -> np.ndarray:
     """Symmetric matrix of haversine distances in km.
 
     Evaluates the upper triangle by row blocks and mirrors it: the haversine
     is exactly symmetric in its two points, so the matrix equals the full
-    n x n evaluation bit for bit.
+    n x n evaluation bit for bit. Without ``mirror`` only the diagonal and
+    upper triangle hold distances; the strict lower triangle is left unset.
     """
     n = lat.size
     d = np.empty((n, n))
     for start, block in distance_blocks(lat, lon, upper=True, out=d):
-        d[start:, start:start + DISTANCE_BLOCK] = block.T
+        if mirror:
+            d[start:, start:start + DISTANCE_BLOCK] = block.T
     return d
 
 

@@ -356,7 +356,8 @@ def _moran_exceedances(z: np.ndarray, stats: np.ndarray, nb: np.ndarray,
     exceed = np.zeros(rows, dtype=np.int64)
     for start in range(0, n_perm, chunk):
         b = min(chunk, n_perm - start)
-        zp = z[:, rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)].reshape(rows * b, n)
+        perm = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
+        zp = np.take(z, perm, axis=1).reshape(rows * b, n)
         lag = np.zeros_like(zp)
         term = np.empty_like(zp)
         for j in range(m):
@@ -405,40 +406,49 @@ def spatial_dependence_test(scores: ScoreField, n_perm: int = 999, alpha: float 
                               n_perm, alpha) for k in range(len(z))]
 
 
-def _cholesky_in_place(a: np.ndarray) -> np.ndarray:
-    """Overwrite the SPD matrix ``a`` with its lower Cholesky factor L (a = L L').
+def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
+    """Overwrite the lower triangle of the SPD matrix ``a`` with its Cholesky
+    factor L (a = L L'); the strict upper triangle is left unchanged and unused.
 
     Left-looking by SOLVE_BLOCK columns: update the block column from the
-    factored ones, factor its diagonal block, solve the panel below, and zero
-    the strict upper triangle. Raises ``LinAlgError`` where ``a`` is not SPD.
+    factored ones, factor its diagonal block in a temporary, and multiply the
+    panel below by that factor's inverse, transposed. Returns those inverses.
+    Raises ``LinAlgError`` where ``a`` is not SPD.
     """
+    inverses = []
     for start in range(0, a.shape[0], SOLVE_BLOCK):
         stop = start + SOLVE_BLOCK
-        a[start:, start:stop] -= a[start:, :start] @ a[start:stop, :start].T
-        diag = np.linalg.cholesky(a[start:stop, start:stop])
-        a[start:stop, start:stop] = diag
-        a[stop:, start:stop] = np.linalg.solve(diag, a[stop:, start:stop].T).T
-        a[start:stop, stop:] = 0.0
-    return a
+        done = a[start:stop, :start]
+        diag = np.tril(a[start:stop, start:stop] - done @ done.T)
+        diag = np.linalg.cholesky(diag + np.tril(diag, -1).T)
+        np.copyto(a[start:stop, start:stop], diag, where=np.tri(len(diag), dtype=bool))
+        inverses.append(np.linalg.inv(diag))
+        a[stop:, start:stop] -= a[stop:, :start] @ done.T
+        a[stop:, start:stop] = a[stop:, start:stop] @ inverses[-1].T
+    return inverses
 
 
-def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L X = B for lower-triangular L (n x n) by blocks of SOLVE_BLOCK rows.
+def _forward_solve(chol: np.ndarray, inverses: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = B by blocks of SOLVE_BLOCK rows, reading only L's lower
+    triangle and the inverses of its diagonal blocks (``_cholesky_in_place``).
 
     Each block subtracts the solved rows above it in one matrix product and
-    solves its small diagonal block; B is n or n x T.
+    multiplies by its block's inverse; B is n or n x T.
     """
     out = np.empty(rhs.shape)
-    for start in range(0, chol.shape[0], SOLVE_BLOCK):
+    for start, inv in zip(range(0, chol.shape[0], SOLVE_BLOCK), inverses):
         stop = start + SOLVE_BLOCK
-        block = rhs[start:stop] - chol[start:stop, :start] @ out[:start]
-        out[start:stop] = np.linalg.solve(chol[start:stop, start:stop], block)
+        out[start:stop] = inv @ (rhs[start:stop] - chol[start:stop, :start] @ out[:start])
     return out
 
 
-def _back_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L' x = b: a forward solve on the lower-triangular view L'[::-1, ::-1]."""
-    return _forward_solve(chol.T[::-1, ::-1], rhs[::-1])[::-1]
+def _back_solve(chol: np.ndarray, inverses: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L' X = B as :func:`_forward_solve` does L X = B, from the last block up."""
+    out = np.empty(rhs.shape)
+    for start, inv in reversed(list(zip(range(0, chol.shape[0], SOLVE_BLOCK), inverses))):
+        stop = start + SOLVE_BLOCK
+        out[start:stop] = inv.T @ (rhs[start:stop] - chol[stop:, start:stop].T @ out[stop:])
+    return out
 
 
 def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
@@ -450,8 +460,11 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
     score-noise variance and a relative jitter. kappa is the GLS mean and
     alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. With no
     fit (not kriged) kappa is the score mean, and a single observation predicts
-    its own score: alpha is None. ``distances`` (the soundings'
-    ``pairwise_distances``, else evaluated here) is overwritten in place.
+    its own score: alpha is None. ``distances`` (else evaluated here) is an
+    n x n buffer whose strict upper triangle holds the soundings' distances, as
+    ``pairwise_distances(..., mirror=False)`` leaves it. That triangle is read
+    and kept; Sigma, then its Cholesky factor, overwrite the diagonal and lower
+    triangle, so one buffer serves every component.
     """
     u = scores.component(k)
     if u.size < 1:
@@ -460,22 +473,26 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
         return float(u.mean()), None
     if u.size < 2:
         return float(u[0]), None
-    cov = (pairwise_distances(scores.latitudes, scores.longitudes)
+    cov = (pairwise_distances(scores.latitudes, scores.longitudes, mirror=False)
            if distances is None else distances)
-    cov /= -fit.range_km
-    np.exp(cov, out=cov)
-    cov *= fit.sill
+    for start in range(0, u.size, SOLVE_BLOCK):
+        panel = cov[start:start + SOLVE_BLOCK, start:].T / -fit.range_km
+        np.exp(panel, out=panel)
+        panel *= fit.sill
+        np.copyto(cov[start:, start:start + SOLVE_BLOCK], panel,
+                  where=np.tri(*panel.shape, dtype=bool))
+        del panel  # before the next block's panel is allocated
     np.fill_diagonal(cov, fit.sill + scores.tau_for(scores.footprints, k) + JITTER * fit.sill)
     try:
-        chol = _cholesky_in_place(cov)
+        inverses = _cholesky_in_place(cov)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
-    h_u, h_1 = _forward_solve(chol, np.column_stack([u, np.ones_like(u)])).T
+    h_u, h_1 = _forward_solve(cov, inverses, np.column_stack([u, np.ones_like(u)])).T
     denom = float(h_1 @ h_1)
     if denom <= 0.0:
         raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
     kappa = float(h_1 @ h_u) / denom
-    return kappa, _back_solve(chol, h_u - kappa * h_1)
+    return kappa, _back_solve(cov, inverses, h_u - kappa * h_1)
 
 
 def kriged_scores(kappa: float, alpha: np.ndarray | None, fit: VariogramFit | None,

@@ -106,19 +106,15 @@ class GeoFpcaModel:
     def kriging_weights(self) -> list[tuple[float, np.ndarray | None]]:
         """Each component's (kappa, alpha), built on first use and never saved.
 
-        The soundings' distances are evaluated once: each kriged component but
-        the last takes a copy for its covariance, and the last takes them over.
+        The soundings' distances are evaluated once, into the strict upper
+        triangle of one n x n buffer; each kriged component in turn builds and
+        factors its covariance in the rest of that buffer.
         """
         if self._weights is None:
-            kriged = [k for k, f in enumerate(self.fits) if f is not None]
-            dist = (pairwise_distances(self.scores.latitudes, self.scores.longitudes)
-                    if kriged else None)
-            self._weights = [
-                kriging_weights(self.scores, k, fit,
-                                None if k not in kriged else dist if k == kriged[-1]
-                                else dist.copy())
-                for k, fit in enumerate(self.fits)
-            ]
+            sf, fits = self.scores, self.fits
+            dist = (pairwise_distances(sf.latitudes, sf.longitudes, mirror=False)
+                    if any(f is not None for f in fits) else None)
+            self._weights = [kriging_weights(sf, k, fit, dist) for k, fit in enumerate(fits)]
         return self._weights
 
 

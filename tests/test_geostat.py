@@ -17,7 +17,7 @@ from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, kriged_scores,
                              kriging_weights, spatial_dependence_test)
-from geofpca.imputation import FitConfig
+from geofpca.imputation import FitConfig, GeoFpcaModel
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
                      moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
                      transposed_triangular_solve, triangular_solve, triu_binned_pairs)
@@ -568,39 +568,47 @@ class TestKrigingSystem:
         with pytest.raises(NumericalError, match="not SPD"):
             kriging_weights(sf, 0, simple_fit(1.0, 10.0))
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
-    def test_forward_solve_matches_triangular_oracle(self, rng, n):
+    @staticmethod
+    def factored(rng, n, upper=np.nan):
+        """(covariance, its in-place factor, the diagonal-block inverses).
+
+        The factor's buffer holds ``upper`` in its strict upper triangle, which
+        neither the factorization nor a solve may read: NaN would spread.
+        """
         lats = 35.0 + rng.uniform(0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
         cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
-        chol = np.linalg.cholesky(cov)
+        chol = np.where(np.tri(n, dtype=bool), cov, upper)
+        return cov, chol, _cholesky_in_place(chol)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    def test_forward_solve_matches_triangular_oracle(self, rng, n):
+        _, chol, inverses = self.factored(rng, n)
         for rhs in (rng.standard_normal(n), *(rng.standard_normal((n, t)) for t in (0, 1, 16))):
-            x = _forward_solve(chol, rhs)
+            x = _forward_solve(chol, inverses, rhs)
             assert x.shape == rhs.shape
-            np.testing.assert_allclose(x, triangular_solve(chol, rhs), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x, triangular_solve(np.tril(chol), rhs),
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
     def test_back_solve_matches_transposed_triangular_oracle(self, rng, n):
-        lats = 35.0 + rng.uniform(0, 0.6, n)
-        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
-        cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
-        chol = np.linalg.cholesky(cov)
+        _, chol, inverses = self.factored(rng, n)
         rhs = rng.standard_normal(n)
-        x = _back_solve(chol, rhs)
+        x = _back_solve(chol, inverses, rhs)
         assert x.shape == rhs.shape
-        np.testing.assert_allclose(x, transposed_triangular_solve(chol, rhs),
+        np.testing.assert_allclose(x, transposed_triangular_solve(np.tril(chol), rhs),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
     def test_in_place_cholesky_matches_lapack(self, rng, n):
-        lats = 35.0 + rng.uniform(0, 0.6, n)
-        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
-        cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
+        upper = rng.uniform(0.0, 70.0, (n, n))  # as the distances kriging keeps there
+        cov, got, inverses = self.factored(rng, n, upper)
         expected = np.linalg.cholesky(cov)
-        got = _cholesky_in_place(cov)
-        assert got is cov
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert not np.triu(got, 1).any()
+        assert np.abs(np.tril(got) - expected).max() <= 1e-12 * np.abs(expected).max()
+        strict_upper = ~np.tri(n, dtype=bool)
+        assert np.array_equal(got[strict_upper].view(np.uint64),
+                              upper[strict_upper].view(np.uint64))
+        assert len(inverses) == -(-n // geostat.SOLVE_BLOCK)
 
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
@@ -661,6 +669,18 @@ class TestMemoryPeaks:
 
     def test_kriging_system(self, field):
         _, peak = self.traced_peak(lambda: kriging_weights(field, 0, simple_fit(2.0, 10.0)))
+        assert peak <= 1.25
+
+    def test_model_kriges_every_component_in_one_buffer(self, field):
+        """Two kriged components share the distances' buffer: no second n x n array."""
+        u = np.random.default_rng(601).standard_normal((self.n, 2))
+        sf = replace(field, scores=u, taus={4: np.array([0.1, 0.2])})
+        fit = simple_fit(2.0, 10.0)
+        # Building the weights reads only the scores and the fits.
+        model = GeoFpcaModel((35.0, 35.6), None, None, None, sf, [fit, fit],
+                             [None, None], FitConfig())
+        weights, peak = self.traced_peak(model.kriging_weights)
+        assert all(alpha is not None for _, alpha in weights)
         assert peak <= 1.25
 
 

@@ -3,9 +3,10 @@
 OpenBLAS picks its kernels by CPU at load time, and ``OPENBLAS_CORETYPE``
 overrides that pick for one process; numpy's ``NPY_DISABLE_CPU_FEATURES``
 turns off its own dispatch groups the same way. The harness runs ``fit`` on
-the n = 1200 region, ``validate`` on the criterion-3 orbit, ``simulate
---study`` and ``unmix`` once per setting, all in one child process, with the
-variables set on the child only. Every decision must agree exactly with the
+the n = 1200 region, ``impute`` of 16 targets with that model (the kriging
+system's blocked factorization and inverses), ``validate`` on the criterion-3
+orbit, ``simulate --study`` and ``unmix`` once per setting, all in one child
+process, with the variables set on the child only. Every decision must agree exactly with the
 default kernel's: the exit codes, K, the FVE curve's length, the Moran
 decisions, which fits are null, the degenerate flags, the report rows, the
 failed cells, the study's replicate counts and the unmixed ids. Every other
@@ -120,10 +121,11 @@ def decisions(doc: dict) -> tuple:
 
 def outputs(report: dict, out: Path) -> dict:
     """Every output of one setting's run, parsed, keyed by what it is."""
-    validate_out = report["stdouts"][1]
+    validate_out = report["stdouts"][2]
     return {
         "codes": report["codes"],
         "model": json.loads((out / "model.json").read_text()),
+        "impute": read_csv(out / "spectra.csv"),
         "validate report": read_csv(out / "report.csv"),
         "validate summary": read_csv(out / "summary.csv"),
         "validate cells": (re.findall(r"\d+ rows, \d+ failed cells", validate_out)
@@ -138,6 +140,11 @@ def test_same_decisions_and_numbers_on_every_kernel(tmp_path):
     region, _ = simulate_orbit(OrbitConfig(n_tracks=150, track_spacing=0.004))
     assert len(region) == 1200
     save_dataset(region, tmp_path / "region.csv")
+    # Half a track spacing off 16 soundings spread over the region.
+    rows = np.arange(16) * 71 + 10
+    (tmp_path / "targets.csv").write_text("id,latitude,longitude,footprint\n" + "".join(
+        f"{i + 1},{float(region.latitudes[r]) + 0.002!r},{float(region.longitudes[r])!r},"
+        f"{region.footprints[r]}\n" for i, r in enumerate(rows)))
     orbit, _ = simulate_orbit(OrbitConfig(seed=42, rho=0.003,
                                           components=(ComponentSpec("gp", 12.0, 8.0),
                                                       ComponentSpec("iid", 1.0),
@@ -158,6 +165,8 @@ def test_same_decisions_and_numbers_on_every_kernel(tmp_path):
         out.mkdir()
         commands = [
             ["fit", "--input", tmp_path / "region.csv", "--out", out / "model.json"],
+            ["impute", "--model", out / "model.json", "--targets", tmp_path / "targets.csv",
+             "--out", out / "spectra.csv"],
             ["validate", "--input", tmp_path / "orbit.csv", "--centers", center,
              "--r", "1:2", "--n-perm", 199, "--threads", 1,
              "--out", out / "report.csv", "--summary", out / "summary.csv"],
@@ -173,7 +182,8 @@ def test_same_decisions_and_numbers_on_every_kernel(tmp_path):
         runs[name] = {**report, "outputs": outputs(report, out)}
 
     ref = runs["default"]["outputs"]
-    assert ref["codes"] == [0, 0, 0, 0]
+    assert ref["codes"] == [0, 0, 0, 0, 0]
+    assert len(ref["impute"]) == 17
     assert len(ref["validate report"]) > 1 and len(ref["unmix"]) == 2
     for name, run in runs.items():
         got = run["outputs"]
