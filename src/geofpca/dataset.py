@@ -232,19 +232,17 @@ def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False,
             work=work[:size].reshape(shape))
 
 
-def pairwise_distances(lat: np.ndarray, lon: np.ndarray, mirror: bool = True) -> np.ndarray:
+def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """Symmetric matrix of haversine distances in km.
 
     Evaluates the upper triangle by row blocks and mirrors it: the haversine
     is exactly symmetric in its two points, so the matrix equals the full
-    n x n evaluation bit for bit. Without ``mirror`` only the diagonal and
-    upper triangle hold distances; the strict lower triangle is left unset.
+    n x n evaluation bit for bit.
     """
     n = lat.size
     d = np.empty((n, n))
     for start, block in distance_blocks(lat, lon, upper=True, out=d):
-        if mirror:
-            d[start:, start:start + DISTANCE_BLOCK] = block.T
+        d[start:, start:start + DISTANCE_BLOCK] = block.T
     return d
 
 

@@ -460,11 +460,10 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
     score-noise variance and a relative jitter. kappa is the GLS mean and
     alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. With no
     fit (not kriged) kappa is the score mean, and a single observation predicts
-    its own score: alpha is None. ``distances`` (else evaluated here) is an
-    n x n buffer whose strict upper triangle holds the soundings' distances, as
-    ``pairwise_distances(..., mirror=False)`` leaves it. That triangle is read
-    and kept; Sigma, then its Cholesky factor, overwrite the diagonal and lower
-    triangle, so one buffer serves every component.
+    its own score: alpha is None. ``distances`` (the soundings'
+    ``pairwise_distances``, else evaluated here) is read only in its strict
+    upper triangle, which is kept; Sigma, then its Cholesky factor, overwrite
+    the diagonal and lower triangle, so one buffer serves every component.
     """
     u = scores.component(k)
     if u.size < 1:
@@ -473,10 +472,12 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
         return float(u.mean()), None
     if u.size < 2:
         return float(u[0]), None
-    cov = (pairwise_distances(scores.latitudes, scores.longitudes, mirror=False)
+    cov = (pairwise_distances(scores.latitudes, scores.longitudes)
            if distances is None else distances)
     for start in range(0, u.size, SOLVE_BLOCK):
-        panel = cov[start:start + SOLVE_BLOCK, start:].T / -fit.range_km
+        # The diagonal block's lower part may hold an earlier component's factor.
+        panel = np.triu(cov[start:start + SOLVE_BLOCK, start:], 1).T
+        panel /= -fit.range_km
         np.exp(panel, out=panel)
         panel *= fit.sill
         np.copyto(cov[start:, start:start + SOLVE_BLOCK], panel,

@@ -112,7 +112,7 @@ class GeoFpcaModel:
         """
         if self._weights is None:
             sf, fits = self.scores, self.fits
-            dist = (pairwise_distances(sf.latitudes, sf.longitudes, mirror=False)
+            dist = (pairwise_distances(sf.latitudes, sf.longitudes)
                     if any(f is not None for f in fits) else None)
             self._weights = [kriging_weights(sf, k, fit, dist) for k, fit in enumerate(fits)]
         return self._weights

@@ -296,9 +296,6 @@ class TestDistance:
         lons = 23.8 + rng.uniform(-2.0 * span, 2.0 * span, n)
         full = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
         np.testing.assert_array_equal(pairwise_distances(lats, lons), full)
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        np.testing.assert_array_equal(pairwise_distances(lats, lons, mirror=False)[upper],
-                                      full[upper])
 
 
 class TestSelectRegion:

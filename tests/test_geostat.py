@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -609,6 +610,26 @@ class TestKrigingSystem:
         assert np.array_equal(got[strict_upper].view(np.uint64),
                               upper[strict_upper].view(np.uint64))
         assert len(inverses) == -(-n // geostat.SOLVE_BLOCK)
+
+    def test_later_component_exponentiates_only_distances(self, rng):
+        """The second component's covariance is built beside the first's factor,
+        whose entries reach sqrt(sill): with a large sill and a short range,
+        exponentiating them would overflow. Nothing warns, and the shared
+        buffer's weights equal each component's standalone weights."""
+        n = 130
+        lats = 35.0 + rng.uniform(0, 0.05, n)
+        lons = 23.8 + rng.uniform(-0.01, 0.01, n)
+        sf = score_field(lats, 1e5 * rng.standard_normal((n, 2)), [1.0, 2.0], lons=lons)
+        fit = simple_fit(1e10, 1.0)
+        model = GeoFpcaModel((35.0, 35.05), None, None, None, sf, [fit, fit],
+                             [None, None], FitConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = model.kriging_weights()
+        for k, (kappa, alpha) in enumerate(weights):
+            want_kappa, want_alpha = kriging_weights(sf, k, fit)
+            assert kappa == want_kappa
+            np.testing.assert_array_equal(alpha, want_alpha)
 
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
