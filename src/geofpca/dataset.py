@@ -346,16 +346,28 @@ def _parse_radiance(cells: list[str], line_no: int) -> np.ndarray:
     return rad
 
 
+def _text_lines(fh, path: Path) -> Iterator[str]:
+    """``str.splitlines`` of an open binary UTF-8 file's text, decoded a line at a time:
+    each piece ends at a ``\\n`` byte, which always ends a line and is in no other character."""
+    for raw in fh:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            at = fh.tell() - len(raw) + e.start
+            raise DataError(f"{path}: not UTF-8 text (byte {at}: {e.reason})") from None
+        yield from text.splitlines()
+
+
 def load_dataset(path) -> SpectralDataset:
     """Load a dataset from CSV, with an optional JSON sidecar.
 
-    Both files are UTF-8. The sidecar (``<path>.json``), if present, holds a
-    JSON object that may declare an integer ``grid_length``, ``unit``, and
-    ``orbit_id``; extra keys are kept as metadata. Empty cells and the literal
-    ``NaN`` mark missing radiance; an infinite radiance is a data error. An
-    empty ``land_fraction`` cell marks an absent land fraction (``NaN`` there is
-    an error). Ids are signed 64-bit integers. Duplicate (footprint, latitude)
-    pairs keep the first row and emit a warning.
+    Both files are UTF-8, with or without a BOM. The sidecar (``<path>.json``),
+    if present, holds a JSON object that may declare an integer ``grid_length``,
+    ``unit``, and ``orbit_id``; extra keys are kept as metadata. Empty cells and
+    the literal ``NaN`` mark missing radiance; an infinite radiance is a data
+    error. An empty ``land_fraction`` cell marks an absent land fraction (``NaN``
+    there is an error). Ids are signed 64-bit integers. Duplicate (footprint,
+    latitude) pairs keep the first row and emit a warning.
     """
     path = Path(path)
     if not path.exists():
@@ -364,80 +376,77 @@ def load_dataset(path) -> SpectralDataset:
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():
         try:
-            with open(sidecar, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = json.loads(sidecar.read_text(encoding="utf-8-sig"))
         except ValueError as e:  # also UnicodeDecodeError
             raise DataError(f"{sidecar}: sidecar is not valid JSON ({e})") from None
         if not isinstance(doc, dict):
             raise DataError(f"{sidecar}: sidecar must hold a JSON object")
         metadata.update(doc)
 
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if tuple(header[:5]) != _BASE_COLUMNS:
-        raise DataError(
-            f"{path}: header must start with {','.join(_BASE_COLUMNS)}, got "
-            f"{','.join(header[:5])}"
-        )
-    width = len(header) - 5
-    if width < 1:
-        raise DataError(f"{path}: no radiance columns in header")
-    for j, name in enumerate(header[5:], start=1):
-        if not re.fullmatch(rf"w_{j}", name):
-            raise DataError(f"{path}: radiance column {j} named {name!r}, expected 'w_{j}'")
-    declared = metadata.get("grid_length")
-    if declared is not None:
-        if type(declared) is not int:  # a JSON integer, never truncated or parsed
-            raise DataError(f"{sidecar}: grid_length {declared!r} is not an integer")
-        if declared != width:
+    with open(path, "rb") as fh:
+        lines = _text_lines(fh, path)
+        header = next(lines, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = header.removeprefix("\ufeff").split(",")  # the BOM utf-8-sig drops
+        if tuple(header[:5]) != _BASE_COLUMNS:
             raise DataError(
-                f"{path}: sidecar grid_length {declared} != {width} radiance columns"
+                f"{path}: header must start with {','.join(_BASE_COLUMNS)}, got "
+                f"{','.join(header[:5])}"
             )
+        width = len(header) - 5
+        if width < 1:
+            raise DataError(f"{path}: no radiance columns in header")
+        for j, name in enumerate(header[5:], start=1):
+            if not re.fullmatch(rf"w_{j}", name):
+                raise DataError(f"{path}: radiance column {j} named {name!r}, expected 'w_{j}'")
+        declared = metadata.get("grid_length")
+        if declared is not None:
+            if type(declared) is not int:  # a JSON integer, never truncated or parsed
+                raise DataError(f"{sidecar}: grid_length {declared!r} is not an integer")
+            if declared != width:
+                raise DataError(
+                    f"{path}: sidecar grid_length {declared} != {width} radiance columns"
+                )
 
-    ids, lats, lons, fps, lfs, rads, line_nos = [], [], [], [], [], [], []
-    seen_keys = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(
-                f"line {line_no}: expected {len(header)} fields, got {len(cells)} "
-                "(non-rectangular radiance block)"
-            )
-        try:
-            sid = int(cells[0])
-        except ValueError:
-            raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
-        if not -2**63 <= sid < 2**63:
-            raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit integer range")
-        lat = _parse_cell(cells[1], line_no, "latitude")
-        lon = _parse_cell(cells[2], line_no, "longitude")
-        try:
-            fp = int(cells[3])
-        except ValueError:
-            raise DataError(f"line {line_no}: unparseable footprint {cells[3]!r}") from None
-        lf = math.nan if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
-        if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
-            raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
-        rad = _parse_radiance(cells[5:], line_no)
-        key = (fp, lat)
-        if key in seen_keys:
-            warnings.warn(
-                f"line {line_no}: duplicate (footprint, latitude) {key}; keeping first",
-                stacklevel=2,
-            )
-            continue
-        seen_keys.add(key)
-        for column, value in zip((ids, lats, lons, fps, lfs, rads, line_nos),
-                                 (sid, lat, lon, fp, lf, rad, line_no)):
-            column.append(value)
+        ids, lats, lons, fps, lfs, rads, line_nos = [], [], [], [], [], [], []
+        seen_keys = set()
+        for line_no, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise DataError(
+                    f"line {line_no}: expected {len(header)} fields, got {len(cells)} "
+                    "(non-rectangular radiance block)"
+                )
+            try:
+                sid = int(cells[0])
+            except ValueError:
+                raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
+            if not -2**63 <= sid < 2**63:
+                raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit integer range")
+            lat = _parse_cell(cells[1], line_no, "latitude")
+            lon = _parse_cell(cells[2], line_no, "longitude")
+            try:
+                fp = int(cells[3])
+            except ValueError:
+                raise DataError(f"line {line_no}: unparseable footprint {cells[3]!r}") from None
+            lf = math.nan if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
+            if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
+                raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
+            rad = _parse_radiance(cells[5:], line_no)
+            key = (fp, lat)
+            if key in seen_keys:
+                warnings.warn(
+                    f"line {line_no}: duplicate (footprint, latitude) {key}; keeping first",
+                    stacklevel=2,
+                )
+                continue
+            seen_keys.add(key)
+            for column, value in zip((ids, lats, lons, fps, lfs, rads, line_nos),
+                                     (sid, lat, lon, fp, lf, rad, line_no)):
+                column.append(value)
     ids, lats, lons, fps, lfs = (np.array(c) for c in (ids, lats, lons, fps, lfs))
     bad = _row_violation(ids, lats, lons, fps, lfs)
     if bad is not None:

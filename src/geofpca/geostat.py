@@ -179,17 +179,18 @@ def empirical_semivariogram(scores: ScoreField, bins: VariogramBins | None = Non
     counts, dist = np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins)
     half_sq, nugget = np.zeros((len(tau), n_bins)), np.zeros((len(tau), n_bins))
     for start, d in distance_blocks(scores.latitudes, scores.longitudes, upper=True):
-        near = d <= h_max
-        near[:, :d.shape[0]] &= ~np.tri(d.shape[0], dtype=bool)  # j > i
-        i, j = np.nonzero(near)
-        d_ij = d[i, j]
-        which = np.digitize(d_ij, edges)
-        i, j = i + start, j + start
-        counts += np.bincount(which, minlength=n_bins)
-        dist += np.bincount(which, d_ij, n_bins)
-        for k, (u_k, tau_k) in enumerate(zip(u, tau)):
-            half_sq[k] += np.bincount(which, 0.5 * (u_k[i] - u_k[j]) ** 2, n_bins)
-            nugget[k] += np.bincount(which, 0.5 * (tau_k[i] + tau_k[j]), n_bins)
+        which = np.digitize(d, edges).ravel()
+        which[(~(d <= h_max) | np.tri(*d.shape, dtype=bool)).ravel()] = n_bins  # spare bin
+        counts += np.bincount(which, minlength=n_bins + 1)[:n_bins]
+        dist += np.bincount(which, d.ravel(), n_bins + 1)[:n_bins]
+        for k, (u_k, tau_k) in enumerate(zip(u, tau)):  # d is binned: its buffer takes the terms
+            np.subtract(u_k[start:start + len(d), None], u_k[None, start:], out=d)
+            d *= d
+            d *= 0.5
+            half_sq[k] += np.bincount(which, d.ravel(), n_bins + 1)[:n_bins]
+            np.add(tau_k[start:start + len(d), None], tau_k[None, start:], out=d)
+            d *= 0.5
+            nugget[k] += np.bincount(which, d.ravel(), n_bins + 1)[:n_bins]
     keep = np.flatnonzero(counts >= bins.min_pairs)
     if not keep.size:
         raise DataError(

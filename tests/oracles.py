@@ -5,13 +5,18 @@ the code under test: plain loops, textbook formulas, and a hand-rolled Jacobi
 eigensolver.
 """
 
+import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
-from geofpca.dataset import SpectralDataset, haversine_km, pairwise_distances
+from geofpca.dataset import (_BASE_COLUMNS, SpectralDataset, _parse_cell, _parse_radiance,
+                             _row_violation, haversine_km, pairwise_distances)
 from geofpca.errors import DataError, NumericalError
 from geofpca.geostat import (EmpiricalVariogram, VariogramFit, _wls_weights,
                              exponential_variogram)
@@ -430,6 +435,101 @@ def dataset_columns_by_row(rows, grid_length):
         "radiance": (np.vstack([np.asarray(r[5], dtype=float) for r in rows]) if rows
                      else np.empty((0, grid_length))),
     }
+
+
+def load_dataset_whole_text(path) -> SpectralDataset:
+    """``dataset.load_dataset`` as it read the whole file text, then its list of lines.
+
+    The file is decoded as UTF-8 in one piece and split with
+    ``str.splitlines``, so a bad byte is reported before any bad row. Rows
+    are parsed by the library's own cell parsers.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
+    metadata: dict = {}
+    sidecar = Path(str(path) + ".json")
+    if sidecar.exists():
+        try:
+            with open(sidecar, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as e:  # also UnicodeDecodeError
+            raise DataError(f"{sidecar}: sidecar is not valid JSON ({e})") from None
+        if not isinstance(doc, dict):
+            raise DataError(f"{sidecar}: sidecar must hold a JSON object")
+        metadata.update(doc)
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if tuple(header[:5]) != _BASE_COLUMNS:
+        raise DataError(
+            f"{path}: header must start with {','.join(_BASE_COLUMNS)}, got "
+            f"{','.join(header[:5])}"
+        )
+    width = len(header) - 5
+    if width < 1:
+        raise DataError(f"{path}: no radiance columns in header")
+    for j, name in enumerate(header[5:], start=1):
+        if not re.fullmatch(rf"w_{j}", name):
+            raise DataError(f"{path}: radiance column {j} named {name!r}, expected 'w_{j}'")
+    declared = metadata.get("grid_length")
+    if declared is not None:
+        if type(declared) is not int:  # a JSON integer, never truncated or parsed
+            raise DataError(f"{sidecar}: grid_length {declared!r} is not an integer")
+        if declared != width:
+            raise DataError(
+                f"{path}: sidecar grid_length {declared} != {width} radiance columns"
+            )
+
+    ids, lats, lons, fps, lfs, rads, line_nos = [], [], [], [], [], [], []
+    seen_keys = set()
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DataError(
+                f"line {line_no}: expected {len(header)} fields, got {len(cells)} "
+                "(non-rectangular radiance block)"
+            )
+        try:
+            sid = int(cells[0])
+        except ValueError:
+            raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
+        if not -2**63 <= sid < 2**63:
+            raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit integer range")
+        lat = _parse_cell(cells[1], line_no, "latitude")
+        lon = _parse_cell(cells[2], line_no, "longitude")
+        try:
+            fp = int(cells[3])
+        except ValueError:
+            raise DataError(f"line {line_no}: unparseable footprint {cells[3]!r}") from None
+        lf = math.nan if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
+        if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
+            raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
+        rad = _parse_radiance(cells[5:], line_no)
+        key = (fp, lat)
+        if key in seen_keys:
+            warnings.warn(
+                f"line {line_no}: duplicate (footprint, latitude) {key}; keeping first",
+                stacklevel=2,
+            )
+            continue
+        seen_keys.add(key)
+        for column, value in zip((ids, lats, lons, fps, lfs, rads, line_nos),
+                                 (sid, lat, lon, fp, lf, rad, line_no)):
+            column.append(value)
+    ids, lats, lons, fps, lfs = (np.array(c) for c in (ids, lats, lons, fps, lfs))
+    bad = _row_violation(ids, lats, lons, fps, lfs)
+    if bad is not None:
+        raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
+    return SpectralDataset(ids, lats, lons, fps, lfs, rads or np.empty((0, width)), metadata)
 
 
 def interpolate_radiance_point(ds, latitude, footprint, ws=None):

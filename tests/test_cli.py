@@ -985,6 +985,17 @@ class TestBadDatasetFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "latin1.csv" in err and "UTF-8" in err
 
+    def test_csv_with_bom_fits_as_without(self, orbit_csv, tmp_path):
+        """A CSV saved as "UTF-8 with BOM" (its header then reads \\ufeffid,...) fits."""
+        path, _ = orbit_csv
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        models = []
+        for data in (path, bom):
+            models.append(tmp_path / f"{data.stem}.json")
+            assert run(["fit", "--input", data, "--n-perm", 99, "--out", models[-1]]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+
 
 class TestFileErrors:
     """An output or input path the system refuses exits 3 with one line naming it."""

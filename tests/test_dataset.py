@@ -1,5 +1,7 @@
 import math
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from geofpca.dataset import (BLOCK_SIZES, SpectralDataset, _parse_radiance,
 from geofpca.errors import DataError
 from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
                                 simulate_orbit)
-from oracles import dataset_columns_by_row, law_of_cosines_km, parse_radiance_cells
+from oracles import (dataset_columns_by_row, law_of_cosines_km, load_dataset_whole_text,
+                     parse_radiance_cells)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -111,6 +114,12 @@ class TestLoad:
         ds = load_dataset(path)
         assert ds.metadata["orbit_id"] == 10575
 
+    def test_sidecar_with_bom(self, tmp_path):
+        path = write_csv(tmp_path, "id,latitude,longitude,footprint,land_fraction,w_1\n"
+                                   "1,34.0,23.0,1,,5\n")
+        (tmp_path / "data.csv.json").write_bytes(b'\xef\xbb\xbf{"grid_length": 1}')
+        assert load_dataset(path).metadata == {"grid_length": 1}
+
     def test_sidecar_grid_mismatch(self, tmp_path):
         path = write_csv(tmp_path, "\n".join([
             "id,latitude,longitude,footprint,land_fraction,w_1,w_2",
@@ -191,6 +200,117 @@ class TestRadianceMatchesCellOracle:
         except DataError as e:
             loaded = str(e)
         assert loaded == oracle_outcome(cells, 7)
+
+
+HEADER = "id,latitude,longitude,footprint,land_fraction,w_1,w_2,w_3"
+ROWS = ["1,34.0,23.0,1,0.5,10,11,12", "2,34.1,23.0,2,,20,,22", "3,34.2,23.1,3,1.0,NaN,31,32",
+        "4,34.3,23.1,4,0.0,40,41,42"]
+FAR = 100_000  # bytes of good rows before a late bad byte
+
+
+def csv_bytes(rows, sep="\n", end="\n", header=HEADER) -> bytes:
+    return (sep.join([header, *rows]) + end).encode("utf-8")
+
+
+def late_rows(n_bytes):
+    """Good rows, one per footprint in turn, filling at least ``n_bytes``."""
+    rows, size, i = [], 0, 0
+    while size < n_bytes:
+        rows.append(f"{i + 10},{30.0 + 1e-4 * i!r},23.0,{i % 8 + 1},,1.5,2.5,3.5")
+        size += len(rows[-1]) + 1
+        i += 1
+    return rows
+
+
+LOADER_CASES = {
+    "lf": csv_bytes(ROWS),
+    "crlf": csv_bytes(ROWS, "\r\n", "\r\n"),
+    "lone-cr": csv_bytes(ROWS, "\r", "\r"),
+    "mixed-separators": csv_bytes(ROWS, "\r\n", "\r") + b"\n\r5,34.4,23.0,5,,1,2,3\r\n",
+    "no-final-newline": csv_bytes(ROWS, end=""),
+    "blank-lines": csv_bytes(["", ROWS[0], "  ", "", *ROWS[1:], ""], end="\n\n"),
+    **{f"separator-{ord(c):x}-as-blank-line": csv_bytes([ROWS[0], c, *ROWS[1:], "x"])
+       for c in "\x0c\x1c\x85\u2028"},
+    **{f"separator-{ord(c):x}-in-row": csv_bytes([ROWS[0], ROWS[1] + c + "5", *ROWS[2:]])
+       for c in "\x0c\x1c\x85\u2028"},
+    "separator-in-header": csv_bytes(ROWS, header=HEADER + "\x1c"),
+    "duplicate-footprint-latitude": csv_bytes(
+        [*ROWS, "5,34.1,23.2,2,,1,2,3", "6,34.0,23.2,1,,1,2,3"]),
+    "empty-and-nan-cells": csv_bytes([*ROWS, "5,34.4,23.0,5,,,nan, NaN "]),
+    "infinite-cell": csv_bytes([*ROWS, "5,34.4,23.0,5,,1,-inf,3"]),
+    "wrong-field-count": csv_bytes([*ROWS, "5,34.4,23.0,5,,1,2"]),
+    "bad-row-after-blank-separators": csv_bytes(
+        [ROWS[0], "\x85\u2028", *ROWS[1:], "5,34.4,23.0,9,,1,2,3"]),
+    "empty-file": b"",
+    "only-newline": b"\n",
+    "bad-byte-far-in": csv_bytes(late_rows(FAR)) + b"9999,1.0,2.0,1,,1,\xff,3\n",
+    "bom-then-bad-byte-far-in": b"\xef\xbb\xbf" + csv_bytes(late_rows(FAR))
+    + b"9999,1.0,2.0,1,,1,2\xe2\x82\n",
+    "cut-multibyte-at-end": csv_bytes(ROWS) + b"5,34.4,23.0,5,,1,2,\xe2\x82",
+}
+
+
+def loader_outcome(load, path):
+    """A loader's columns as bytes with its metadata and warnings, or its error text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load(path)
+        except DataError as e:
+            return str(e)
+    columns = [(c.dtype.str, c.shape, c.tobytes()) for c in (
+        ds.ids, ds.latitudes, ds.longitudes, ds.footprints, ds.land_fractions, ds.radiance)]
+    return columns, ds.metadata, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLoadMatchesWholeTextOracle:
+    """Read a line at a time, the loader gives the whole-text loader's columns to the
+    bit, its warnings and its error text: the same lines, numbered the same."""
+
+    @pytest.mark.parametrize("case", LOADER_CASES)
+    def test_case(self, tmp_path, case):
+        path = tmp_path / "data.csv"
+        path.write_bytes(LOADER_CASES[case])
+        expected = loader_outcome(load_dataset_whole_text, path)
+        assert loader_outcome(load_dataset, path) == expected
+
+    def test_bad_byte_offset_counts_from_the_file_start(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(LOADER_CASES["bad-byte-far-in"])
+        at = LOADER_CASES["bad-byte-far-in"].index(b"\xff")
+        assert at > FAR
+        with pytest.raises(DataError, match=rf"not UTF-8 text \(byte {at}: invalid start"):
+            load_dataset(path)
+
+    def test_first_error_in_file_order(self, tmp_path):
+        """A bad row before a bad byte is the error reported (the whole-text reader
+        reported the bad byte, having decoded the file before reading any row)."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(csv_bytes([*ROWS, "5,34.4,23.0,5,,1,2"]) + b"6,\xff\n")
+        with pytest.raises(DataError, match="^line 6: expected 8 fields, got 7 "):
+            load_dataset(path)
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load_dataset_whole_text(path)
+
+
+class TestMemoryPeaks:
+    def test_load_dataset(self, tmp_path):
+        """Read a line at a time, loading holds neither the file text nor its list
+        of lines: the traced peak stays within 2.75x the radiance array's bytes."""
+        n, width = 1200, 120
+        rng = np.random.default_rng(1200)
+        path = tmp_path / "data.csv"
+        save_dataset(make_dataset(30.0 + 1e-3 * np.arange(n), np.arange(n) % 8 + 1,
+                                  rng.normal(50.0, 3.0, (n, width))), path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.radiance.shape == (n, width)
+        assert peak - base <= 2.75 * ds.radiance.nbytes
 
 
 @st.composite

@@ -139,6 +139,44 @@ class TestEmpiricalSemivariogram:
                          (ev.counts, together[k].counts), (ev.values, together[k].values)):
                 assert np.array_equal(a, b)
 
+    @staticmethod
+    def assert_equals_allpairs(sf, bins):
+        """Every bin ``==`` the double-loop oracle's, and the counts hold every
+        pair i < j within h_max (none of the spare bin's entries)."""
+        evs = empirical_semivariogram(sf, bins)
+        h_max = sf.largest_distance() * bins.max_fraction
+        edges = np.linspace(0.0, h_max, bins.n_bins + 1)
+        lat, lon = sf.latitudes, sf.longitudes
+        d = pairwise_distances(lat, lon)[np.triu_indices(lat.size, 1)]
+        for k, ev in enumerate(evs):
+            expected = allpairs_variogram(
+                lat, lon, sf.component(k), sf.tau_for(sf.footprints, k), edges,
+                bins.min_pairs, lambda a, b, c, d_: float(haversine_km(a, b, c, d_)))
+            assert list(zip(ev.distances, ev.counts, ev.values)) == expected
+            assert len(ev.counts) <= bins.n_bins
+            assert ev.counts.sum() == np.count_nonzero(d <= h_max)
+        return evs
+
+    def test_farthest_pair_at_h_max_is_kept(self):
+        sf = self.random_field(40, n_components=2)
+        bins = VariogramBins(n_bins=6, max_fraction=1.0, min_pairs=1)
+        evs = self.assert_equals_allpairs(sf, bins)
+        assert evs[0].counts.sum() == 40 * 39 // 2
+
+    def test_pairs_beyond_h_max_are_dropped(self):
+        sf = self.random_field(40)
+        bins = VariogramBins(min_pairs=1)
+        ev, = self.assert_equals_allpairs(sf, bins)
+        assert ev.counts.sum() < 40 * 39 // 2
+
+    def test_coincident_soundings_land_in_bin_0(self):
+        """Two soundings at one place (d = 0 off the diagonal) make bin 0's one pair."""
+        lats = np.append(transect_latitudes(20), 35.0)
+        sf = score_field(lats, np.sin(np.arange(21.0)), [0.1])
+        assert (sf.latitudes[0], sf.longitudes[0]) == (sf.latitudes[-1], sf.longitudes[-1])
+        ev, = self.assert_equals_allpairs(sf, VariogramBins(min_pairs=1))
+        assert (ev.distances[0], ev.counts[0]) == (0.0, 1)
+
     def test_all_distances_zero_raises(self):
         sf = score_field([35.0, 35.0], [1.0, 2.0], [0.0])
         with pytest.raises(DataError, match="all pairwise distances are zero"):
@@ -685,8 +723,9 @@ class TestMemoryPeaks:
         assert (peak_hi - peak_lo) * self.n * self.n * 8 < 0.8 * (hi - lo)
 
     def test_semivariogram(self, field):
+        """Binned by masks over each 64-row block: no pair index arrays or gathers."""
         _, peak = self.traced_peak(lambda: empirical_semivariogram(field))
-        assert peak <= 1.25
+        assert peak <= 0.65
 
     def test_kriging_system(self, field):
         _, peak = self.traced_peak(lambda: kriging_weights(field, 0, simple_fit(2.0, 10.0)))
