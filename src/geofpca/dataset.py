@@ -115,16 +115,16 @@ class SpectralDataset:
     Six read-only columns: ``ids`` (int64), ``latitudes``, ``longitudes``,
     ``footprints`` (int64), ``land_fractions`` (NaN where absent) and the
     N x W ``radiance`` matrix (NaN for a missing entry). The object is safe
-    to share across threads.
+    to share across threads. Columns are copies, but ``own`` keeps ``radiance``.
     """
 
     def __init__(self, ids, latitudes, longitudes, footprints, land_fractions,
-                 radiance, metadata: dict | None = None):
+                 radiance, metadata: dict | None = None, *, own: bool = False):
         ids = np.array(ids, dtype=np.int64)
         lat, lon, lf = (np.array(c, dtype=float)
                         for c in (latitudes, longitudes, land_fractions))
         fp = np.asarray(footprints)
-        rad = np.array(radiance, dtype=float)
+        rad = np.array(radiance, dtype=float, copy=None if own else True)
         if (rad.ndim != 2 or rad.shape[1] < 1
                 or any(c.shape != rad.shape[:1] for c in (ids, lat, lon, fp, lf))):
             raise DataError(f"need 1-D columns of one length N and an N x W radiance "
@@ -167,7 +167,7 @@ class SpectralDataset:
         idx = np.asarray(indices, dtype=np.intp)
         return SpectralDataset(self.ids[idx], self.latitudes[idx], self.longitudes[idx],
                                self.footprints[idx], self.land_fractions[idx],
-                               self.radiance[idx], self.metadata)
+                               self.radiance[idx], self.metadata, own=True)
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
@@ -210,26 +210,26 @@ def haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2, out=None, work=None) -
 
 
 def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False,
-                    out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+                    keep: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) for each DISTANCE_BLOCK rows of the haversine distance matrix.
 
     A block holds its rows' distances to every point, or with ``upper`` to
     points start.. only, equal to those entries of the whole-matrix
-    evaluation. The blocks are views of ``out`` (an n x n array) if given;
-    otherwise they share one buffer, each overwritten by the next, and the
-    caller may write into them.
+    evaluation. The blocks share one buffer, each overwritten by the next, and
+    the caller may write into them; with ``keep`` each is a new array, for a
+    caller that keeps them, and its scratch is freed before it is yielded.
     """
     points, n = to_radians(lat, lon), len(lat)
-    work = np.empty(min(n, DISTANCE_BLOCK) * n)
-    buf = np.empty(work.size) if out is None else None
+    work = None if keep else np.empty(min(n, DISTANCE_BLOCK) * n)
+    buf = None if keep else np.empty(work.size)
     for start in range(0, n, DISTANCE_BLOCK):
         rows, col = slice(start, start + DISTANCE_BLOCK), start if upper else 0
         shape = (min(DISTANCE_BLOCK, n - start), n - col)
         size = shape[0] * shape[1]
         yield start, haversine_radians(
             *(x[rows, None] for x in points), *(x[None, col:] for x in points),
-            out=out[rows, col:] if buf is None else buf[:size].reshape(shape),
-            work=work[:size].reshape(shape))
+            out=None if keep else buf[:size].reshape(shape),
+            work=None if keep else work[:size].reshape(shape))
 
 
 def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -241,7 +241,8 @@ def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
     """
     n = lat.size
     d = np.empty((n, n))
-    for start, block in distance_blocks(lat, lon, upper=True, out=d):
+    for start, block in distance_blocks(lat, lon, upper=True):
+        d[start:start + DISTANCE_BLOCK, start:] = block
         d[start:, start:start + DISTANCE_BLOCK] = block.T
     return d
 
@@ -367,7 +368,8 @@ def load_dataset(path) -> SpectralDataset:
     the literal ``NaN`` mark missing radiance; an infinite radiance is a data
     error. An empty ``land_fraction`` cell marks an absent land fraction (``NaN``
     there is an error). Ids are signed 64-bit integers. Duplicate (footprint,
-    latitude) pairs keep the first row and emit a warning.
+    latitude) pairs keep the first row and emit a warning. Rows are parsed into
+    the one N x W radiance array the dataset keeps; the first error in file order is named.
     """
     path = Path(path)
     if not path.exists():
@@ -384,6 +386,9 @@ def load_dataset(path) -> SpectralDataset:
         metadata.update(doc)
 
     with open(path, "rb") as fh:
+        rows = sum(1 for raw in fh for line in raw.decode("utf-8", "replace").splitlines()
+                   if line.strip()) - 1  # data rows at most; a bad byte is named below
+        fh.seek(0)
         lines = _text_lines(fh, path)
         header = next(lines, None)
         if header is None:
@@ -409,49 +414,56 @@ def load_dataset(path) -> SpectralDataset:
                     f"{path}: sidecar grid_length {declared} != {width} radiance columns"
                 )
 
-        ids, lats, lons, fps, lfs, rads, line_nos = [], [], [], [], [], [], []
-        seen_keys = set()
-        for line_no, line in enumerate(lines, start=2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise DataError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(cells)} "
-                    "(non-rectangular radiance block)"
-                )
-            try:
-                sid = int(cells[0])
-            except ValueError:
-                raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
-            if not -2**63 <= sid < 2**63:
-                raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit integer range")
-            lat = _parse_cell(cells[1], line_no, "latitude")
-            lon = _parse_cell(cells[2], line_no, "longitude")
-            try:
-                fp = int(cells[3])
-            except ValueError:
-                raise DataError(f"line {line_no}: unparseable footprint {cells[3]!r}") from None
-            lf = math.nan if cells[4] == "" else _parse_cell(cells[4], line_no, "land_fraction")
-            if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
-                raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
-            rad = _parse_radiance(cells[5:], line_no)
-            key = (fp, lat)
-            if key in seen_keys:
-                warnings.warn(
-                    f"line {line_no}: duplicate (footprint, latitude) {key}; keeping first",
-                    stacklevel=2,
-                )
-                continue
-            seen_keys.add(key)
-            for column, value in zip((ids, lats, lons, fps, lfs, rads, line_nos),
-                                     (sid, lat, lon, fp, lf, rad, line_no)):
-                column.append(value)
-    ids, lats, lons, fps, lfs = (np.array(c) for c in (ids, lats, lons, fps, lfs))
-    bad = _row_violation(ids, lats, lons, fps, lfs)
+        radiance = np.empty((rows, width))
+        ids, lats, lons, fps, lfs, line_nos = [], [], [], [], [], []
+        seen_keys, error = set(), None
+        try:
+            for line_no, line in enumerate(lines, start=2):
+                if not line.strip():
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise DataError(
+                        f"line {line_no}: expected {len(header)} fields, got {len(cells)} "
+                        "(non-rectangular radiance block)"
+                    )
+                try:
+                    sid = int(cells[0])
+                except ValueError:
+                    raise DataError(f"line {line_no}: unparseable id {cells[0]!r}") from None
+                if not -2**63 <= sid < 2**63:
+                    raise DataError(f"line {line_no}: id {cells[0]} outside the 64-bit "
+                                    "integer range")
+                lat = _parse_cell(cells[1], line_no, "latitude")
+                lon = _parse_cell(cells[2], line_no, "longitude")
+                try:
+                    fp = int(cells[3])
+                except ValueError:
+                    raise DataError(f"line {line_no}: unparseable footprint "
+                                    f"{cells[3]!r}") from None
+                lf = math.nan if not cells[4] else _parse_cell(cells[4], line_no, "land_fraction")
+                if cells[4] and math.isnan(lf):  # NaN marks absent, which only an empty cell says
+                    raise DataError(f"line {line_no}: land_fraction {lf} outside [0, 1]")
+                radiance[len(ids)] = _parse_radiance(cells[5:], line_no)  # reused if a duplicate
+                key = (fp, lat)
+                if key in seen_keys:
+                    warnings.warn(
+                        f"line {line_no}: duplicate (footprint, latitude) {key}; keeping first",
+                        stacklevel=2,
+                    )
+                    continue
+                seen_keys.add(key)
+                for column, value in zip((ids, lats, lons, fps, lfs, line_nos),
+                                         (sid, lat, lon, fp, lf, line_no)):
+                    column.append(value)
+        except DataError as e:  # named after any row rule that an earlier row breaks
+            error = e
+    bad = _row_violation(*(np.array(c) for c in (ids, lats, lons, fps, lfs)))
     if bad is not None:
         raise DataError(f"line {line_nos[bad[0]]}: {bad[1]}")
-    return SpectralDataset(ids, lats, lons, fps, lfs, rads or np.empty((0, width)), metadata)
+    if error is not None:
+        raise error
+    return SpectralDataset(ids, lats, lons, fps, lfs, radiance[:len(ids)], metadata, own=True)
 
 
 def _fmt(x: float) -> str:

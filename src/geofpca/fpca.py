@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import SpectralDataset, WavelengthSet, distance_blocks, haversine_km
 from .errors import DataError, NumericalError
-from .mean_model import MeanModel, evaluate_mean_rows
+from .mean_model import MeanModel, residual_rows
 
 
 @dataclass
@@ -26,7 +26,8 @@ class CovarianceMatrix:
 
     ``span``, when set, holds rows (r x m) whose span contains the matrix's
     column space: the data rows it was built from. ``eigendecompose`` works
-    in that span when r < m.
+    in that span when r < m. ``fit_geofpca`` drops the error covariances,
+    spans and all, once it has the score-noise variances.
     """
 
     values: np.ndarray
@@ -199,7 +200,7 @@ def estimate_signal_covariance(ds: SpectralDataset, mean: MeanModel,
     n = rows.size
     if n < 2:
         raise DataError(f"{n} usable soundings, need >= 2 for the signal covariance")
-    resid = ds.radiance[np.ix_(rows, ws.positions)] - evaluate_mean_rows(mean, ds, rows)
+    resid = residual_rows(mean, ds, rows)
     fps = ds.footprints[rows]
     present = sorted(set(fps.tolist()))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,8 +271,7 @@ def compute_scores(ds: SpectralDataset, mean: MeanModel, basis: FpcaBasis) -> Sc
     ws = basis.wavelengths
     rows = _complete_rows(ds, ws)
     excluded = tuple(int(i) for i in np.delete(ds.ids, rows))
-    resid = ds.radiance[np.ix_(rows, ws.positions)] - evaluate_mean_rows(mean, ds, rows)
-    scores = resid @ basis.eigenvectors
+    scores = residual_rows(mean, ds, rows) @ basis.eigenvectors
     return ScoreField(ds.ids[rows], scores, ds.latitudes[rows], ds.longitudes[rows],
                       ds.footprints[rows], excluded_ids=excluded)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import distance_blocks, haversine_km, pairwise_distances
+from .dataset import DISTANCE_BLOCK, distance_blocks, haversine_km
 from .errors import DataError, NumericalError, require
 from .fpca import ScoreField
 
@@ -29,7 +29,7 @@ JITTER = 1e-8  # relative diagonal regularization of the kriging covariance
 MORAN_NEIGHBOURS = 10  # nearest soundings given inverse-distance Moran weights
 MIN_SCREEN_SOUNDINGS = 20  # fewest scored soundings the Moran screen tests
 PERM_ELEMENTS = 1 << 15  # permuted scores held per Moran chunk (L components x b x n)
-SOLVE_BLOCK = 64  # rows per forward-solve block, columns per Cholesky step
+SOLVE_BLOCK = DISTANCE_BLOCK  # columns per factor block: one distance row block each
 GRID_POINTS = 14  # log-spaced start-grid values per variogram parameter
 GRID_RTOL = 1e-9  # start-grid points this close to the broadcast minimum are re-scored
 XATOL, FATOL, MAXITER = 1e-10, 1e-12, 2000  # Nelder-Mead stopping rule
@@ -407,53 +407,51 @@ def spatial_dependence_test(scores: ScoreField, n_perm: int = 999, alpha: float 
                               n_perm, alpha) for k in range(len(z))]
 
 
-def _cholesky_in_place(a: np.ndarray) -> list[np.ndarray]:
-    """Overwrite the lower triangle of the SPD matrix ``a`` with its Cholesky
-    factor L (a = L L'); the strict upper triangle is left unchanged and unused.
+def _cholesky_columns(columns) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cholesky factor L (Sigma = L L') of an SPD matrix, by block columns.
 
-    Left-looking by SOLVE_BLOCK columns: update the block column from the
-    factored ones, factor its diagonal block in a temporary, and multiply the
-    panel below by that factor's inverse, transposed. Returns those inverses.
-    Raises ``LinAlgError`` where ``a`` is not SPD.
+    ``columns`` yields each Sigma[start:, start:start + SOLVE_BLOCK] as its own
+    array, which becomes L's block column (zero above the diagonal). Left-looking:
+    update it from the factored columns, factor its diagonal block, and multiply
+    the panel below by that factor's inverse, transposed. Returns the columns and
+    those inverses. Raises ``LinAlgError`` where Sigma is not SPD.
     """
-    inverses = []
-    for start in range(0, a.shape[0], SOLVE_BLOCK):
-        stop = start + SOLVE_BLOCK
-        done = a[start:stop, :start]
-        diag = np.tril(a[start:stop, start:stop] - done @ done.T)
-        diag = np.linalg.cholesky(diag + np.tril(diag, -1).T)
-        np.copyto(a[start:stop, start:stop], diag, where=np.tri(len(diag), dtype=bool))
-        inverses.append(np.linalg.inv(diag))
-        a[stop:, start:stop] -= a[stop:, :start] @ done.T
-        a[stop:, start:stop] = a[stop:, start:stop] @ inverses[-1].T
-    return inverses
+    blocks, inverses = [], []
+    for col in columns:
+        start, width = len(blocks) * SOLVE_BLOCK, col.shape[1]
+        for i, done in enumerate(blocks):
+            rows = done[start - i * SOLVE_BLOCK:]
+            col -= rows @ rows[:width].T
+        diag = np.tril(col[:width])
+        col[:width] = np.linalg.cholesky(diag + np.tril(diag, -1).T)
+        inverses.append(np.linalg.inv(col[:width]))
+        col[width:] = col[width:] @ inverses[-1].T
+        blocks.append(col)
+    return blocks, inverses
 
 
-def _forward_solve(chol: np.ndarray, inverses: list, rhs: np.ndarray) -> np.ndarray:
-    """Solve L X = B by blocks of SOLVE_BLOCK rows, reading only L's lower
-    triangle and the inverses of its diagonal blocks (``_cholesky_in_place``).
-
-    Each block subtracts the solved rows above it in one matrix product and
-    multiplies by its block's inverse; B is n or n x T.
-    """
-    out = np.empty(rhs.shape)
-    for start, inv in zip(range(0, chol.shape[0], SOLVE_BLOCK), inverses):
-        stop = start + SOLVE_BLOCK
-        out[start:stop] = inv @ (rhs[start:stop] - chol[start:stop, :start] @ out[:start])
+def _forward_solve(blocks: list, inverses: list, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = B from L's block columns and their diagonal blocks' inverses
+    (``_cholesky_columns``), B n or n x T: each block of rows is multiplied by its
+    inverse, then its column's panel takes it out of the rows below."""
+    out = np.array(rhs, dtype=float)
+    for i, (col, inv) in enumerate(zip(blocks, inverses)):
+        start, stop = i * SOLVE_BLOCK, (i + 1) * SOLVE_BLOCK
+        out[start:stop] = inv @ out[start:stop]
+        out[stop:] -= col[SOLVE_BLOCK:] @ out[start:stop]
     return out
 
 
-def _back_solve(chol: np.ndarray, inverses: list, rhs: np.ndarray) -> np.ndarray:
+def _back_solve(blocks: list, inverses: list, rhs: np.ndarray) -> np.ndarray:
     """Solve L' X = B as :func:`_forward_solve` does L X = B, from the last block up."""
     out = np.empty(rhs.shape)
-    for start, inv in reversed(list(zip(range(0, chol.shape[0], SOLVE_BLOCK), inverses))):
-        stop = start + SOLVE_BLOCK
-        out[start:stop] = inv.T @ (rhs[start:stop] - chol[stop:, start:stop].T @ out[stop:])
+    for i, (col, inv) in reversed(list(enumerate(zip(blocks, inverses)))):
+        start, stop = i * SOLVE_BLOCK, (i + 1) * SOLVE_BLOCK
+        out[start:stop] = inv.T @ (rhs[start:stop] - col[SOLVE_BLOCK:].T @ out[stop:])
     return out
 
 
-def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
-                    distances: np.ndarray | None = None
+def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None
                     ) -> tuple[float, np.ndarray | None]:
     """Ordinary kriging of one component's scores in dual form: (kappa, alpha).
 
@@ -461,10 +459,9 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
     score-noise variance and a relative jitter. kappa is the GLS mean and
     alpha = Sigma^-1 (u - kappa 1), so x predicts kappa + c(x)'alpha. With no
     fit (not kriged) kappa is the score mean, and a single observation predicts
-    its own score: alpha is None. ``distances`` (the soundings'
-    ``pairwise_distances``, else evaluated here) is read only in its strict
-    upper triangle, which is kept; Sigma, then its Cholesky factor, overwrite
-    the diagonal and lower triangle, so one buffer serves every component.
+    its own score: alpha is None. Sigma is built one block column at a time,
+    each from the transposed ``distance_blocks`` upper row block, and factored
+    as it is built (``_cholesky_columns``): the call holds about n^2/2 floats.
     """
     u = scores.component(k)
     if u.size < 1:
@@ -473,28 +470,26 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None,
         return float(u.mean()), None
     if u.size < 2:
         return float(u[0]), None
-    cov = (pairwise_distances(scores.latitudes, scores.longitudes)
-           if distances is None else distances)
-    for start in range(0, u.size, SOLVE_BLOCK):
-        # The diagonal block's lower part may hold an earlier component's factor.
-        panel = np.triu(cov[start:start + SOLVE_BLOCK, start:], 1).T
-        panel /= -fit.range_km
-        np.exp(panel, out=panel)
-        panel *= fit.sill
-        np.copyto(cov[start:, start:start + SOLVE_BLOCK], panel,
-                  where=np.tri(*panel.shape, dtype=bool))
-        del panel  # before the next block's panel is allocated
-    np.fill_diagonal(cov, fit.sill + scores.tau_for(scores.footprints, k) + JITTER * fit.sill)
+    diagonal = fit.sill + scores.tau_for(scores.footprints, k) + JITTER * fit.sill
+
+    def columns():
+        upper_rows = distance_blocks(scores.latitudes, scores.longitudes, upper=True, keep=True)
+        for start, d in upper_rows:
+            np.exp(np.divide(d, -fit.range_km, out=d), out=d)
+            d *= fit.sill
+            np.fill_diagonal(d, diagonal[start:start + len(d)])
+            yield d.T
+
     try:
-        inverses = _cholesky_in_place(cov)
+        blocks, inverses = _cholesky_columns(columns())
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"kriging covariance not SPD after jitter: {e}") from None
-    h_u, h_1 = _forward_solve(cov, inverses, np.column_stack([u, np.ones_like(u)])).T
+    h_u, h_1 = _forward_solve(blocks, inverses, np.column_stack([u, np.ones_like(u)])).T
     denom = float(h_1 @ h_1)
     if denom <= 0.0:
         raise NumericalError("kriging system degenerate (1' Sigma^-1 1 <= 0)")
     kappa = float(h_1 @ h_u) / denom
-    return kappa, _back_solve(cov, inverses, h_u - kappa * h_1)
+    return kappa, _back_solve(blocks, inverses, h_u - kappa * h_1)
 
 
 def kriged_scores(kappa: float, alpha: np.ndarray | None, fit: VariogramFit | None,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import (FOOTPRINTS, SpectralDataset, WavelengthSet, common_wavelengths,
-                      coordinate_violation, pairwise_distances)
+                      coordinate_violation)
 from .errors import DataError, GeofpcaError, NumericalError, require
 from .fpca import (CovarianceMatrix, FpcaBasis, ScoreField,
                    compute_score_noise_variance, compute_scores,
@@ -106,15 +106,12 @@ class GeoFpcaModel:
     def kriging_weights(self) -> list[tuple[float, np.ndarray | None]]:
         """Each component's (kappa, alpha), built on first use and never saved.
 
-        The soundings' distances are evaluated once, into the strict upper
-        triangle of one n x n buffer; each kriged component in turn builds and
-        factors its covariance in the rest of that buffer.
+        Each kriged component in turn evaluates its own distance blocks and
+        factors its covariance in half a matrix, freed before the next one.
         """
         if self._weights is None:
-            sf, fits = self.scores, self.fits
-            dist = (pairwise_distances(sf.latitudes, sf.longitudes)
-                    if any(f is not None for f in fits) else None)
-            self._weights = [kriging_weights(sf, k, fit, dist) for k, fit in enumerate(fits)]
+            self._weights = [kriging_weights(self.scores, k, fit)
+                             for k, fit in enumerate(self.fits)]
         return self._weights
 
 
@@ -155,6 +152,7 @@ def fit_geofpca(ds: SpectralDataset, config: FitConfig | None = None,
     basis = _stage("eigendecomposition", eigendecompose, signal, config.fve_threshold)
     scores = _stage("scores", compute_scores, ds, mean, basis)
     scores.taus = {p: compute_score_noise_variance(errs[p], basis) for p in errs}
+    del errs, signal  # and the spans they hold: the screen and variograms reuse their memory
     if score_transform is not None:
         scores = _stage("score-smoothing", score_transform, scores)
 

@@ -115,12 +115,9 @@ def fit_mean_model(ds: SpectralDataset, ws: WavelengthSet,
     return MeanModel(ws, covariates, coefficients)
 
 
-def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
-                     ) -> np.ndarray:
-    """Mean spectra over the model's wavelength set at T locations (T x m).
-
-    A footprint that is not a whole number is refused, never truncated.
-    """
+def _footprint_means(model: MeanModel, latitudes, longitudes, footprints):
+    """(rows, their mean spectra) for each footprint among T locations; a
+    footprint that is not a whole number is refused, never truncated."""
     lat = np.asarray(latitudes, dtype=float)
     given = np.asarray(footprints, dtype=float)
     if given.shape != lat.shape:
@@ -130,18 +127,26 @@ def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints
         raise DataError(f"footprint {given[~whole][0]} is not an integer")
     fps = given.astype(int)
     covs = _covariate_matrix(model.covariates, lat, longitudes)
-    out = np.empty((fps.size, model.wavelengths.size))
     for p in sorted(set(fps.tolist())):
         if p not in model.coefficients:
             raise DataError(f"footprint {p} was not fitted")
         beta = model.coefficients[p]
         sel = fps == p
-        out[sel] = beta[0] + covs[sel] @ beta[1:]
+        yield sel, beta[0] + covs[sel] @ beta[1:]
+
+
+def evaluate_mean_at(model: MeanModel, latitudes, longitudes, footprints) -> np.ndarray:
+    """Mean spectra over the model's wavelength set at T locations (T x m)."""
+    out = np.empty((np.size(latitudes), model.wavelengths.size))
+    for sel, mean in _footprint_means(model, latitudes, longitudes, footprints):
+        out[sel] = mean
     return out
 
 
-def evaluate_mean_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray
-                       ) -> np.ndarray:
-    """Mean spectra for the given dataset rows (len(rows) x m)."""
-    return evaluate_mean_at(model, ds.latitudes[rows], ds.longitudes[rows],
-                            ds.footprints[rows])
+def residual_rows(model: MeanModel, ds: SpectralDataset, rows: np.ndarray) -> np.ndarray:
+    """Radiance minus the mean at the given dataset rows (len(rows) x m), in place."""
+    resid = ds.radiance[np.ix_(rows, model.wavelengths.positions)]
+    columns = (ds.latitudes[rows], ds.longitudes[rows], ds.footprints[rows])
+    for sel, mean in _footprint_means(model, *columns):
+        resid[sel] -= mean
+    return resid

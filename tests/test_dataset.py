@@ -283,20 +283,24 @@ class TestLoadMatchesWholeTextOracle:
             load_dataset(path)
 
     def test_first_error_in_file_order(self, tmp_path):
-        """A bad row before a bad byte is the error reported (the whole-text reader
-        reported the bad byte, having decoded the file before reading any row)."""
+        """A bad row before a bad byte is the error reported, whether it fails to
+        parse or breaks a row rule (the whole-text reader reported the bad byte,
+        having decoded the file before reading any row)."""
         path = tmp_path / "data.csv"
-        path.write_bytes(csv_bytes([*ROWS, "5,34.4,23.0,5,,1,2"]) + b"6,\xff\n")
-        with pytest.raises(DataError, match="^line 6: expected 8 fields, got 7 "):
-            load_dataset(path)
-        with pytest.raises(DataError, match="not UTF-8 text"):
-            load_dataset_whole_text(path)
+        for row, error in (("5,34.4,23.0,5,,1,2", "^line 6: expected 8 fields, got 7 "),
+                           ("5,34.4,23.0,9,,1,2,3", "^line 6: footprint 9 outside 1..8$")):
+            path.write_bytes(csv_bytes([*ROWS, row]) + b"6,\xff\n")
+            with pytest.raises(DataError, match=error):
+                load_dataset(path)
+            with pytest.raises(DataError, match="not UTF-8 text"):
+                load_dataset_whole_text(path)
 
 
 class TestMemoryPeaks:
     def test_load_dataset(self, tmp_path):
-        """Read a line at a time, loading holds neither the file text nor its list
-        of lines: the traced peak stays within 2.75x the radiance array's bytes."""
+        """Read a line at a time into one radiance buffer, which the dataset keeps,
+        loading holds neither the file text, its list of lines, nor a second copy
+        of the radiance: the traced peak stays within 1.5x the radiance bytes."""
         n, width = 1200, 120
         rng = np.random.default_rng(1200)
         path = tmp_path / "data.csv"
@@ -310,7 +314,7 @@ class TestMemoryPeaks:
         finally:
             tracemalloc.stop()
         assert ds.radiance.shape == (n, width)
-        assert peak - base <= 2.75 * ds.radiance.nbytes
+        assert peak - base <= 1.5 * ds.radiance.nbytes
 
 
 @st.composite

@@ -13,7 +13,7 @@ from geofpca.errors import DataError, NumericalError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
                              EmpiricalVariogram, VariogramBins, _back_solve,
-                             _cholesky_in_place, _forward_solve, _moran_exceedances,
+                             _cholesky_columns, _forward_solve, _moran_exceedances,
                              _wls_weights,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, kriged_scores,
@@ -608,46 +608,53 @@ class TestKrigingSystem:
             kriging_weights(sf, 0, simple_fit(1.0, 10.0))
 
     @staticmethod
-    def factored(rng, n, upper=np.nan):
-        """(covariance, its in-place factor, the diagonal-block inverses).
-
-        The factor's buffer holds ``upper`` in its strict upper triangle, which
-        neither the factorization nor a solve may read: NaN would spread.
-        """
+    def factored(rng, n):
+        """(covariance, its factor's block columns, the diagonal-block inverses)."""
         lats = 35.0 + rng.uniform(0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
         cov = 2.0 * np.exp(-pairwise_distances(lats, lons) / 10.0) + 0.3 * np.eye(n)
-        chol = np.where(np.tri(n, dtype=bool), cov, upper)
-        return cov, chol, _cholesky_in_place(chol)
+        step = geostat.SOLVE_BLOCK
+        columns = (cov[s:, s:s + step].copy() for s in range(0, n, step))
+        return cov, *_cholesky_columns(columns)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    @staticmethod
+    def dense(blocks, n):
+        """The block columns laid out as one n x n matrix, zero above them."""
+        chol = np.zeros((n, n))
+        for start, col in zip(range(0, n, geostat.SOLVE_BLOCK), blocks):
+            chol[start:, start:start + col.shape[1]] = col
+        return chol
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1200])
     def test_forward_solve_matches_triangular_oracle(self, rng, n):
-        _, chol, inverses = self.factored(rng, n)
+        _, blocks, inverses = self.factored(rng, n)
+        chol = self.dense(blocks, n)
         for rhs in (rng.standard_normal(n), *(rng.standard_normal((n, t)) for t in (0, 1, 16))):
-            x = _forward_solve(chol, inverses, rhs)
+            x = _forward_solve(blocks, inverses, rhs)
             assert x.shape == rhs.shape
-            np.testing.assert_allclose(x, triangular_solve(np.tril(chol), rhs),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x, triangular_solve(chol, rhs), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1200])
     def test_back_solve_matches_transposed_triangular_oracle(self, rng, n):
-        _, chol, inverses = self.factored(rng, n)
+        _, blocks, inverses = self.factored(rng, n)
         rhs = rng.standard_normal(n)
-        x = _back_solve(chol, inverses, rhs)
+        x = _back_solve(blocks, inverses, rhs)
         assert x.shape == rhs.shape
-        np.testing.assert_allclose(x, transposed_triangular_solve(np.tril(chol), rhs),
+        np.testing.assert_allclose(x, transposed_triangular_solve(self.dense(blocks, n), rhs),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1200])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1200])
     def test_in_place_cholesky_matches_lapack(self, rng, n):
-        upper = rng.uniform(0.0, 70.0, (n, n))  # as the distances kriging keeps there
-        cov, got, inverses = self.factored(rng, n, upper)
-        expected = np.linalg.cholesky(cov)
-        assert np.abs(np.tril(got) - expected).max() <= 1e-12 * np.abs(expected).max()
-        strict_upper = ~np.tri(n, dtype=bool)
-        assert np.array_equal(got[strict_upper].view(np.uint64),
-                              upper[strict_upper].view(np.uint64))
-        assert len(inverses) == -(-n // geostat.SOLVE_BLOCK)
+        """Each block column is factored where it stands: (n - start) x 64 floats,
+        about n^2/2 + 32n in all, zero above the diagonal."""
+        cov, blocks, inverses = self.factored(rng, n)
+        step = geostat.SOLVE_BLOCK
+        assert [b.shape for b in blocks] == [(n - s, min(step, n - s))
+                                             for s in range(0, n, step)]
+        got, expected = self.dense(blocks, n), np.linalg.cholesky(cov)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not np.triu(got, 1).any()
+        assert len(inverses) == len(blocks)
 
     def test_later_component_exponentiates_only_distances(self, rng):
         """The second component's covariance is built beside the first's factor,
@@ -666,6 +673,21 @@ class TestKrigingSystem:
             weights = model.kriging_weights()
         for k, (kappa, alpha) in enumerate(weights):
             want_kappa, want_alpha = kriging_weights(sf, k, fit)
+            assert kappa == want_kappa
+            np.testing.assert_array_equal(alpha, want_alpha)
+
+    def test_model_weights_equal_standalone_weights(self, rng):
+        """Two components kriged at n = 1200 (19 block columns): the model's
+        weights equal each component's standalone weights."""
+        n = 1200
+        lats = 35.0 + rng.uniform(0, 0.6, n)
+        lons = 23.8 + rng.uniform(-0.05, 0.05, n)
+        sf = score_field(lats, rng.standard_normal((n, 2)), [0.1, 0.2], lons=lons)
+        fits = [simple_fit(2.0, 10.0), simple_fit(0.5, 4.0)]
+        model = GeoFpcaModel((35.0, 35.6), None, None, None, sf, fits,
+                             [None, None], FitConfig())
+        for k, (kappa, alpha) in enumerate(model.kriging_weights()):
+            want_kappa, want_alpha = kriging_weights(sf, k, fits[k])
             assert kappa == want_kappa
             np.testing.assert_array_equal(alpha, want_alpha)
 
@@ -728,11 +750,13 @@ class TestMemoryPeaks:
         assert peak <= 0.65
 
     def test_kriging_system(self, field):
+        """The factor's block columns hold half a matrix: no n x n array."""
         _, peak = self.traced_peak(lambda: kriging_weights(field, 0, simple_fit(2.0, 10.0)))
-        assert peak <= 1.25
+        assert peak <= 0.75
 
     def test_model_kriges_every_component_in_one_buffer(self, field):
-        """Two kriged components share the distances' buffer: no second n x n array."""
+        """Two kriged components in turn, each in half a matrix freed before the
+        next: no second factor and no n x n array."""
         u = np.random.default_rng(601).standard_normal((self.n, 2))
         sf = replace(field, scores=u, taus={4: np.array([0.1, 0.2])})
         fit = simple_fit(2.0, 10.0)
@@ -741,7 +765,7 @@ class TestMemoryPeaks:
                              [None, None], FitConfig())
         weights, peak = self.traced_peak(model.kriging_weights)
         assert all(alpha is not None for _, alpha in weights)
-        assert peak <= 1.25
+        assert peak <= 0.75
 
 
 class TestOwnedBounds:
