@@ -298,9 +298,9 @@ class TestLoadMatchesWholeTextOracle:
 
 class TestMemoryPeaks:
     def test_load_dataset(self, tmp_path):
-        """Read a line at a time into one radiance buffer, which the dataset keeps,
-        loading holds neither the file text, its list of lines, nor a second copy
-        of the radiance: the traced peak stays within 1.5x the radiance bytes."""
+        """Loading reads a line at a time into one radiance array, which the
+        dataset keeps. It holds neither the file text, nor its list of lines, nor
+        a second copy of the radiance: the traced peak stays within 1.5x its bytes."""
         n, width = 1200, 120
         rng = np.random.default_rng(1200)
         path = tmp_path / "data.csv"
