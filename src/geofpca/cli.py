@@ -42,7 +42,7 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 # impute refuses targets farther than this many degrees of latitude outside
-# the fitted region.
+# the fitted region, or of longitude outside the fitted soundings' longitudes.
 IMPUTE_MARGIN_DEG = 0.05
 
 # CLI keys whose library field has another name.
@@ -186,6 +186,15 @@ def _read_targets(path) -> list[tuple[int, float, float, int]]:
     return targets
 
 
+def _longitude_arc(longitudes: list[float]) -> tuple[float, float]:
+    """(west, width) in degrees: the smallest arc, east from ``west``, that holds
+    every longitude. It is the circle less the widest gap between them."""
+    east = sorted(x % 360.0 for x in longitudes)
+    gaps = [b - a for a, b in zip(east, east[1:] + [east[0] + 360.0])]
+    i = gaps.index(max(gaps))
+    return east[(i + 1) % len(east)], 360.0 - gaps[i]
+
+
 def _read_truth(path) -> dict[int, float]:
     """{sounding id: true land fraction} from a truth JSON object."""
     try:
@@ -230,10 +239,18 @@ def cmd_impute(cfg: dict) -> int:
         targets = [(0, cfg["lat"], cfg["lon"], cfg["footprint"])]
     model = load_model(cfg["model"])
     lo, hi = model.region
-    for sid, lat, _, _ in targets:
+    west, width = _longitude_arc(model.scores.longitudes.tolist())
+    for sid, lat, lon, _ in targets:
         if not lo - IMPUTE_MARGIN_DEG <= lat <= hi + IMPUTE_MARGIN_DEG:
             raise DataError(f"target {sid} at latitude {lat!r} is outside the fitted "
                             f"region [{lo!r}, {hi!r}] widened by {IMPUTE_MARGIN_DEG} deg")
+        east_of = (lon - west) % 360.0
+        # A longitude outside (-180, 180] is left to impute_radiance, which names its rule.
+        if (-180.0 < lon <= 180.0
+                and width + IMPUTE_MARGIN_DEG < east_of < 360.0 - IMPUTE_MARGIN_DEG):
+            w, e = ((x + 180.0) % 360.0 - 180.0 for x in (west, west + width))
+            raise DataError(f"target {sid} at longitude {lon!r} is outside the fitted "
+                            f"longitudes [{w:.6g}, {e:.6g}] widened by {IMPUTE_MARGIN_DEG} deg")
     spectra = impute_radiance(model, [t[1] for t in targets], [t[2] for t in targets],
                               [t[3] for t in targets])
     header = ["id", "latitude", "longitude", "footprint", "land_fraction"]

@@ -5,7 +5,7 @@ fit, per-footprint error covariances, signal covariance, eigendecomposition,
 scores, score-noise variances, spatial-dependence screening, then the kriged
 components' empirical variograms in one pass and a WLS fit for each of them.
 The resulting model imputes spectra at any batch of locations as the mean plus
-the kriged-score reconstruction, computing each component's kriging weights once.
+the kriged-score reconstruction.
 """
 
 from __future__ import annotations
@@ -100,19 +100,6 @@ class GeoFpcaModel:
     fits: list[VariogramFit | None]
     tests: list[SpatialTestResult | None]
     config: FitConfig
-    _weights: list[tuple[float, np.ndarray | None]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def kriging_weights(self) -> list[tuple[float, np.ndarray | None]]:
-        """Each component's (kappa, alpha), built on first use and never saved.
-
-        Each kriged component in turn evaluates its own distance blocks and
-        factors its covariance in half a matrix, freed before the next one.
-        """
-        if self._weights is None:
-            self._weights = [kriging_weights(self.scores, k, fit)
-                             for k, fit in enumerate(self.fits)]
-        return self._weights
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -186,13 +173,15 @@ def _target_coordinates(latitudes, longitudes) -> tuple[np.ndarray, np.ndarray]:
 def predict_scores(model: GeoFpcaModel, latitudes, longitudes) -> np.ndarray:
     """Kriged (or reduced) score predictions at T locations (T x K).
 
-    The per-component kriging weights are computed on the first call and
-    reused by every later one.
+    Each call solves every component's kriging system in turn, in half a matrix
+    freed before the next. To predict from one model many times, keep each
+    component's ``kriging_weights`` and call ``kriged_scores``.
     """
     lat, lon = _target_coordinates(latitudes, longitudes)
     preds = np.empty((lat.size, model.basis.K))
-    for k, (kappa, alpha) in enumerate(model.kriging_weights()):
-        preds[:, k] = kriged_scores(kappa, alpha, model.fits[k], model.scores, lat, lon)
+    for k, fit in enumerate(model.fits):
+        kappa, alpha = kriging_weights(model.scores, k, fit)
+        preds[:, k] = kriged_scores(kappa, alpha, fit, model.scores, lat, lon)
     return preds
 
 
@@ -349,6 +338,8 @@ def _check_kriging_inputs(model: GeoFpcaModel) -> None:
                          ("basis.eigenvalues", model.basis.eigenvalues)):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} holds a non-finite number")
+    if sf.sounding_ids.size == 0:
+        raise ValueError("scores hold no sounding to krige from")
     if any(a.shape != sf.sounding_ids.shape for a in (sf.latitudes, sf.longitudes,
                                                       sf.footprints)):
         raise ValueError("score coordinates and footprints need one entry per sounding id")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import SpectralDataset, haversine_km, select_region, track_numbers
-from .errors import DataError, GeofpcaError
+from .errors import DataError, GeofpcaError, require
 from .fpca import ScoreField
 from .imputation import FitConfig, GeoFpcaModel, fit_geofpca, impute_radiance
 
@@ -64,6 +64,12 @@ def detect_mixed_region(ds: SpectralDataset, land_hi: float = 0.70,
     land fraction against the two thresholds; the spec is qualified only when
     one side is land and the other water.
     """
+    require((0.0 <= water_lo <= land_hi <= 1.0,
+             f"water_lo {water_lo!r} and land_hi {land_hi!r} need 0 <= water_lo <= land_hi <= 1"),
+            (math.isfinite(ref_length) and ref_length > 0.0,
+             f"ref_length {ref_length!r} must be finite and > 0"),
+            (delta0 is None or math.isfinite(delta0) and delta0 > 0.0,
+             f"delta0 {delta0!r} must be finite and > 0"))
     lf = ds.land_fractions
     mixed = np.flatnonzero((lf > 0.0) & (lf < 1.0))
     if mixed.size == 0:

@@ -18,10 +18,9 @@ import numpy as np
 
 from .dataset import (BLOCK_SIZES, FOOTPRINTS, SpectralDataset, held_tracks,
                       remove_cross_tracks, select_region, track_numbers)
-from .errors import DataError, GeofpcaError
-from .fpca import FpcaBasis, compute_scores
-from .imputation import (FitConfig, fit_geofpca, impute_radiance,
-                         interpolate_radiance, predict_scores)
+from .errors import DataError, GeofpcaError, require
+from .fpca import FpcaBasis
+from .imputation import FitConfig, fit_geofpca, impute_radiance, interpolate_radiance
 from .parallel import map_tasks
 
 
@@ -41,14 +40,20 @@ def rrmse(imputed: np.ndarray, observed: np.ndarray) -> float:
     return float(np.sqrt(np.mean(rel * rel)))
 
 
-def rmspe(scores_obs: np.ndarray, scores_pred: np.ndarray, basis: FpcaBasis) -> float:
-    """Root mean squared prediction error of the score-space reconstruction."""
-    scores_obs = np.asarray(scores_obs, dtype=float)
-    scores_pred = np.asarray(scores_pred, dtype=float)
-    if scores_obs.shape != scores_pred.shape or scores_obs.size != basis.K:
-        raise DataError("score vectors must both have K components")
-    recon = basis.eigenvectors @ (scores_obs - scores_pred)
+def rmspe(score_error: np.ndarray, basis: FpcaBasis) -> float:
+    """Root mean squared prediction error of a score error s_obs - s_pred (length K),
+    reconstructed on the basis wavelengths; NaN where the score error holds a NaN."""
+    score_error = np.asarray(score_error, dtype=float)
+    if score_error.shape != (basis.K,):
+        raise DataError("score error must have K components")
+    recon = basis.eigenvectors @ score_error
     return float(np.sqrt(np.mean(recon * recon)))
+
+
+def check_lat_halfwidth(lat_halfwidth: float) -> None:
+    """Refuse a window half-width (degrees) that is not finite and > 0."""
+    require((math.isfinite(lat_halfwidth) and lat_halfwidth > 0.0,
+             f"lat_halfwidth {lat_halfwidth!r} must be finite and > 0"))
 
 
 def select_centers(ds: SpectralDataset, footprint: int = 4,
@@ -61,6 +66,10 @@ def select_centers(ds: SpectralDataset, footprint: int = 4,
     ``lat_halfwidth`` degrees of its latitude and (2) the largest held-out
     block of cross-tracks around it has every footprint of every track observed.
     """
+    require((footprint in FOOTPRINTS,
+             f"footprint {footprint!r} not one of {FOOTPRINTS[0]}..{FOOTPRINTS[-1]}"),
+            (min_region_count >= 0, f"min_region_count {min_region_count!r} must be >= 0"))
+    check_lat_halfwidth(lat_halfwidth)
     observed = ~np.isnan(ds.radiance).all(axis=1)
     tracks = track_numbers(ds)
     n_tracks = int(tracks.max()) + 1 if tracks.size else 0
@@ -121,6 +130,8 @@ _METRICS = ("rrmse_functional", "rrmse_interpolation", "rmspe")
 
 
 def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str | None]:
+    """Score each held sounding from one imputation: RMSPE reads (observed -
+    imputed) @ E = s_obs - s_pred, NaN exactly where the spectrum is incomplete."""
     ds, config, lat_halfwidth = shared
     center, r = cell
     try:
@@ -129,27 +140,18 @@ def _experiment_cell(shared, cell) -> tuple[int, int, list[ExperimentRow], str |
                                     center_lat + lat_halfwidth))
         train, held = remove_cross_tracks(region, center, r)
         model = fit_geofpca(train, config)
-        obs_scores = compute_scores(held, model.mean, model.basis)
-        score_of = {int(i): row for i, row in
-                    zip(obs_scores.sounding_ids, obs_scores.scores)}
         observed = held.radiance[:, model.wavelengths.positions]
         good = ~np.isnan(observed)
         keep = np.flatnonzero(good.any(axis=1))
-        lats, lons = held.latitudes[keep], held.longitudes[keep]
-        preds = predict_scores(model, lats, lons)
-        fps = held.footprints[keep]
-        imputed = impute_radiance(model, lats, lons, fps)
+        lats, fps = held.latitudes[keep], held.footprints[keep]
+        imputed = impute_radiance(model, lats, held.longitudes[keep], fps)
         interp = interpolate_radiance(train, lats, fps, model.wavelengths)
-        rows = []
-        for j, i in enumerate(keep):
-            sid, g = int(held.ids[i]), good[i]
-            val_f = rrmse(imputed[j, g], observed[i, g])
-            val_i = rrmse(interp[j, g], observed[i, g])
-            if sid in score_of:
-                val_p = rmspe(score_of[sid], preds[j], model.basis)
-            else:
-                val_p = math.nan  # incomplete spectrum: no observed scores
-            rows.append(ExperimentRow(center, r, sid, int(fps[j]), val_f, val_i, val_p))
+        score_errors = (observed[keep] - imputed) @ model.basis.eigenvectors
+        rows = [ExperimentRow(center, r, int(held.ids[i]), int(fps[j]),
+                              rrmse(imputed[j, good[i]], observed[i, good[i]]),
+                              rrmse(interp[j, good[i]], observed[i, good[i]]),
+                              rmspe(score_errors[j], model.basis))
+                for j, i in enumerate(keep)]
         return center, r, rows, None
     except GeofpcaError as e:
         return center, r, [], str(e)
@@ -164,6 +166,7 @@ def run_imputation_experiment(ds: SpectralDataset, centers, r_values=BLOCK_SIZES
     Failed (center, r) cells are recorded and excluded from the aggregates;
     the experiment continues through them.
     """
+    check_lat_halfwidth(lat_halfwidth)
     config = config or FitConfig()
     cells = [(int(c), int(r)) for c in centers for r in r_values]
     results = map_tasks(_experiment_cell, (ds, config, lat_halfwidth), cells, threads)

@@ -16,12 +16,17 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from geofpca.dataset import (_BASE_COLUMNS, SpectralDataset, _parse_cell, _parse_radiance,
-                             _row_violation, haversine_km, pairwise_distances)
+                             _row_violation, haversine_km, pairwise_distances,
+                             remove_cross_tracks, select_region)
 from geofpca.errors import DataError, NumericalError
+from geofpca.fpca import compute_scores
 from geofpca.geostat import (EmpiricalVariogram, VariogramFit, _wls_weights,
                              exponential_variogram)
+from geofpca.imputation import (fit_geofpca, impute_radiance, interpolate_radiance,
+                                predict_scores)
 from geofpca.simulation import (OrbitConfig, OrbitTruth, SimulationConfig, TransectTruth,
                                 synthetic_profile)
+from geofpca.validation import rrmse
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -240,6 +245,35 @@ def rmspe_loop(scores_obs, scores_pred, eigenvectors):
             acc += (scores_obs[j] - scores_pred[j]) * eigenvectors[w, j]
         total += acc * acc
     return math.sqrt(total / m)
+
+
+def two_pass_experiment_cell(ds, config, lat_halfwidth, center, r):
+    """One removal cell scored the two-pass way: observed scores from the held
+    spectra (``compute_scores``), predicted scores (``predict_scores``) and the
+    imputed spectra, matched by sounding id; RMSPE is NaN for a held sounding
+    with no observed scores. Rows (id, footprint, RRMSE functional, RRMSE
+    interpolation, RMSPE)."""
+    center_lat = float(ds.latitudes[ds.index_of(center)])
+    region = select_region(ds, (center_lat - lat_halfwidth, center_lat + lat_halfwidth))
+    train, held = remove_cross_tracks(region, center, r)
+    model = fit_geofpca(train, config)
+    obs_scores = compute_scores(held, model.mean, model.basis)
+    score_of = {int(i): row for i, row in zip(obs_scores.sounding_ids, obs_scores.scores)}
+    observed = held.radiance[:, model.wavelengths.positions]
+    good = ~np.isnan(observed)
+    keep = np.flatnonzero(good.any(axis=1))
+    lats, lons, fps = held.latitudes[keep], held.longitudes[keep], held.footprints[keep]
+    preds = predict_scores(model, lats, lons)
+    imputed = impute_radiance(model, lats, lons, fps)
+    interp = interpolate_radiance(train, lats, fps, model.wavelengths)
+    rows = []
+    for j, i in enumerate(keep):
+        sid, g = int(held.ids[i]), good[i]
+        val_p = (rmspe_loop(score_of[sid], preds[j], model.basis.eigenvectors)
+                 if sid in score_of else math.nan)
+        rows.append((sid, int(fps[j]), rrmse(imputed[j, g], observed[i, g]),
+                     rrmse(interp[j, g], observed[i, g]), val_p))
+    return rows
 
 
 def local_linear_point(x, y, x0, h):

@@ -274,6 +274,50 @@ class TestImpute:
 
 
 @pytest.fixture(scope="module")
+def orbit40():
+    """A 40-track orbit whose soundings span longitudes 23.772..23.8865."""
+    return simulate_orbit(OrbitConfig(seed=42, rho=0.003, n_tracks=40))[0]
+
+
+class TestImputeLongitude:
+    """impute refuses a target more than IMPUTE_MARGIN_DEG outside the smallest arc
+    that holds the fitted longitudes, an arc that may cross the antimeridian."""
+
+    @pytest.mark.parametrize("shift", [0.0, 156.17], ids=["plain", "antimeridian"])
+    def test_margin_around_fitted_arc(self, orbit40, tmp_path, capsys, shift):
+        def wrap(lon):  # into (-180, 180]
+            return 180.0 - (180.0 - lon) % 360.0
+
+        ds = orbit40
+        save_dataset(SpectralDataset(ds.ids, ds.latitudes, wrap(ds.longitudes + shift),
+                                     ds.footprints, ds.land_fractions, ds.radiance),
+                     tmp_path / "orbit.csv")
+        model, out = tmp_path / "m.json", tmp_path / "spectra.csv"
+        assert run(["fit", "--input", tmp_path / "orbit.csv", "--n-perm", 99,
+                    "--out", model]) == 0
+        west, east = (float(f(ds.longitudes)) + shift for f in (np.min, np.max))
+        if shift:
+            assert wrap(west) > 179.9 and wrap(east) < -179.9
+        inside = (west - IMPUTE_MARGIN_DEG + 1e-6, (west + east) / 2,
+                  east + IMPUTE_MARGIN_DEG - 1e-6)
+        targets = tmp_path / "targets.csv"
+        targets.write_text("id,latitude,longitude,footprint\n" + "".join(
+            f"{i},35.2,{wrap(lon)!r},4\n" for i, lon in enumerate(inside)))
+        assert run(["impute", "--model", model, "--targets", targets, "--out", out]) == 0
+        assert len(out.read_text().splitlines()) == 1 + len(inside)
+        out.unlink()
+        for lon in (west - IMPUTE_MARGIN_DEG - 1e-6, east + IMPUTE_MARGIN_DEG + 1e-6,
+                    83.78 + shift, -156.22 + shift):
+            lon = wrap(lon)
+            assert run(["impute", "--model", model, "--lat", 35.2, "--lon", lon,
+                        "--footprint", 4, "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert f"target 0 at longitude {lon!r} is outside the fitted longitudes" in err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
 def model_doc(sim_csv, tmp_path_factory):
     path = tmp_path_factory.mktemp("model") / "model.json"
     assert run(["fit", "--input", sim_csv[0], "--region", "34.9:35.47", "--n-perm", 99,
@@ -322,6 +366,8 @@ class TestMalformedModel:
         "fve-decreasing": lambda d: d["basis"]["fve_curve"].insert(0, 1.5),
         "fve-short-of-one": lambda d: d["basis"]["fve_curve"].__setitem__(-1, 0.999),
         "fve-empty": lambda d: d["basis"]["fve_curve"].clear(),
+        "scores-empty": lambda d: d["scores"].update(sounding_ids=[], values={}, latitudes=[],
+                                                     longitudes=[], footprints=[]),
     }
 
     @pytest.mark.parametrize("name", MUTATIONS)
@@ -498,6 +544,19 @@ class TestUnmix:
         assert (f"fractions at 0 or 1: unmixing {unmixing} of {m}, "
                 f"interpolation {interpolation} of {m}\n") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta0", -0.05], "delta0 -0.05 must be finite and > 0"),
+        (["--land-hi", 0.2, "--water-lo", 0.8],
+         "water_lo 0.8 and land_hi 0.2 need 0 <= water_lo <= land_hi <= 1"),
+        (["--ref-length", 0], "ref_length 0.0 must be finite and > 0")])
+    def test_bad_window_setting_exits_3(self, tmp_path, capsys, flags, message):
+        path, out = tmp_path / "transect.csv", tmp_path / "fractions.csv"
+        assert run(["simulate", "--seed", 3, "--out", path]) == 0
+        capsys.readouterr()
+        assert run(["unmix", "--input", path, *flags, "--out", out]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def orbit_csv(tmp_path_factory):
@@ -570,6 +629,16 @@ class TestValidate:
             assert line.startswith(f"failed cell: center {center}, r {r}: ")
             assert "homogeneity guard" in line
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--centers", 141, "--lat-halfwidth", -0.1], "lat_halfwidth -0.1 must be finite and > 0"),
+        (["--min-region-count", -1], "min_region_count -1 must be >= 0")])
+    def test_bad_window_setting_exits_3(self, orbit40, tmp_path, capsys, flags, message):
+        path, out = tmp_path / "orbit.csv", tmp_path / "report.csv"
+        save_dataset(orbit40, path)
+        assert run(["validate", "--input", path, *flags, "--out", out]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("r", ["1:9", "0:2", "3:2", "a:2", "1.5:2", "4"])
     def test_bad_r_exits_3(self, orbit_csv, tmp_path, capsys, r):

@@ -10,7 +10,7 @@ from conftest import make_dataset
 from geofpca import geostat
 from geofpca.dataset import haversine_km, pairwise_distances
 from geofpca.errors import DataError, NumericalError
-from geofpca.fpca import ScoreField
+from geofpca.fpca import FpcaBasis, ScoreField
 from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
                              EmpiricalVariogram, VariogramBins, _back_solve,
                              _cholesky_columns, _forward_solve, _moran_exceedances,
@@ -18,7 +18,7 @@ from geofpca.geostat import (GRID_POINTS, MORAN_NEIGHBOURS, PERM_ELEMENTS,
                              empirical_semivariogram, exponential_variogram,
                              fit_variogram_wls, krige_score, kriged_scores,
                              kriging_weights, spatial_dependence_test)
-from geofpca.imputation import FitConfig, GeoFpcaModel
+from geofpca.imputation import FitConfig, GeoFpcaModel, predict_scores
 from oracles import (allpairs_variogram, bordered_kriging, cholesky_kriging,
                      moran_chunked_stats, moran_permutation_loop, scipy_variogram_fit,
                      transposed_triangular_solve, triangular_solve, triu_binned_pairs)
@@ -40,6 +40,14 @@ def score_field(lats, values, tau, lons=None, footprints=None, ids=None):
         taus = {int(p): np.atleast_1d(np.asarray(tau, dtype=float))
                 for p in np.unique(footprints)}
     return ScoreField(ids, values, lats, lons, footprints, taus)
+
+
+def kriging_model(sf, fits):
+    """A model of len(fits) components for predict_scores, which reads only K,
+    the fits and the score field."""
+    k = len(fits)
+    basis = FpcaBasis(np.ones(k), np.eye(k), k, np.linspace(1 / k, 1, k), None)
+    return GeoFpcaModel(None, None, None, basis, sf, fits, [None] * k, FitConfig())
 
 
 def transect_latitudes(n, spacing_km=1.0, lat0=35.0):
@@ -657,39 +665,36 @@ class TestKrigingSystem:
         assert len(inverses) == len(blocks)
 
     def test_later_component_exponentiates_only_distances(self, rng):
-        """The second component's covariance is built beside the first's factor,
-        whose entries reach sqrt(sill): with a large sill and a short range,
-        exponentiating them would overflow. Nothing warns, and the shared
-        buffer's weights equal each component's standalone weights."""
+        """The second component's covariance may reuse the memory of the first's
+        factor, whose entries reach sqrt(sill): with a large sill and a short range,
+        exponentiating them would overflow. Nothing warns, and each component
+        predicts exactly what its standalone weights predict."""
         n = 130
         lats = 35.0 + rng.uniform(0, 0.05, n)
         lons = 23.8 + rng.uniform(-0.01, 0.01, n)
         sf = score_field(lats, 1e5 * rng.standard_normal((n, 2)), [1.0, 2.0], lons=lons)
         fit = simple_fit(1e10, 1.0)
-        model = GeoFpcaModel((35.0, 35.05), None, None, None, sf, [fit, fit],
-                             [None, None], FitConfig())
+        t_lat, t_lon = lats[:5] + 1e-4, lons[:5]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights = model.kriging_weights()
-        for k, (kappa, alpha) in enumerate(weights):
-            want_kappa, want_alpha = kriging_weights(sf, k, fit)
-            assert kappa == want_kappa
-            np.testing.assert_array_equal(alpha, want_alpha)
+            preds = predict_scores(kriging_model(sf, [fit, fit]), t_lat, t_lon)
+        for k in range(2):
+            want = kriged_scores(*kriging_weights(sf, k, fit), fit, sf, t_lat, t_lon)
+            np.testing.assert_array_equal(preds[:, k], want)
 
     def test_model_weights_equal_standalone_weights(self, rng):
         """Two components kriged at n = 1200 (19 block columns): the model's
-        weights equal each component's standalone weights."""
+        predictions are those of each component's standalone weights."""
         n = 1200
         lats = 35.0 + rng.uniform(0, 0.6, n)
         lons = 23.8 + rng.uniform(-0.05, 0.05, n)
         sf = score_field(lats, rng.standard_normal((n, 2)), [0.1, 0.2], lons=lons)
         fits = [simple_fit(2.0, 10.0), simple_fit(0.5, 4.0)]
-        model = GeoFpcaModel((35.0, 35.6), None, None, None, sf, fits,
-                             [None, None], FitConfig())
-        for k, (kappa, alpha) in enumerate(model.kriging_weights()):
-            want_kappa, want_alpha = kriging_weights(sf, k, fits[k])
-            assert kappa == want_kappa
-            np.testing.assert_array_equal(alpha, want_alpha)
+        t_lat, t_lon = lats[::100] + 1e-3, lons[::100]
+        preds = predict_scores(kriging_model(sf, fits), t_lat, t_lon)
+        for k, fit in enumerate(fits):
+            want = kriged_scores(*kriging_weights(sf, k, fit), fit, sf, t_lat, t_lon)
+            np.testing.assert_array_equal(preds[:, k], want)
 
     def test_zero_targets(self, rng):
         sf = score_field(transect_latitudes(10), rng.normal(size=10), [0.2])
@@ -760,11 +765,10 @@ class TestMemoryPeaks:
         u = np.random.default_rng(601).standard_normal((self.n, 2))
         sf = replace(field, scores=u, taus={4: np.array([0.1, 0.2])})
         fit = simple_fit(2.0, 10.0)
-        # Building the weights reads only the scores and the fits.
-        model = GeoFpcaModel((35.0, 35.6), None, None, None, sf, [fit, fit],
-                             [None, None], FitConfig())
-        weights, peak = self.traced_peak(model.kriging_weights)
-        assert all(alpha is not None for _, alpha in weights)
+        model = kriging_model(sf, [fit, fit])
+        preds, peak = self.traced_peak(
+            lambda: predict_scores(model, sf.latitudes[:3], sf.longitudes[:3]))
+        assert preds.shape == (3, 2) and np.isfinite(preds).all()
         assert peak <= 0.75
 
 

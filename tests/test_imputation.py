@@ -14,7 +14,7 @@ from geofpca.dataset import WavelengthSet, haversine_km, pairwise_distances
 from geofpca.errors import DataError
 from geofpca import imputation
 from geofpca.geostat import (WEIGHT_SCHEMES, VariogramBins, empirical_semivariogram,
-                             fit_variogram_wls, kriging_weights)
+                             fit_variogram_wls, kriged_scores, kriging_weights)
 from geofpca.imputation import (FitConfig, fit_geofpca, impute_radiance,
                                 interpolate_radiance, load_model, predict_scores,
                                 save_model)
@@ -188,7 +188,7 @@ class TestFitMemory:
         assert all(a.size < n * n for a in arrays)
 
     def test_no_square_array_after_prediction(self):
-        """A model keeps K weight vectors for kriging, never a factor."""
+        """Predicting leaves no factor (nor any n x n array) on the model."""
         ds, _ = simulate_orbit(OrbitConfig(n_tracks=75, track_spacing=0.008))
         n = len(ds)
         model = fit_geofpca(ds, FitConfig(n_perm=99))
@@ -196,8 +196,6 @@ class TestFitMemory:
         predict_scores(model, ds.latitudes[:3], ds.longitudes[:3])
         arrays = list(reachable_arrays(model))
         assert all(a.size < n * n for a in arrays)
-        alphas = [alpha for _, alpha in model.kriging_weights() if alpha is not None]
-        assert alphas and all(any(a is alpha for a in arrays) for alpha in alphas)
 
 
 class TestImputeRadiance:
@@ -312,23 +310,21 @@ class TestBatchedPrediction:
                 assert abs(preds[j, k] - ref) <= 1e-12
 
     def test_systems_equal_standalone_systems(self, fitted):
-        """One distance evaluation serves every component; the field is left intact."""
-        model = fitted[0]
+        """Each component predicts from its standalone kriging weights; the field
+        is left intact."""
+        model, lats, lons, _ = fitted
         all_kriged = fit_geofpca(small_orbit(), FitConfig(n_perm=99, alpha=0.999))
         assert all(fit is not None for fit in all_kriged.fits)
         for m in (model, all_kriged):
             sf = m.scores
             before = [a.copy() for a in (sf.scores, sf.latitudes, sf.longitudes,
                                          sf.footprints)]
-            weights = m.kriging_weights()
+            preds = predict_scores(m, lats, lons)
             for a, b in zip(before, (sf.scores, sf.latitudes, sf.longitudes, sf.footprints)):
                 assert np.array_equal(a, b)
-            for k, (kappa, alpha) in enumerate(weights):
-                want_kappa, want_alpha = kriging_weights(sf, k, m.fits[k])
-                assert kappa == want_kappa
-                assert (alpha is None) == (want_alpha is None) == (m.fits[k] is None)
-                if alpha is not None:
-                    assert np.array_equal(alpha, want_alpha)
+            for k, fit in enumerate(m.fits):
+                want = kriged_scores(*kriging_weights(sf, k, fit), fit, sf, lats, lons)
+                assert np.array_equal(preds[:, k], want)
         assert sum(fit is not None for fit in m.fits) >= 2
 
     def test_one_at_a_time_matches_batch(self, fitted):

@@ -90,6 +90,28 @@ class TestDetectMixedRegion:
         with pytest.raises(DataError, match="strictly inside"):
             detect_mixed_region(ds)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"delta0": -0.05}, "delta0 -0.05 must be finite and > 0"),
+        ({"delta0": math.inf}, "delta0 inf must be finite and > 0"),
+        ({"ref_length": 0.0}, "ref_length 0.0 must be finite and > 0"),
+        ({"ref_length": math.nan}, "ref_length nan must be finite and > 0"),
+        ({"land_hi": 0.2, "water_lo": 0.8},
+         "water_lo 0.8 and land_hi 0.2 need 0 <= water_lo <= land_hi <= 1"),
+        ({"water_lo": -0.1}, "water_lo -0.1 and land_hi 0.7 need 0 <= water_lo <= land_hi <= 1"),
+        ({"land_hi": math.nan},
+         "water_lo 0.3 and land_hi nan need 0 <= water_lo <= land_hi <= 1")])
+    def test_window_settings_refused(self, setting, message):
+        ds = transect_with_fractions([0.0] * 10 + [0.4] + [1.0] * 10)
+        with pytest.raises(DataError) as e:
+            detect_mixed_region(ds, **setting)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("water_lo, land_hi", [(0.0, 1.0), (0.5, 0.5)])
+    def test_threshold_bounds_accepted(self, water_lo, land_hi):
+        ds = transect_with_fractions([0.0] * 10 + [0.4] + [1.0] * 10)
+        spec = detect_mixed_region(ds, land_hi=land_hi, water_lo=water_lo, ref_length=0.05)
+        assert spec.mixed_ids == (11,)
+
 
 def field_from(lats, values, footprint=4):
     values = np.asarray(values, dtype=float)

@@ -11,7 +11,7 @@ from geofpca.imputation import FitConfig, interpolate_radiance
 from geofpca.simulation import OrbitConfig, ComponentSpec, simulate_orbit
 from geofpca.validation import (Aggregate, rmspe, rrmse, run_imputation_experiment,
                                 select_centers, report_to_csv, summary_to_csv)
-from oracles import rmspe_loop, rrmse_loop
+from oracles import rmspe_loop, rrmse_loop, two_pass_experiment_cell
 
 
 class TestRrmse:
@@ -47,14 +47,14 @@ class TestRmspe:
     def test_perfect_prediction(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         scores = rng.normal(size=3)
-        assert rmspe(scores, scores.copy(), self.basis(q)) == 0.0
+        assert rmspe(scores - scores.copy(), self.basis(q)) == 0.0
 
     def test_single_component_identity(self):
         # With phi constant at 1 (squared norm m) a score error of delta
         # propagates to exactly delta.
         m, delta = 6, 0.37
         basis = self.basis(np.ones((m, 1)))
-        assert rmspe(np.array([1.0]), np.array([1.0 - delta]), basis) == \
+        assert rmspe(np.array([1.0]) - np.array([1.0 - delta]), basis) == \
             pytest.approx(delta, abs=1e-12)
 
     def test_matches_loop_oracle(self, rng):
@@ -62,13 +62,19 @@ class TestRmspe:
         obs = rng.normal(size=3)
         pred = obs + rng.normal(0, 0.5, 3)
         basis = self.basis(q)
-        assert rmspe(obs, pred, basis) == pytest.approx(
+        assert rmspe(obs - pred, basis) == pytest.approx(
             rmspe_loop(obs, pred, q), abs=1e-12)
 
     def test_dimension_mismatch(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         with pytest.raises(DataError):
-            rmspe(np.ones(2), np.ones(2), self.basis(q))
+            rmspe(np.ones(2), self.basis(q))
+        with pytest.raises(DataError):
+            rmspe(np.ones((1, 3)), self.basis(q))
+
+    def test_nan_score_error_is_nan(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        assert math.isnan(rmspe(np.array([0.1, math.nan, 0.2]), self.basis(q)))
 
 
 def small_orbit(n_tracks=14, seed=5, **kwargs):
@@ -100,6 +106,25 @@ class TestSelectCenters:
             sid = int(ds.ids[ds.footprints == 2][t])
             gapped = replace_sounding(gapped, sid, radiance=nan_row)
         assert select_centers(gapped, min_region_count=8, lat_halfwidth=1.0) == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"footprint": 0}, "footprint 0 not one of 1..8"),
+        ({"footprint": 9}, "footprint 9 not one of 1..8"),
+        ({"min_region_count": -1}, "min_region_count -1 must be >= 0")])
+    def test_bad_setting_refused(self, setting, message):
+        with pytest.raises(DataError) as e:
+            select_centers(small_orbit(), **setting)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
+    def test_lat_halfwidth_refused_by_both_readers(self, value):
+        ds = small_orbit()
+        with pytest.raises(DataError) as centers:
+            select_centers(ds, lat_halfwidth=value)
+        with pytest.raises(DataError) as experiment:
+            run_imputation_experiment(ds, [int(ds.ids[60])], [1], lat_halfwidth=value)
+        assert str(centers.value) == str(experiment.value) == \
+            f"lat_halfwidth {value!r} must be finite and > 0"
 
     def test_matches_brute_force_oracle(self, rng):
         ds = small_orbit()
@@ -143,6 +168,28 @@ class TestExperiment:
         assert not report.failures
         assert 0 < len(report.rows) <= 8
         assert all(row.r == 1 for row in report.rows)
+
+    def test_one_imputation_matches_two_pass_oracle(self):
+        """Rows equal the two-pass cell's: RRMSE exactly, RMSPE to 1e-13 relative,
+        and NaN RMSPE only where a held spectrum misses one basis wavelength."""
+        from geofpca.dataset import remove_cross_tracks
+        ds, config = small_orbit(), FitConfig(n_perm=99)
+        center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+        nan_sid = int(remove_cross_tracks(ds, center, 2)[1].ids[0])
+        radiance = ds.radiance[ds.index_of(nan_sid)].copy()
+        radiance[5] = np.nan
+        ds = replace_sounding(ds, nan_sid, radiance=radiance)
+        report = run_imputation_experiment(ds, [center], [2], config, lat_halfwidth=1.0)
+        want = two_pass_experiment_cell(ds, config, 1.0, center, 2)
+        assert not report.failures
+        assert [(row.sounding_id, row.footprint) for row in report.rows] == \
+            [w[:2] for w in want]
+        for row, (_, _, functional, interpolation, p) in zip(report.rows, want):
+            assert row.rrmse_functional == functional
+            assert row.rrmse_interpolation == interpolation
+            assert math.isnan(row.rmspe) == math.isnan(p)
+            assert math.isnan(p) or abs(row.rmspe - p) <= 1e-13 * p
+        assert [row.sounding_id for row in report.rows if math.isnan(row.rmspe)] == [nan_sid]
 
     def test_interpolation_column_cross_check(self):
         from geofpca.dataset import remove_cross_tracks, select_region
