@@ -7,8 +7,13 @@ re-runs are byte-identical: BLAS runs on one thread whatever
 ``n_perm``); explicit flags win. The parser is the schema: a file value is
 converted and checked as its flag would be, and a key the command does not
 declare is a data error, as is a flag the other settings leave unread.
-Options left unset keep the library's defaults. Exit codes: 0 success, 2
+Options left unset keep the library's defaults. Each warning a command raises
+is one ``warning: <message>`` line on standard error. Exit codes: 0 success, 2
 usage error, 3 data error (out of memory included), 4 numerical failure.
+
+Only the modules of ``fit`` and ``impute`` are imported here; ``unmix``,
+``simulate`` and ``validate`` import theirs when they run, so no command
+executes a module it does not use.
 """
 
 from __future__ import annotations
@@ -19,22 +24,18 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .dataset import BLOCK_SIZES, load_dataset, save_dataset, select_region
+from .dataset import BLOCK_SIZES, load_dataset, select_region
 from .errors import DataError, NumericalError
 from .geostat import WEIGHT_SCHEMES, VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
                          save_model)
 from .mean_model import COVARIATE_MODES
 from .parallel import pin_blas
-from .simulation import (SimulationConfig, run_unmixing_study,
-                         simulate_mixed_transect, study_to_csv)
-from .unmixing import detect_mixed_region, unmix_region
-from .validation import (report_to_csv, run_imputation_experiment,
-                         select_centers, summary_to_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,7 +54,7 @@ _FIELD = {"fve": "fve_threshold", "weights": "weight_scheme",
 def _read_config(path, actions: dict[str, argparse.Action], command: str) -> dict:
     """The config file's non-null values, each converted as its flag's would be."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read config file {path}: {e}") from None
@@ -166,7 +167,7 @@ def _refuse(cfg: dict, keys: tuple[str, ...], reason: str) -> None:
 def _read_targets(path) -> list[tuple[int, float, float, int]]:
     """Rows (id, latitude, longitude, footprint) of a targets CSV."""
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, ValueError) as e:
         raise DataError(f"cannot read targets file {path}: {e}") from None
     if not lines or lines[0].split(",")[:4] != ["id", "latitude", "longitude",
@@ -198,7 +199,7 @@ def _longitude_arc(longitudes: list[float]) -> tuple[float, float]:
 def _read_truth(path) -> dict[int, float]:
     """{sounding id: true land fraction} from a truth JSON object."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
@@ -266,6 +267,8 @@ def cmd_impute(cfg: dict) -> int:
 
 
 def cmd_unmix(cfg: dict) -> int:
+    from .unmixing import detect_mixed_region, unmix_region
+
     fit_cfg = _fit_config(cfg)
     truth = _read_truth(cfg["truth"]) if cfg.get("truth") else None
     ds = load_dataset(cfg["input"])
@@ -304,6 +307,10 @@ def cmd_unmix(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    from .dataset import save_dataset
+    from .simulation import (SimulationConfig, run_unmixing_study,
+                             simulate_mixed_transect, study_to_csv)
+
     if cfg.get("study"):
         _refuse(cfg, ("rho", "alpha", "truth"), "with --study")
     else:
@@ -333,6 +340,9 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_validate(cfg: dict) -> int:
+    from .validation import (report_to_csv, run_imputation_experiment,
+                             select_centers, summary_to_csv)
+
     centers = cfg.get("centers", "auto")
     if centers != "auto":
         _refuse(cfg, ("footprint", "min_region_count"), "with explicit --centers")
@@ -458,6 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     pin_blas()
     parser = build_parser()
@@ -474,7 +488,12 @@ def main(argv=None) -> int:
         # Strict JSON: a non-finite float is echoed as its text ("nan", "inf", "-inf").
         echo = json.loads(json.dumps(cfg), parse_constant=lambda c: str(float(c)))
         print(f"config {args.command}: " + json.dumps(echo, sort_keys=True, allow_nan=False))
-        code = args.func(cfg)
+        with warnings.catch_warnings():
+            # After the filters in force: a warning they do not ignore or raise
+            # is shown every time, repeats included.
+            warnings.filterwarnings("always", append=True)
+            warnings.showwarning = _show_warning
+            code = args.func(cfg)
         sys.stdout.flush()  # here, so that a closed reader is reported below
         return code
     except BrokenPipeError as e:

@@ -279,7 +279,7 @@ def save_model(model: GeoFpcaModel, path) -> None:
 
 def load_model(path) -> GeoFpcaModel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise DataError(f"cannot read model file {path}: {e.strerror}") from None

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
 from geofpca.imputation import FitConfig, load_model
-from geofpca.simulation import (OrbitConfig, SimulationConfig, StudyResult,
+from geofpca.simulation import (ComponentSpec, OrbitConfig, SimulationConfig, StudyResult,
                                 simulate_mixed_transect, simulate_orbit)
 from geofpca.validation import run_imputation_experiment, select_centers
 
@@ -468,6 +469,7 @@ def test_any_model_mutation_exits_0_3_or_4(model_doc, screened_doc, tmp_path, ca
             err = capsys.readouterr().err
             assert code in (0, 3, 4), (edit, err)
             assert err.count("\n") <= 1 and not caught, (edit, err, caught)
+            assert not err.startswith("warning: "), (edit, err)
             if code == 0:
                 assert_load_rules(load_model(model_path))
 
@@ -783,6 +785,52 @@ def test_command_loads_no_numpy_ma(sim_csv, orbit_csv, tmp_path, command):
     assert out.splitlines()[-1] == "0 False"
 
 
+# The geofpca modules registered in sys.modules but never executed. A lazy module
+# stays a LazyLoader subclass of ModuleType until its first attribute access, so
+# the check reads only each module's type.
+UNEXECUTED = ("sorted(m.removeprefix('geofpca.') for m in sys.modules "
+              "if m.startswith('geofpca.') and type(sys.modules[m]) is not types.ModuleType)")
+
+
+def test_package_import_executes_no_module():
+    """``import geofpca`` registers every submodule but cli and loads no numpy."""
+    out = run_python("import sys, types; import geofpca; "
+                     f"print({UNEXECUTED}, 'numpy' in sys.modules, 'geofpca.cli' in sys.modules)")
+    package = Path(geofpca.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "cli"))
+    assert out == f"{modules} False False"
+
+
+@pytest.mark.parametrize("command, unexecuted", [
+    ("fit", ["simulation", "unmixing", "validation"]),
+    ("impute", ["simulation", "unmixing", "validation"]),
+    ("validate", ["simulation", "unmixing"]),
+    ("unmix", ["simulation", "validation"]),
+    ("simulate-study", ["validation"]),
+])
+def test_command_executes_only_its_modules(sim_csv, orbit_csv, tmp_path, command,
+                                           unexecuted):
+    transect, orbit = sim_csv[0], orbit_csv[0]
+    model = tmp_path / "model.json"
+    fit = ["fit", "--input", transect, "--region", "34.9:35.47", "--n-perm", 99]
+    if command == "impute":
+        assert run(fit + ["--out", model]) == 0
+    args = {
+        "fit": fit,
+        "impute": ["impute", "--model", model, "--lat", 35.2, "--lon", 23.77,
+                   "--footprint", 4],
+        "validate": ["validate", "--input", orbit, "--r", "1:1", "--min-region-count", 8,
+                     "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1],
+        "unmix": ["unmix", "--input", transect, "--n-perm", 99],
+        "simulate-study": ["simulate", "--study", "--rho-grid", "0.05", "--n-reps", 2,
+                           "--seed", 3, "--threads", 1],
+    }[command]
+    out = run_python("import sys, types; from geofpca.cli import main; "
+                     f"code = main(sys.argv[1:]); print(code, {UNEXECUTED})",
+                     *args, "--out", tmp_path / "out.csv")
+    assert out.splitlines()[-1] == f"0 {unexecuted}"
+
+
 def test_validate_bytes_independent_of_openblas_threads(tmp_path):
     # 240 soundings: large enough that an unpinned OpenBLAS threads its kernels.
     path = tmp_path / "orbit.csv"
@@ -1066,6 +1114,58 @@ class TestBadDatasetFile:
         assert models[0].read_bytes() == models[1].read_bytes()
 
 
+class TestByteOrderMark:
+    """Every text input saved as "UTF-8 with BOM" reads as the same file without it."""
+
+    @staticmethod
+    def with_bom(path):
+        bom = path.with_name("bom-" + path.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return bom
+
+    def impute_both(self, model_path, targets, tmp_path, bom_file):
+        """The impute outputs read from the plain files, and with ``bom_file``'s BOM copy."""
+        outputs = []
+        for bom in (False, True):
+            files = {"model": model_path, "targets": targets}
+            if bom:
+                files[bom_file] = self.with_bom(files[bom_file])
+            outputs.append(tmp_path / f"spectra-{bom}.csv")
+            assert run(["impute", "--model", files["model"], "--targets", files["targets"],
+                        "--out", outputs[-1]]) == 0
+        return [out.read_bytes() for out in outputs]
+
+    @pytest.mark.parametrize("bom_file", ["model", "targets"])
+    def test_model_and_targets(self, model_doc, tmp_path, bom_file):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_doc, sort_keys=True) + "\n")
+        targets = tmp_path / "targets.csv"
+        targets.write_text("id,latitude,longitude,footprint\n5,35.1,23.77,4\n9,35.2,23.78,4\n")
+        plain, bom = self.impute_both(model_path, targets, tmp_path, bom_file)
+        assert plain == bom
+
+    def test_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rho": 0.05, "seed": 42}))
+        outputs = []
+        for path in (config, self.with_bom(config)):
+            outputs.append(tmp_path / f"{path.stem}.csv")
+            assert run(["simulate", "--config", path, "--out", outputs[-1]]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_truth(self, sim_csv, tmp_path):
+        path, truth = sim_csv
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(json.dumps({str(truth.mixed_id): truth.alpha}))
+        summaries = []
+        for truth_file in (truth_path, self.with_bom(truth_path)):
+            summaries.append(tmp_path / f"summary-{truth_file.stem}.json")
+            assert run(["unmix", "--input", path, "--n-perm", 99, "--truth", truth_file,
+                        "--out", tmp_path / "f.csv", "--summary", summaries[-1]]) == 0
+        assert summaries[0].read_bytes() == summaries[1].read_bytes()
+        assert "mse_unmixing" in json.loads(summaries[0].read_text())
+
+
 class TestFileErrors:
     """An output or input path the system refuses exits 3 with one line naming it."""
 
@@ -1213,7 +1313,7 @@ class TestOutOfMemory:
         def refuse(*args):
             raise MemoryError("Unable to allocate 1.82 TiB for an array")
 
-        monkeypatch.setattr(cli, "simulate_mixed_transect", refuse)
+        monkeypatch.setattr(simulation, "simulate_mixed_transect", refuse)
         out = tmp_path / "s.csv"
         assert run(["simulate", "--out", out]) == 3
         err = capsys.readouterr().err
@@ -1225,6 +1325,36 @@ class TestOutOfMemory:
                     "--out", tmp_path / "m.json"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"n_bins {10**15} outside 1..10000" in err
+
+
+class TestWarnings:
+    """Each warning a command raises is one ``warning: <message>`` line on stderr."""
+
+    def test_noise_only_region_warns_once_per_footprint(self, tmp_path, capsys):
+        # The criterion-3 orbit's 24 soundings in 35.30..35.33 hold no signal above
+        # rounding, so every footprint's score-noise variances are clamped.
+        path = tmp_path / "orbit.csv"
+        save_dataset(simulate_orbit(OrbitConfig(
+            seed=42, rho=0.003, components=(ComponentSpec("gp", 12.0, 8.0),
+                                            ComponentSpec("iid", 1.0),
+                                            ComponentSpec("iid", 0.5))))[0], path)
+        assert run(["fit", "--input", path, "--region", "35.30:35.33", "--n-perm", 99,
+                    "--out", tmp_path / "m.json"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: error:{p}: clamped negative score-noise variances to 0"
+            for p in range(1, 9)]
+
+    def test_repeats_kept_in_order_before_the_error(self, tmp_path, capsys, monkeypatch):
+        def warn_then_fail(path):
+            for text in ("same", "other", "same"):
+                warnings.warn(text)
+            raise DataError("stop")
+
+        monkeypatch.setattr(cli, "load_model", warn_then_fail)
+        assert run(["impute", "--model", tmp_path / "m.json", "--lat", 35.2, "--lon", 23.77,
+                    "--footprint", 4, "--out", tmp_path / "s.csv"]) == 3
+        assert capsys.readouterr().err == ("warning: same\nwarning: other\nwarning: same\n"
+                                           "data error: stop\n")
 
 
 class TestRegionFlag:
@@ -1372,7 +1502,7 @@ class TestIgnoredFlags:
         missing, out = tmp_path / "missing", tmp_path / "out.csv"
         targets = tmp_path / "targets.csv"
         targets.write_text("id,latitude,longitude,footprint\n5,35.1,23.77,4\n")
-        monkeypatch.setattr(cli, "run_unmixing_study", lambda *a, **k: StudyResult([], []))
+        monkeypatch.setattr(simulation, "run_unmixing_study", lambda *a, **k: StudyResult([], []))
         args, code = {
             "fit": (["fit", "--input", missing], 3),
             "impute": (["impute", "--model", missing, "--targets", targets], 3),
