@@ -1123,28 +1123,22 @@ class TestByteOrderMark:
         bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         return bom
 
-    def impute_both(self, model_path, targets, tmp_path, bom_file):
-        """The impute outputs read from the plain files, and with ``bom_file``'s BOM copy."""
+    @pytest.mark.parametrize("bom_file", ["model", "targets"])
+    def test_model_and_targets(self, model_doc, tmp_path, bom_file):
+        files = {"model": tmp_path / "model.json", "targets": tmp_path / "targets.csv"}
+        files["model"].write_text(json.dumps(model_doc, sort_keys=True) + "\n")
+        files["targets"].write_text("id,latitude,longitude,footprint\n"
+                                    "5,35.1,23.77,4\n9,35.2,23.78,4\n")
         outputs = []
         for bom in (False, True):
-            files = {"model": model_path, "targets": targets}
             if bom:
                 files[bom_file] = self.with_bom(files[bom_file])
             outputs.append(tmp_path / f"spectra-{bom}.csv")
             assert run(["impute", "--model", files["model"], "--targets", files["targets"],
                         "--out", outputs[-1]]) == 0
-        return [out.read_bytes() for out in outputs]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
-    @pytest.mark.parametrize("bom_file", ["model", "targets"])
-    def test_model_and_targets(self, model_doc, tmp_path, bom_file):
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model_doc, sort_keys=True) + "\n")
-        targets = tmp_path / "targets.csv"
-        targets.write_text("id,latitude,longitude,footprint\n5,35.1,23.77,4\n9,35.2,23.78,4\n")
-        plain, bom = self.impute_both(model_path, targets, tmp_path, bom_file)
-        assert plain == bom
-
-    def test_config(self, tmp_path, capsys):
+    def test_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"rho": 0.05, "seed": 42}))
         outputs = []
