@@ -197,15 +197,21 @@ def _longitude_arc(longitudes: list[float]) -> tuple[float, float]:
 
 
 def _read_truth(path) -> dict[int, float]:
-    """{sounding id: true land fraction} from a truth JSON object."""
+    """{sounding id: true land fraction} from a truth JSON object; each fraction
+    is finite in [0, 1]."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        return {int(k): float(v) for k, v in doc.items()}
+        truth = {int(k): float(v) for k, v in doc.items()}
     except (OSError, TypeError, ValueError) as e:
         raise DataError(f"cannot read truth file {path}: {e}") from None
+    for sid, fraction in truth.items():
+        if not 0.0 <= fraction <= 1.0:
+            raise DataError(f"truth file {path}: sounding {sid}: fraction {fraction!r} "
+                            "outside [0, 1]")
+    return truth
 
 
 def cmd_fit(cfg: dict) -> int:
@@ -301,7 +307,8 @@ def cmd_unmix(cfg: dict) -> int:
                 errs = [(v - truth[sid]) ** 2 for sid, v in zip(spec.mixed_ids, values)
                         if sid in truth and not math.isnan(v)]
                 summary[f"mse_{method}"] = sum(errs) / len(errs) if errs else None
-        Path(cfg["summary"]).write_text(json.dumps(summary, sort_keys=True) + "\n")
+        Path(cfg["summary"]).write_text(
+            json.dumps(summary, sort_keys=True, allow_nan=False) + "\n")
         print(f"summary written to {cfg['summary']}")
     return EXIT_OK
 

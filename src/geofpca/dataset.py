@@ -171,33 +171,21 @@ class SpectralDataset:
 
 
 def haversine_km(lat1, lon1, lat2, lon2):
-    """Vectorized haversine distance in km (inputs in degrees)."""
-    (lat1, lon1, cos1), (lat2, lon2, cos2) = to_radians(lat1, lon1), to_radians(lat2, lon2)
-    d = haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2)
-    return d if d.ndim else d[()]
+    """Vectorized haversine distance in km (inputs in degrees).
 
-
-def to_radians(lat, lon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latitudes and longitudes in radians, and the latitudes' cosines."""
-    lat, lon = (np.radians(np.asarray(x, dtype=float)) for x in (lat, lon))
-    return lat, lon, np.cos(lat)
-
-
-def haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2, out=None, work=None) -> np.ndarray:
-    """Haversine distance in km from radians and the latitudes' cosines.
-
-    The two sides broadcast into ``out``, with ``work`` (an array of the same
-    shape) as scratch; either is new if None. The formula's operations run in
-    place, in its order, so the distances equal the textbook expression's.
+    The two sides broadcast into a new result, with one scratch array of the
+    same shape. The formula's operations run in place, in its order, so the
+    distances equal the textbook expression's.
     """
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (lat1, lon1, cos1, lat2, lon2, cos2)))
-    out, work = (np.empty(shape) if x is None else x for x in (out, work))
-    d = np.subtract(lon2, lon1, out=out)
+    lat1, lon1, lat2, lon2 = (np.radians(x, dtype=float) for x in (lat1, lon1, lat2, lon2))
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (lat1, lon1, lat2, lon2)))
+    d = np.subtract(lon2, lon1, out=np.empty(shape))
     d *= 0.5  # exactly / 2
     np.sin(d, out=d)
     d *= d
-    d *= np.multiply(cos1, cos2, out=work)
-    a = np.subtract(lat2, lat1, out=work)
+    a = np.multiply(np.cos(lat1), np.cos(lat2), out=np.empty(shape))
+    d *= a
+    np.subtract(lat2, lat1, out=a)
     a *= 0.5
     np.sin(a, out=a)
     a *= a
@@ -206,30 +194,22 @@ def haversine_radians(lat1, lon1, cos1, lat2, lon2, cos2, out=None, work=None) -
     np.minimum(d, 1.0, out=d)
     np.arcsin(d, out=d)
     d *= 2.0 * EARTH_RADIUS_KM
-    return d
+    return d if d.ndim else d[()]
 
 
-def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False,
-                    keep: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+def distance_blocks(lat: np.ndarray, lon: np.ndarray, upper: bool = False
+                    ) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) for each DISTANCE_BLOCK rows of the haversine distance matrix.
 
-    A block holds its rows' distances to every point, or with ``upper`` to
-    points start.. only, equal to those entries of the whole-matrix
-    evaluation. The blocks share one buffer, each overwritten by the next, and
-    the caller may write into them; with ``keep`` each is a new array, for a
-    caller that keeps them, and its scratch is freed before it is yielded.
+    A block is :func:`haversine_km` of its rows against every point, or with
+    ``upper`` against points start.. only, so it equals those entries of the
+    whole-matrix evaluation. Each block is a new array, which the caller may
+    keep or write into.
     """
-    points, n = to_radians(lat, lon), len(lat)
-    work = None if keep else np.empty(min(n, DISTANCE_BLOCK) * n)
-    buf = None if keep else np.empty(work.size)
-    for start in range(0, n, DISTANCE_BLOCK):
-        rows, col = slice(start, start + DISTANCE_BLOCK), start if upper else 0
-        shape = (min(DISTANCE_BLOCK, n - start), n - col)
-        size = shape[0] * shape[1]
-        yield start, haversine_radians(
-            *(x[rows, None] for x in points), *(x[None, col:] for x in points),
-            out=None if keep else buf[:size].reshape(shape),
-            work=None if keep else work[:size].reshape(shape))
+    for start in range(0, len(lat), DISTANCE_BLOCK):
+        rows, cols = slice(start, start + DISTANCE_BLOCK), slice(start if upper else 0, None)
+        yield start, haversine_km(lat[rows, None], lon[rows, None],
+                                  lat[None, cols], lon[None, cols])
 
 
 def pairwise_distances(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:

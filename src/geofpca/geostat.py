@@ -473,8 +473,7 @@ def kriging_weights(scores: ScoreField, k: int, fit: VariogramFit | None
     diagonal = fit.sill + scores.tau_for(scores.footprints, k) + JITTER * fit.sill
 
     def columns():
-        upper_rows = distance_blocks(scores.latitudes, scores.longitudes, upper=True, keep=True)
-        for start, d in upper_rows:
+        for start, d in distance_blocks(scores.latitudes, scores.longitudes, upper=True):
             np.exp(np.divide(d, -fit.range_km, out=d), out=d)
             d *= fit.sill
             np.fill_diagonal(d, diagonal[start:start + len(d)])

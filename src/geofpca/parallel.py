@@ -14,6 +14,7 @@ import ctypes
 import functools
 import os
 import sys
+import warnings
 
 # Extension modules linking an OpenBLAS, with the symbol suffix of that copy:
 # numpy's 64-bit-integer build and scipy's own.
@@ -55,14 +56,18 @@ def pin_blas() -> None:
 _worker_task = None  # set in each pool worker by _start_worker
 
 
-def _start_worker(fn, shared) -> None:
+def _start_worker(fn, shared, filters) -> None:
     global _worker_task
     pin_blas()
+    warnings.filters[:] = filters
     _worker_task = functools.partial(fn, shared)
 
 
 def _run_task(task):
-    return _worker_task(task)
+    """The task's result and the warnings it raised, which the parent shows."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = _worker_task(task)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def map_tasks(fn, shared, tasks: list, threads: int = 1, chunksize: int = 1) -> list:
@@ -70,10 +75,17 @@ def map_tasks(fn, shared, tasks: list, threads: int = 1, chunksize: int = 1) -> 
 
     ``shared`` reaches each worker once, at its start, instead of with every
     task; each worker runs one BLAS thread. Results keep the order of ``tasks``.
+    A worker filters its task's warnings with the caller's filters and records
+    them; the caller shows them in task order, through ``warnings.showwarning``.
     """
     if threads <= 1:
         return [fn(shared, t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    results = []
     with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
-                             initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunksize))
+                             initargs=(fn, shared, warnings.filters)) as pool:
+        for result, caught in pool.map(_run_task, tasks, chunksize=chunksize):
+            for message, category, filename, lineno in caught:
+                warnings.showwarning(message, category, filename, lineno)
+            results.append(result)
+    return results

@@ -164,11 +164,17 @@ def run_imputation_experiment(ds: SpectralDataset, centers, r_values=BLOCK_SIZES
     """Hold out cross-track blocks around each center and score both methods.
 
     Failed (center, r) cells are recorded and excluded from the aggregates;
-    the experiment continues through them.
+    the experiment continues through them. A center or r given twice is a
+    data error, raised before any cell runs.
     """
     check_lat_halfwidth(lat_halfwidth)
     config = config or FitConfig()
-    cells = [(int(c), int(r)) for c in centers for r in r_values]
+    centers, r_values = [int(c) for c in centers], [int(r) for r in r_values]
+    for what, values in (("center", centers), ("r", r_values)):
+        repeat = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeat is not None:
+            raise DataError(f"{what} {repeat} is given twice")
+    cells = [(c, r) for c in centers for r in r_values]
     results = map_tasks(_experiment_cell, (ds, config, lat_halfwidth), cells, threads)
 
     rows: list[ExperimentRow] = []
@@ -180,7 +186,7 @@ def run_imputation_experiment(ds: SpectralDataset, centers, r_values=BLOCK_SIZES
             failures.append((center, r, err))
 
     by_r = {}
-    for r in sorted(set(int(x) for x in r_values)):
+    for r in sorted(r_values):
         sub = [row for row in rows if row.r == r]
         by_r[r] = {m: Aggregate.of(np.array([getattr(x, m) for x in sub]))
                    for m in _METRICS}

@@ -39,6 +39,14 @@ def law_of_cosines_km(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_KM * math.acos(min(1.0, max(-1.0, c)))
 
 
+def haversine_textbook_km(lat1, lon1, lat2, lon2):
+    """The haversine formula as one out-of-place numpy expression, grouped as
+    sin^2(dlon/2) * (cos lat1 * cos lat2) + sin^2(dlat/2)."""
+    p1, l1, p2, l2 = (np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2))
+    h = np.sin((l2 - l1) / 2) ** 2 * (np.cos(p1) * np.cos(p2)) + np.sin((p2 - p1) / 2) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(np.sqrt(h), 1.0))
+
+
 def ols_pinv(x, y):
     """OLS coefficients through the Moore-Penrose pseudo-inverse."""
     return np.linalg.pinv(x) @ y

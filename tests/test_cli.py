@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from geofpca.errors import DataError
 from geofpca.fpca import ScoreField
 from geofpca.geostat import EmpiricalVariogram, VariogramFit, krige_score
 from geofpca.imputation import FitConfig, load_model
+from geofpca.parallel import map_tasks
 from geofpca.simulation import (ComponentSpec, OrbitConfig, SimulationConfig, StudyResult,
                                 simulate_mixed_transect, simulate_orbit)
 from geofpca.validation import run_imputation_experiment, select_centers
@@ -35,6 +37,14 @@ POOL = min(2, os.cpu_count() or 1)
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _warn_after(step, task):
+    """Warn twice with the same message after (3 - task) * step seconds."""
+    time.sleep((3 - task) * step)
+    for _ in range(2):
+        warnings.warn(f"task {task}")
+    return task
 
 
 class TestSimulate:
@@ -617,6 +627,32 @@ class TestValidate:
         assert err.count("\n") == 1 and "sounding id 999999 not in dataset" in err
         assert not out.exists()
 
+    def test_repeated_center_exits_3(self, orbit_csv, tmp_path, capsys):
+        path, ds = orbit_csv
+        center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
+        out = tmp_path / "report.csv"
+        assert run(["validate", "--input", path, "--r", "1:1", "--lat-halfwidth", 1.0,
+                    "--centers", f"{center}:{center}", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: center {center} is given twice\n"
+        assert not out.exists()
+
+    def test_pool_warnings_in_task_order(self, orbit_csv, tmp_path, monkeypatch, capfd):
+        """Under cli.main's warning set-up, stderr is the same at --threads 1 and 2,
+        although the pool's later tasks finish first."""
+        def command(cfg):
+            assert map_tasks(_warn_after, 0.1, list(range(4)), cfg["threads"]) == [0, 1, 2, 3]
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_validate", command)
+        err = {}
+        for threads in (1, POOL):
+            assert run(["validate", "--input", orbit_csv[0], "--out", tmp_path / "r.csv",
+                        "--threads", threads]) == 0
+            err[threads] = capfd.readouterr().err
+        assert err[1] == err[POOL] == "".join(
+            f"warning: task {t}\n" * 2 for t in range(4))
+
     def test_failed_cells_printed(self, orbit_csv, tmp_path, capsys):
         path, ds = orbit_csv
         center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
@@ -961,6 +997,19 @@ class TestUnmixTruthFile:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "truth file" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "7.5", "-0.1"])
+    def test_fraction_outside_unit_interval(self, sim_csv, tmp_path, capsys, value):
+        path, truth = sim_csv
+        truth_path, out, summary = (tmp_path / name for name in ("t.json", "f.csv", "s.json"))
+        bad = truth.mixed_id + 1
+        truth_path.write_text(f'{{"{truth.mixed_id}": 0.5, "{bad}": {value}}}')
+        assert run(["unmix", "--input", path, "--n-perm", 99, "--out", out,
+                    "--summary", summary, "--truth", truth_path]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: truth file {truth_path}: sounding {bad}: fraction "
+                       f"{float(value)!r} outside [0, 1]\n")
+        assert not out.exists() and not summary.exists()
 
 
 def no_input_args(command, tmp_path):

@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from geofpca.dataset import (BLOCK_SIZES, SpectralDataset, _parse_radiance,
-                             common_wavelengths, haversine_km, held_tracks, load_dataset,
-                             pairwise_distances, remove_cross_tracks, save_dataset,
+from geofpca.dataset import (BLOCK_SIZES, DISTANCE_BLOCK, SpectralDataset, _parse_radiance,
+                             common_wavelengths, distance_blocks, haversine_km, held_tracks,
+                             load_dataset, pairwise_distances, remove_cross_tracks, save_dataset,
                              select_region, track_numbers)
 from geofpca.errors import DataError
 from geofpca.simulation import (OrbitConfig, SimulationConfig, simulate_mixed_transect,
                                 simulate_orbit)
-from oracles import (dataset_columns_by_row, law_of_cosines_km, load_dataset_whole_text,
-                     parse_radiance_cells)
+from oracles import (dataset_columns_by_row, haversine_textbook_km, law_of_cosines_km,
+                     load_dataset_whole_text, parse_radiance_cells)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -420,6 +420,39 @@ class TestDistance:
         lons = 23.8 + rng.uniform(-2.0 * span, 2.0 * span, n)
         full = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
         np.testing.assert_array_equal(pairwise_distances(lats, lons), full)
+
+    def test_matches_textbook_expression_bitwise(self, rng):
+        # In place, in the expression's order: the same roundings, so the same bits.
+        lats, lons = rng.uniform(-89.0, 89.0, (2, 300)), rng.uniform(-179.0, 180.0, (2, 300))
+        for a, b in [((lats[0], lons[0]), (lats[1], lons[1])),
+                     ((lats[0, :40, None], lons[0, :40, None]), (lats[1], lons[1])),
+                     ((lats[0, 0], lons[0, 0]), (lats[1], lons[1, 0])),
+                     ((12.3, -45.6), (12.3, -45.6)), ((0.0, 0.0), (-0.0, 180.0))]:
+            d = haversine_km(*a, *b)
+            np.testing.assert_array_equal(d, haversine_textbook_km(*a, *b))
+            assert np.shape(d) == np.broadcast_shapes(*map(np.shape, a + b))
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 264, 1200])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_blocks_are_slices_of_the_whole_matrix(self, rng, n, upper):
+        lats = 20.0 + rng.uniform(-60.0, 60.0, n)
+        lons = 23.8 + rng.uniform(-120.0, 120.0, n)
+        full = haversine_km(lats[:, None], lons[:, None], lats[None, :], lons[None, :])
+        starts = []
+        for start, block in distance_blocks(lats, lons, upper=upper):
+            starts.append(start)
+            np.testing.assert_array_equal(
+                block, full[start:start + DISTANCE_BLOCK, start if upper else 0:])
+        assert starts == list(range(0, n, DISTANCE_BLOCK))
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_blocks_share_no_memory(self, rng, upper):
+        # Kriging keeps every block as a column of its factor.
+        lats, lons = 35.0 + rng.uniform(0, 0.6, 200), 23.8 + rng.uniform(-0.05, 0.05, 200)
+        blocks = [block for _, block in distance_blocks(lats, lons, upper=upper)]
+        assert len(blocks) == 4
+        for a, b in zip(blocks, blocks[1:]):
+            assert not np.shares_memory(a, b)
 
 
 class TestSelectRegion:

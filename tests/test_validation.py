@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, replace_sounding
+from geofpca import validation
 from geofpca.dataset import WavelengthSet
 from geofpca.errors import DataError
 from geofpca.fpca import FpcaBasis
@@ -235,6 +236,19 @@ class TestExperiment:
         assert len(report.failures) == 1
         assert report.failures[0][0] == int(ds.ids[0])
         assert report.rows
+
+    @pytest.mark.parametrize("centers, r_values, message", [
+        ([0, 0], [1], "center {0} is given twice"),
+        ([0, 1, 1, 0], [1, 2], "center {1} is given twice"),
+        ([0, 1], [2, 1, 2], "r 2 is given twice")])
+    def test_repeat_refused_before_any_cell(self, monkeypatch, centers, r_values, message):
+        ds = small_orbit()
+        ids = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[:2]
+        monkeypatch.setattr(validation, "map_tasks", None)  # a cell run would fail
+        with pytest.raises(DataError) as e:
+            run_imputation_experiment(ds, [ids[i] for i in centers], r_values,
+                                      lat_halfwidth=1.0)
+        assert str(e.value) == message.format(*ids)
 
     def test_csv_writers(self, tmp_path):
         ds = small_orbit()
