@@ -1,8 +1,8 @@
 """Command-line pipeline: fit, impute, unmix, simulate, validate.
 
 Every command is a pure function of its input files, flags, and seed, and
-re-runs are byte-identical: BLAS runs on one thread whatever
-``OPENBLAS_NUM_THREADS`` says (:func:`geofpca.parallel.pin_blas`). A
+re-runs are byte-identical: this module sets ``OPENBLAS_NUM_THREADS=1`` before
+numpy loads, so BLAS runs on one thread whatever the environment says. A
 ``--config`` JSON file may carry the command's flags as keys (``--n-perm`` is
 ``n_perm``); explicit flags win. The parser is the schema: a file value is
 converted and checked as its flag would be, and a key the command does not
@@ -28,6 +28,12 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+# Before numpy loads: one BLAS thread, whatever the environment says. The
+# method's linear algebra is small, so more threads only oversubscribe the
+# CPUs, and the thread count changes the last bits of BLAS sums. Pool workers
+# fork this process's OpenBLAS or inherit the environment.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import __version__
 from .dataset import BLOCK_SIZES, load_dataset, select_region
 from .errors import DataError, NumericalError
@@ -35,7 +41,6 @@ from .geostat import WEIGHT_SCHEMES, VariogramBins
 from .imputation import (FitConfig, fit_geofpca, impute_radiance, load_model,
                          save_model)
 from .mean_model import COVARIATE_MODES
-from .parallel import pin_blas
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -480,7 +485,6 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    pin_blas()
     parser = build_parser()
     args = parser.parse_args(argv)
     actions = {a.dest: a for a in args.schema._actions

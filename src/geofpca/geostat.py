@@ -85,11 +85,10 @@ class VariogramFit:
     objective: float
     degenerate: bool
     variogram: EmpiricalVariogram
-    model: str = "exponential"
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
+            "model": "exponential",
             "sill": self.sill,
             "range_km": self.range_km,
             "weight_scheme": self.weight_scheme,
@@ -104,13 +103,18 @@ class VariogramFit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VariogramFit":
+        """Inverse of ``to_dict``; ValueError for a model or scheme it cannot krige."""
+        if d["model"] != "exponential":
+            raise ValueError(f"variogram model {d['model']!r} is not 'exponential'")
+        if d["weight_scheme"] not in WEIGHT_SCHEMES:
+            raise ValueError(f"weight_scheme {d['weight_scheme']!r} not one of {WEIGHT_SCHEMES}")
         ev = EmpiricalVariogram(
             np.asarray(d["bins"]["distances"], dtype=float),
             np.asarray(d["bins"]["counts"], dtype=int),
             np.asarray(d["bins"]["values"], dtype=float),
         )
         return cls(d["sill"], d["range_km"], d["weight_scheme"], d["objective"],
-                   d["degenerate"], ev, d["model"])
+                   d["degenerate"], ev)
 
 
 @dataclass

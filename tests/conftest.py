@@ -1,13 +1,23 @@
-import numpy as np
+import os
+import sys
+
 import pytest
 
+# The CLI's BLAS setting, which holds only if made before numpy loads: serial
+# tests do not oversubscribe the CPUs, and in-process commands compute what a
+# CLI process does. pytest_configure ends the session if it came too late.
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np
+
 from geofpca.dataset import SpectralDataset
-from geofpca.parallel import pin_blas
 
 
-def pytest_sessionstart(session):
-    # The CLI's BLAS setting: serial tests do not oversubscribe the CPUs.
-    pin_blas()
+def pytest_configure(config):
+    if NUMPY_LOADED_FIRST:
+        pytest.exit("numpy was imported before tests/conftest.py could set "
+                    "OPENBLAS_NUM_THREADS=1", returncode=pytest.ExitCode.USAGE_ERROR)
 
 
 def make_dataset(lats, footprints, radiance, lons=None, land_fractions=None,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geofpca
-from geofpca import cli, simulation
+from geofpca import cli, parallel, simulation
 from geofpca.cli import IMPUTE_MARGIN_DEG, build_parser, main
 from geofpca.dataset import SpectralDataset, load_dataset, save_dataset
 from geofpca.errors import DataError
@@ -379,6 +379,9 @@ class TestMalformedModel:
         "fve-empty": lambda d: d["basis"]["fve_curve"].clear(),
         "scores-empty": lambda d: d["scores"].update(sounding_ids=[], values={}, latitudes=[],
                                                      longitudes=[], footprints=[]),
+        "model-gaussian": lambda d: _first_fit(d).update(model="gaussian"),
+        "fit-weight-scheme-unknown": lambda d: _first_fit(d).update(weight_scheme="h2"),
+        "config-weight-scheme-unknown": lambda d: d["config"].update(weight_scheme="h2"),
     }
 
     @pytest.mark.parametrize("name", MUTATIONS)
@@ -838,10 +841,10 @@ def test_package_import_executes_no_module():
 
 
 @pytest.mark.parametrize("command, unexecuted", [
-    ("fit", ["simulation", "unmixing", "validation"]),
-    ("impute", ["simulation", "unmixing", "validation"]),
+    ("fit", ["parallel", "simulation", "unmixing", "validation"]),
+    ("impute", ["parallel", "simulation", "unmixing", "validation"]),
     ("validate", ["simulation", "unmixing"]),
-    ("unmix", ["simulation", "validation"]),
+    ("unmix", ["parallel", "simulation", "validation"]),
     ("simulate-study", ["validation"]),
 ])
 def test_command_executes_only_its_modules(sim_csv, orbit_csv, tmp_path, command,
@@ -869,38 +872,93 @@ def test_command_executes_only_its_modules(sim_csv, orbit_csv, tmp_path, command
 
 def test_validate_bytes_independent_of_openblas_threads(tmp_path):
     # 240 soundings: large enough that an unpinned OpenBLAS threads its kernels.
+    # Two cells, so --threads 2 forks two workers.
     path = tmp_path / "orbit.csv"
     ds, _ = simulate_orbit(OrbitConfig(n_tracks=30, seed=5, grid_length=24,
                                        track_spacing=0.004))
     save_dataset(ds, path)
     center = select_centers(ds, min_region_count=8, lat_halfwidth=1.0)[0]
     reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"report-{threads}.csv"
+    for blas, threads in (("1", 1), ("2", 1), ("2", POOL)):
+        out = tmp_path / f"report-{blas}-{threads}.csv"
         run_python("import sys; from geofpca.cli import main; sys.exit(main(sys.argv[1:]))",
-                   "validate", "--input", path, "--r", "2:2", "--centers", center,
-                   "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", 1,
-                   "--out", out, OPENBLAS_NUM_THREADS=threads)
+                   "validate", "--input", path, "--r", "1:2", "--centers", center,
+                   "--lat-halfwidth", 1.0, "--n-perm", 99, "--threads", threads,
+                   "--out", out, OPENBLAS_NUM_THREADS=blas)
         reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.parametrize("scipy_first", [True, False],
-                         ids=["scipy-loaded-before", "scipy-loaded-after"])
-def test_pin_blas_leaves_every_openblas_at_one_thread(scipy_first):
+def test_cli_import_leaves_one_blas_thread():
+    """Under OPENBLAS_NUM_THREADS=2, importing the CLI and then scipy.linalg leaves
+    the process one OS thread and every OpenBLAS copy one BLAS thread."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("counts OS threads in /proc/self/task (Linux)")
     code = "\n".join([
-        "import json, numpy",
-        "import scipy.linalg" if scipy_first else "",
-        "from geofpca.parallel import _loaded_openblas, pin_blas",
-        "pin_blas()",
+        "import ctypes, json, os, sys",
+        "import geofpca.cli",
         "import scipy.linalg",
-        "print(json.dumps([getattr(lib, 'scipy_openblas_get_num_threads' + suffix)()",
-        "                  for lib, suffix in _loaded_openblas()]))",
+        "counts = []",
+        "for module, suffix in (('numpy._core._multiarray_umath', '64_'),",
+        "                       ('scipy.linalg._fblas', '')):",
+        "    lib = ctypes.CDLL(sys.modules[module].__file__)",
+        "    get = getattr(lib, 'scipy_openblas_get_num_threads' + suffix, None)",
+        "    if get is not None:",
+        "        counts.append(get())",
+        "print(json.dumps([len(os.listdir('/proc/self/task')), counts]))",
     ])
-    counts = json.loads(run_python(code, OPENBLAS_NUM_THREADS="2"))
+    os_threads, counts = json.loads(run_python(code, OPENBLAS_NUM_THREADS="2"))
+    assert os_threads == 1
     if not counts:
         pytest.skip("no OpenBLAS with the scipy_openblas symbols is loaded")
     assert counts == [1] * len(counts)
+
+
+def test_conftest_refuses_numpy_loaded_first(tmp_path):
+    """A plugin that imports numpy ends the session with one line, before any test."""
+    (tmp_path / "numpy_first.py").write_text("import numpy\n")
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-p", "numpy_first",
+                           "-p", "no:cacheprovider", "--collect-only", "-q",
+                           str(tests / "conftest.py")],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          cwd=tests.parent)
+    assert done.returncode == pytest.ExitCode.USAGE_ERROR
+    assert done.stderr == ("Exit: numpy was imported before tests/conftest.py could set "
+                           "OPENBLAS_NUM_THREADS=1\n")
+
+
+def _add(shared, task):
+    return shared + task
+
+
+def test_pool_has_one_worker_per_task_up_to_threads(monkeypatch):
+    """map_tasks starts min(threads, tasks) workers, and none for one task."""
+    import concurrent.futures
+    sizes = []
+
+    class Pool:  # runs the workers' code in this process
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(parallel, "_worker_task", None)
+    assert map_tasks(_add, 10, [1], threads=2) == [11]
+    assert map_tasks(_add, 10, [1, 2, 3], threads=4) == [11, 12, 13]
+    assert map_tasks(_add, 10, [1, 2, 3], threads=2) == [11, 12, 13]
+    assert sizes == [3, 2]
 
 
 class TestListFlags:
